@@ -65,9 +65,6 @@ OnlinePoset::CollectStats OnlineParamount::collect() {
     tel->metrics().set(tel->poset_resident_bytes, 0, stats.resident_bytes);
     tel->metrics().set(tel->poset_reclaimed_events, 0,
                        poset_.reclaimed_events());
-    // The store's gauges refresh on the same cadence as the poset's: racing
-    // collectors are the same benign last-writer-wins as above.
-    if (options_.store != nullptr) options_.store->publish_stats(tel);
   }
   return stats;
 }
@@ -109,30 +106,16 @@ void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins) {
   }
   const std::uint64_t start_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
   std::uint64_t states = 0;
-  // relaxed: advisory latch, see store_full(). Once the shared store filled,
-  // further intervals would be incomplete; skip straight to the pin release
-  // and completion callback so backpressure budgets stay balanced.
-  if (!store_full_.load(std::memory_order_relaxed)) {
-    // The empty state {0,…,0} belongs to the interval of the first event in
-    // the insertion order →p (Figure 6a).
-    if (ins.first) {
-      visit_(poset_, ins.id, poset_.empty_frontier());
-      ++states;
-    }
-    // Pool workers must never let an exception escape (the pool would
-    // std::terminate), so the store's typed kFull result is latched here
-    // and surfaced by the owner via store_full().
-    try {
-      const EnumStats stats = enumerate_box(
-          options_.subroutine, poset_, ins.gmin, ins.gbnd,
-          [&](const Frontier& state) { visit_(poset_, ins.id, state); },
-          /*meter=*/nullptr, options_.store);
-      states += stats.states;
-    } catch (const StateStoreFull&) {
-      // relaxed: see store_full().
-      store_full_.store(true, std::memory_order_relaxed);
-    }
+  // The empty state {0,…,0} belongs to the interval of the first event in
+  // the insertion order →p (Figure 6a).
+  if (ins.first) {
+    visit_(poset_, ins.id, poset_.empty_frontier());
+    ++states;
   }
+  const EnumStats stats = enumerate_box(
+      options_.subroutine, poset_, ins.gmin, ins.gbnd,
+      [&](const Frontier& state) { visit_(poset_, ins.id, state); });
+  states += stats.states;
   // relaxed: monotone statistics counters; the final reads happen after
   // drain()/destruction, which order all contributions.
   states_.fetch_add(states, std::memory_order_relaxed);

@@ -47,14 +47,6 @@ class OnlineParamount {
     // shard num_threads + w. Requires num_threads + async_workers shards.
     obs::Telemetry* telemetry = nullptr;
     WindowPolicy window_policy;  // default: no reclamation (unbounded)
-    // Optional shared state store: interval subroutines intern into it
-    // instead of keeping private working sets (see ParamountOptions::store).
-    // The store filling up is NOT fatal here — pooled workers must never
-    // throw — it latches store_full() and the driver stops enumerating
-    // further intervals (pins are still released and interval_done still
-    // fires, so service backpressure budgets stay balanced); the owner
-    // checks store_full() and surfaces its typed error.
-    StateStore* store = nullptr;
     // Invoked once per interval after its enumeration finished AND its
     // window pin (if any) was released — the point where the interval has
     // stopped holding any poset storage alive. Service-mode backpressure
@@ -101,15 +93,6 @@ class OnlineParamount {
     return intervals_.load(std::memory_order_relaxed);
   }
 
-  // True once any interval's enumeration hit the shared store's typed kFull
-  // result. Latched; subsequent intervals are skipped (their states would be
-  // incomplete anyway). Meaningful only with Options::store set.
-  // relaxed: advisory flag read at reply points; the racing interval's other
-  // effects are ordered by drain()/the frame writer's own synchronization.
-  bool store_full() const {
-    return store_full_.load(std::memory_order_relaxed);
-  }
-
  private:
   void enumerate_interval(const OnlinePoset::Inserted& ins);
   void maybe_collect();
@@ -121,7 +104,6 @@ class OnlineParamount {
   std::atomic<std::uint64_t> states_{0};
   std::atomic<std::uint64_t> intervals_{0};
   std::atomic<std::uint64_t> inserts_since_gc_{0};
-  std::atomic<bool> store_full_{false};
 };
 
 }  // namespace paramount

@@ -135,8 +135,7 @@ ParamountResult enumerate_paramount(const Poset& poset,
     }
     const EnumStats stats = enumerate_box(
         options.subroutine, poset, iv.gmin, iv.gbnd,
-        [&](const Frontier& state) { visit(state); }, options.meter,
-        options.store);
+        [&](const Frontier& state) { visit(state); }, options.meter);
     states += stats.states;
     // relaxed: monotone counter; the final load happens after the workers
     // join, which orders every contribution.
@@ -299,8 +298,7 @@ ParamountResult enumerate_paramount_streaming(
     }
     const EnumStats stats = enumerate_box(
         options.subroutine, poset, gmin, claimed.gbnd,
-        [&](const Frontier& state) { visit(state); }, options.meter,
-        options.store);
+        [&](const Frontier& state) { visit(state); }, options.meter);
     states += stats.states;
     // relaxed: monotone counter, read after the joins; see the offline driver.
     total_states.fetch_add(states, std::memory_order_relaxed);

@@ -40,13 +40,6 @@ struct ParamountOptions {
   // Optional shared memory meter (thread-safe); lets B-Para reproduce the
   // bounded-memory behaviour of Table 1.
   MemoryMeter* meter = nullptr;
-  // Optional shared state store. When set, every interval's subroutine runs
-  // store-backed: workers intern states into this one store (concurrently —
-  // it is lock-free) instead of keeping private per-interval working sets.
-  // Intervals partition the lattice (Theorem 2), so the interning dedup
-  // never suppresses a state within one run. Workers surface the store's
-  // typed kFull result by throwing StateStoreFull.
-  StateStore* store = nullptr;
   // When true, per-interval state counts and wall times are recorded; used
   // by the speedup benches to feed the schedule simulator.
   bool collect_interval_stats = false;

@@ -5,16 +5,14 @@
 #include <vector>
 
 #include "core/paramount.hpp"
-#include "enumeration/level_enumerator.hpp"
 #include "poset/global_state.hpp"
-#include "util/state_store.hpp"
 #include "util/sync.hpp"
 
 namespace paramount {
 
 ModalityResult detect_possibly(const Poset& poset, StatePredicate predicate,
                                std::size_t num_workers,
-                               obs::Telemetry* telemetry, StateStore* store) {
+                               obs::Telemetry* telemetry) {
   ModalityResult result;
   result.witness = poset.empty_frontier();
 
@@ -29,7 +27,6 @@ ModalityResult detect_possibly(const Poset& poset, StatePredicate predicate,
   ParamountOptions options;
   options.num_workers = num_workers;
   options.telemetry = telemetry;
-  options.store = store;
   enumerate_paramount(poset, options, [&](const Frontier& state) {
     // No early-exit hook in the driver: once found, skip the (possibly
     // expensive) predicate and fall through cheaply.
@@ -59,55 +56,7 @@ ModalityResult detect_possibly(const Poset& poset, StatePredicate predicate,
   return result;
 }
 
-namespace {
-
-// The id-based variant of the ¬φ sweep: levels hold 4-byte StateStore ids,
-// states are reconstructed from the store's arena, and interning dedups every
-// successor — φ-states included, so each state's predicate runs exactly once
-// (the private sweep re-evaluates φ-states once per same-level parent).
-ModalityResult detect_definitely_store(const Poset& poset,
-                                       StatePredicate predicate,
-                                       StateStore& store,
-                                       const Frontier& initial,
-                                       const Frontier& final_state,
-                                       ModalityResult result) {
-  const std::size_t n = poset.num_threads();
-  std::vector<StateStore::StateId> level{
-      detail::intern_or_throw(store, initial).id};
-  Frontier state;  // scratch: reconstructed per visit
-  while (!level.empty()) {
-    std::vector<StateStore::StateId> next_level;
-    for (const StateStore::StateId id : level) {
-      store.load(id, &state);
-      for (ThreadId t = 0; t < n; ++t) {
-        if (!event_enabled(poset, state, t)) continue;
-        state[t] += 1;
-        const StateStore::InsertResult r =
-            detail::intern_or_throw(store, state);
-        if (r.inserted) {
-          ++result.states_explored;
-          if (!predicate(state)) {
-            if (state == final_state) {
-              result.holds = false;  // reached the top avoiding φ entirely
-              result.witness = state;
-              return result;
-            }
-            next_level.push_back(r.id);
-          }
-        }
-        state[t] -= 1;
-      }
-    }
-    level = std::move(next_level);
-  }
-  result.holds = true;
-  return result;
-}
-
-}  // namespace
-
-ModalityResult detect_definitely(const Poset& poset, StatePredicate predicate,
-                                 StateStore* store) {
+ModalityResult detect_definitely(const Poset& poset, StatePredicate predicate) {
   ModalityResult result;
   result.witness = poset.empty_frontier();
 
@@ -128,20 +77,19 @@ ModalityResult detect_definitely(const Poset& poset, StatePredicate predicate,
     return result;
   }
 
-  if (store != nullptr) {
-    return detect_definitely_store(poset, predicate, *store, initial,
-                                   final_state, std::move(result));
-  }
-
   std::vector<Frontier> level{initial};
   while (!level.empty()) {
-    std::unordered_set<Frontier, FrontierHash> next_level;
+    // Every successor, φ-states included, is deduplicated so φ runs once per
+    // state. Ranks strictly increase level to level, so per-level dedup is
+    // global dedup.
+    std::unordered_set<Frontier, FrontierHash> seen;
+    std::vector<Frontier> next_level;
     for (const Frontier& state : level) {
       for (ThreadId t = 0; t < poset.num_threads(); ++t) {
         if (!event_enabled(poset, state, t)) continue;
         Frontier succ = state;
         succ[t] += 1;
-        if (next_level.count(succ) != 0) continue;
+        if (!seen.insert(succ).second) continue;
         ++result.states_explored;
         if (predicate(succ)) continue;  // φ-state: paths through it are fine
         if (succ == final_state) {
@@ -149,10 +97,10 @@ ModalityResult detect_definitely(const Poset& poset, StatePredicate predicate,
           result.witness = succ;
           return result;
         }
-        next_level.insert(std::move(succ));
+        next_level.push_back(std::move(succ));
       }
     }
-    level.assign(next_level.begin(), next_level.end());
+    level = std::move(next_level);
   }
   // Every ¬φ path dead-ends before the final state: all observations hit φ.
   result.holds = true;

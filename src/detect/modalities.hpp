@@ -22,8 +22,6 @@
 
 namespace paramount {
 
-class StateStore;
-
 // φ: evaluated on a frontier. Must be deterministic.
 using StatePredicate = FunctionRef<bool(const Frontier&)>;
 
@@ -39,25 +37,15 @@ struct ModalityResult {
 // possibly(φ): scans consistent states (short-circuiting) for a φ-state.
 // `num_workers > 1` partitions the scan with ParaMount. `telemetry` is
 // forwarded to the underlying ParaMount driver (needs >= num_workers
-// shards); the predicate-evaluation total is credited to shard 0. A non-null
-// `store` switches the driver's interval subroutines to store-backed
-// enumeration: all workers intern into the one shared StateStore instead of
-// keeping private working sets (throws StateStoreFull if it fills).
+// shards); the predicate-evaluation total is credited to shard 0.
 ModalityResult detect_possibly(const Poset& poset, StatePredicate predicate,
                                std::size_t num_workers = 1,
-                               obs::Telemetry* telemetry = nullptr,
-                               StateStore* store = nullptr);
+                               obs::Telemetry* telemetry = nullptr);
 
 // definitely(φ): true iff every maximal path of the lattice hits a φ-state.
 // Runs a BFS over ¬φ-states only; memory is proportional to the widest
-// ¬φ level (the same working-set shape as the BFS enumerator). A non-null
-// `store` (which must not already hold this lattice's states) switches to
-// the id-based level sweep: levels are 4-byte ids, states are reconstructed
-// from the store, and — because interning dedups *every* successor, φ-states
-// included — each state's predicate is evaluated exactly once, so
-// states_explored can be lower than the private sweep's; holds and witness
-// are identical.
-ModalityResult detect_definitely(const Poset& poset, StatePredicate predicate,
-                                 StateStore* store = nullptr);
+// ¬φ level (the same working-set shape as the BFS enumerator). φ is evaluated
+// exactly once per state the sweep reaches; states_explored counts them.
+ModalityResult detect_definitely(const Poset& poset, StatePredicate predicate);
 
 }  // namespace paramount

@@ -27,16 +27,12 @@ class OnlineRaceDetector final : public TraceSink {
     // Per-interval completion hook, forwarded to OnlineParamount — the
     // service session releases submit-queue budget here.
     std::function<void(EventId)> interval_done;
-    // Shared state store for the interval subroutines (see
-    // OnlineParamount::Options::store). Full-store latching is surfaced via
-    // paramount().store_full().
-    StateStore* store = nullptr;
   };
 
   OnlineRaceDetector(std::size_t num_threads, Options options)
       : paramount_(num_threads,
                    {options.subroutine, options.async_workers,
-                    options.telemetry, options.window_policy, options.store,
+                    options.telemetry, options.window_policy,
                     std::move(options.interval_done)},
                    [this](const OnlinePoset& poset, EventId owner,
                           const Frontier& state) {

@@ -19,7 +19,6 @@
 
 #include "enumeration/enumerator.hpp"
 #include "poset/global_state.hpp"
-#include "util/state_store.hpp"
 
 namespace paramount {
 
@@ -102,93 +101,6 @@ EnumStats enumerate_bfs(const PosetT& poset, StateVisitor visit,
                         MemoryMeter* meter = nullptr) {
   return enumerate_bfs(poset, poset.empty_frontier(), poset.full_frontier(),
                        visit, meter);
-}
-
-namespace detail {
-
-// Interns one state during a store-backed traversal, translating the typed
-// kFull result into the typed exception the drivers and the service expect
-// (never an abort; RAII pins unwind cleanly).
-inline StateStore::InsertResult intern_or_throw(StateStore& store,
-                                                const Frontier& f) {
-  const StateStore::InsertResult r = store.find_or_put(f);
-  if (r.status == StateStore::Status::kFull) {
-    throw StateStoreFull(store.size(), store.capacity());
-  }
-  return r;
-}
-
-}  // namespace detail
-
-// Store-backed breadth-first enumeration: the per-level unordered_set is
-// replaced by interning into a (possibly shared) StateStore — the
-// `inserted` flag is the dedup test. Because ranks strictly increase level
-// to level, global interning is exactly per-level dedup within one
-// traversal; across traversals sharing a store, a state interned earlier is
-// *not* re-visited and its expansion is skipped (counting-dedup semantics —
-// ParaMount's disjoint intervals never trigger this, repeated runs over one
-// store do, deliberately). Throws StateStoreFull when the store's typed
-// kFull result surfaces. The level working set still holds frontier
-// objects; enumerate_level trades those for raw ids.
-template <typename PosetT>
-EnumStats enumerate_bfs(const PosetT& poset, const Frontier& lo,
-                        const Frontier& hi, StateVisitor visit,
-                        StateStore& store, MemoryMeter* meter = nullptr) {
-  PM_CHECK_MSG(lo.leq(hi), "enumerate_bfs: lo must be <= hi");
-  PM_DCHECK(poset.is_consistent(lo));
-  PM_DCHECK(poset.is_consistent(hi));
-
-  const std::size_t n = poset.num_threads();
-  const std::size_t per_state = detail::frontier_store_bytes(n);
-  EnumStats stats;
-
-  if (!detail::intern_or_throw(store, lo).inserted) {
-    return stats;  // already owned by an earlier traversal of this store
-  }
-
-  std::vector<Frontier> level{lo};
-  std::uint64_t charged = 0;
-  auto charge_states = [&](std::uint64_t count) {
-    if (meter != nullptr) {
-      meter->charge(count * per_state);
-      charged += count * per_state;
-    }
-  };
-
-  try {
-    charge_states(1);
-    while (!level.empty()) {
-      std::vector<Frontier> next_level;
-      for (const Frontier& state : level) {
-        visit(state);
-        ++stats.states;
-        for (ThreadId t = 0; t < n; ++t) {
-          if (state[t] + 1 > hi[t] || !event_enabled(poset, state, t)) {
-            continue;
-          }
-          Frontier succ = state;
-          succ[t] += 1;
-          if (detail::intern_or_throw(store, succ).inserted) {
-            next_level.push_back(std::move(succ));
-            charge_states(1);
-          }
-        }
-      }
-      if (meter != nullptr) {
-        meter->release(level.size() * per_state);
-        charged -= level.size() * per_state;
-      }
-      level = std::move(next_level);
-    }
-  } catch (...) {
-    if (meter != nullptr) meter->release(charged);
-    throw;
-  }
-  if (meter != nullptr) {
-    meter->release(charged);
-    stats.peak_bytes = meter->peak_bytes();
-  }
-  return stats;
 }
 
 }  // namespace paramount

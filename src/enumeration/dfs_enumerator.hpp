@@ -78,68 +78,4 @@ EnumStats enumerate_dfs(const PosetT& poset, StateVisitor visit,
                        visit, meter);
 }
 
-// Store-backed depth-first enumeration: the global visited set is replaced
-// by interning into a (possibly shared) StateStore — `inserted` is the
-// visited test, so the packed arena replaces the malloc'd set nodes and a
-// store shared across traversals dedups cross-traversal duplicates
-// (counting-dedup semantics; see the store-backed enumerate_bfs). Throws
-// StateStoreFull on the store's typed kFull result.
-template <typename PosetT>
-EnumStats enumerate_dfs(const PosetT& poset, const Frontier& lo,
-                        const Frontier& hi, StateVisitor visit,
-                        StateStore& store, MemoryMeter* meter = nullptr) {
-  PM_CHECK_MSG(lo.leq(hi), "enumerate_dfs: lo must be <= hi");
-  PM_DCHECK(poset.is_consistent(lo));
-  PM_DCHECK(poset.is_consistent(hi));
-
-  const std::size_t n = poset.num_threads();
-  const std::size_t per_state = detail::frontier_store_bytes(n);
-  EnumStats stats;
-
-  if (!detail::intern_or_throw(store, lo).inserted) {
-    return stats;  // already owned by an earlier traversal of this store
-  }
-
-  std::vector<Frontier> stack;
-  std::uint64_t charged = 0;
-  auto charge_one = [&] {
-    if (meter != nullptr) {
-      meter->charge(per_state);
-      charged += per_state;
-    }
-  };
-
-  try {
-    stack.push_back(lo);
-    charge_one();
-    while (!stack.empty()) {
-      const Frontier state = std::move(stack.back());
-      stack.pop_back();
-      if (meter != nullptr) {
-        meter->release(per_state);
-        charged -= per_state;
-      }
-      visit(state);
-      ++stats.states;
-      for (ThreadId t = 0; t < n; ++t) {
-        if (state[t] + 1 > hi[t] || !event_enabled(poset, state, t)) continue;
-        Frontier succ = state;
-        succ[t] += 1;
-        if (detail::intern_or_throw(store, succ).inserted) {
-          stack.push_back(std::move(succ));
-          charge_one();
-        }
-      }
-    }
-  } catch (...) {
-    if (meter != nullptr) meter->release(charged);
-    throw;
-  }
-  if (meter != nullptr) {
-    meter->release(charged);
-    stats.peak_bytes = meter->peak_bytes();
-  }
-  return stats;
-}
-
 }  // namespace paramount

@@ -10,8 +10,6 @@ const char* to_string(EnumAlgorithm algorithm) {
       return "lexical";
     case EnumAlgorithm::kDfs:
       return "dfs";
-    case EnumAlgorithm::kLevel:
-      return "level";
   }
   return "?";
 }

@@ -5,65 +5,22 @@
 #include "enumeration/bfs_enumerator.hpp"
 #include "enumeration/dfs_enumerator.hpp"
 #include "enumeration/enumerator.hpp"
-#include "enumeration/level_enumerator.hpp"
 #include "enumeration/lexical_enumerator.hpp"
-#include "util/state_store.hpp"
 
 namespace paramount {
 
 // Enumerates the box [lo, hi] with the selected algorithm.
-//
-// With `store` null every algorithm runs in its private-working-set form
-// (kLevel, which has no such form, borrows a scratch store sized for the
-// traversal and discards it). With a store, states are interned as they are
-// visited: kBfs/kDfs/kLevel use the `inserted` flag as their dedup test —
-// sharing the store across calls dedups cross-call duplicates (counting-dedup
-// semantics; ParaMount's disjoint intervals never trigger it) — while
-// kLexical, being stateless, interns each state and forwards only the
-// first-time insertions, preserving its contractual order on what remains.
-// All store-backed paths surface the store's typed kFull result as a
-// StateStoreFull exception; none abort.
 template <typename PosetT>
 EnumStats enumerate_box(EnumAlgorithm algorithm, const PosetT& poset,
                         const Frontier& lo, const Frontier& hi,
-                        StateVisitor visit, MemoryMeter* meter = nullptr,
-                        StateStore* store = nullptr) {
-  if (store == nullptr) {
-    switch (algorithm) {
-      case EnumAlgorithm::kBfs:
-        return enumerate_bfs(poset, lo, hi, visit, meter);
-      case EnumAlgorithm::kLexical:
-        return enumerate_lexical(poset, lo, hi, visit, meter);
-      case EnumAlgorithm::kDfs:
-        return enumerate_dfs(poset, lo, hi, visit, meter);
-      case EnumAlgorithm::kLevel: {
-        StateStore scratch = StateStore::with_budget(
-            poset.num_threads(), std::size_t{64} << 20);
-        return enumerate_level(poset, lo, hi, visit, scratch, meter);
-      }
-    }
-  } else {
-    switch (algorithm) {
-      case EnumAlgorithm::kBfs:
-        return enumerate_bfs(poset, lo, hi, visit, *store, meter);
-      case EnumAlgorithm::kLexical: {
-        EnumStats inner;
-        auto forward = [&](const Frontier& f) {
-          if (detail::intern_or_throw(*store, f).inserted) {
-            visit(f);
-            ++inner.states;
-          }
-        };
-        const EnumStats walked =
-            enumerate_lexical(poset, lo, hi, forward, meter);
-        inner.peak_bytes = walked.peak_bytes;
-        return inner;
-      }
-      case EnumAlgorithm::kDfs:
-        return enumerate_dfs(poset, lo, hi, visit, *store, meter);
-      case EnumAlgorithm::kLevel:
-        return enumerate_level(poset, lo, hi, visit, *store, meter);
-    }
+                        StateVisitor visit, MemoryMeter* meter = nullptr) {
+  switch (algorithm) {
+    case EnumAlgorithm::kBfs:
+      return enumerate_bfs(poset, lo, hi, visit, meter);
+    case EnumAlgorithm::kLexical:
+      return enumerate_lexical(poset, lo, hi, visit, meter);
+    case EnumAlgorithm::kDfs:
+      return enumerate_dfs(poset, lo, hi, visit, meter);
   }
   PM_CHECK_MSG(false, "unknown enumeration algorithm");
   return {};
@@ -72,10 +29,9 @@ EnumStats enumerate_box(EnumAlgorithm algorithm, const PosetT& poset,
 // Full-poset convenience (offline Poset only: needs full_frontier()).
 template <typename PosetT>
 EnumStats enumerate_all(EnumAlgorithm algorithm, const PosetT& poset,
-                        StateVisitor visit, MemoryMeter* meter = nullptr,
-                        StateStore* store = nullptr) {
+                        StateVisitor visit, MemoryMeter* meter = nullptr) {
   return enumerate_box(algorithm, poset, poset.empty_frontier(),
-                       poset.full_frontier(), visit, meter, store);
+                       poset.full_frontier(), visit, meter);
 }
 
 }  // namespace paramount

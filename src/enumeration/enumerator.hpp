@@ -36,7 +36,6 @@ enum class EnumAlgorithm {
   kBfs,      // Cooper-Marzullo breadth-first [6], dedup'd to exactly-once
   kLexical,  // Ganter/Garg lexical order [11,12], stateless
   kDfs,      // depth-first with a global visited set (extra oracle)
-  kLevel,    // Chauhan-Garg space-efficient levels over StateStore ids
 };
 
 const char* to_string(EnumAlgorithm algorithm);

@@ -133,29 +133,6 @@ class MetricsRegistry {
     bump(cell(histogram_id + kHistogramBuckets + 1, shard), value);
   }
 
-  // Bulk-overwrites one shard of a histogram from an externally maintained
-  // distribution (a component that keeps its own cheap per-source counters —
-  // e.g. the state store's probe histogram — and republishes wholesale).
-  // `buckets` beyond `num_buckets` are zeroed; same single-writer-per-shard
-  // contract as observe(). Log2 bucket semantics must match observe()'s.
-  void set_histogram(MetricId histogram_id, std::size_t shard,
-                     const std::uint64_t* buckets, std::size_t num_buckets,
-                     std::uint64_t count, std::uint64_t sum) {
-    if constexpr (!kTelemetryEnabled) return;
-    if (num_buckets > kHistogramBuckets) num_buckets = kHistogramBuckets;
-    for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-      // relaxed: pure stores under the single-writer contract; snapshot()
-      // readers may see a half-republished distribution, which is the same
-      // staleness they tolerate from in-flight observe() calls.
-      cell(histogram_id + static_cast<MetricId>(b), shard)
-          .store(b < num_buckets ? buckets[b] : 0, std::memory_order_relaxed);
-    }
-    cell(histogram_id + kHistogramBuckets, shard)
-        .store(count, std::memory_order_relaxed);
-    cell(histogram_id + kHistogramBuckets + 1, shard)
-        .store(sum, std::memory_order_relaxed);
-  }
-
   // ---- cold path ----
 
   // Sums every shard; callable concurrently with writers (relaxed reads —

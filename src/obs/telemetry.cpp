@@ -39,15 +39,12 @@ Telemetry::Telemetry(std::size_t num_shards,
   window_evictions = metrics_.counter("detect.window_evictions");
   poset_resident_bytes = metrics_.gauge("poset.resident_bytes");
   poset_reclaimed_events = metrics_.gauge("poset.reclaimed_events");
-  store_resident_bytes = metrics_.gauge("store.resident_bytes");
-  store_full_rejections = metrics_.gauge("store.full_rejections");
   queue_depth = metrics_.gauge("pool.queue_depth");
   tracer_.set_drop_counter(&metrics_, spans_dropped);
   interval_states = metrics_.histogram("paramount.interval_states");
   interval_ns = metrics_.histogram("paramount.interval_ns");
   queue_wait_ns = metrics_.histogram("pool.queue_wait_ns");
   gbnd_ns = metrics_.histogram("paramount.gbnd_ns");
-  store_probe_len = metrics_.histogram("store.probe_len");
 }
 
 bool Telemetry::write_metrics_json(const std::string& path) const {

@@ -55,10 +55,6 @@ class Telemetry {
   // shards, so the drivers write these on shard 0 only.
   MetricId poset_resident_bytes;    // event storage resident after last GC
   MetricId poset_reclaimed_events;  // cumulative events reclaimed by GC
-  // Shared state-store gauges, written on shard 0 only (store-wide values;
-  // see StateStore::publish_stats).
-  MetricId store_resident_bytes;    // table ring + allocated payload chunks
-  MetricId store_full_rejections;   // inserts rejected by the typed kFull
   // Per-queue gauge: live depth of each worker's task queue/deque, refreshed
   // at every submit and claim (the total sums to the pool-wide backlog).
   // Unlike the counters this cell may be written by whichever thread last
@@ -70,7 +66,6 @@ class Telemetry {
   MetricId interval_ns;      // wall time per interval enumeration
   MetricId queue_wait_ns;    // time spent waiting on the shared queue/cursor
   MetricId gbnd_ns;          // time computing the Gbnd boundary snapshot
-  MetricId store_probe_len;  // state-store probe distance per find_or_put
 
  private:
   MetricsRegistry metrics_;

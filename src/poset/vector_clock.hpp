@@ -110,10 +110,9 @@ class VectorClock {
 
   // Iterated splitmix64: every component passes through a full-avalanche
   // finalizer. Frontiers are *small dense integers*, and the old
-  // shift-xor fold left the high bits nearly unmixed — the exact slice the
-  // state store cuts its 31-bit fingerprint from (it collided on ~70% of a
-  // 20k-state corpus; see FrontierHashQuality in tests/test_state_store.cpp,
-  // which pins the collision rate).
+  // shift-xor fold left the high bits nearly unmixed (see
+  // FrontierHashQuality in tests/test_vector_clock.cpp, which pins the
+  // collision rate).
   std::uint64_t hash() const {
     std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ components_.size();
     for (EventIndex c : components_) {

@@ -14,6 +14,8 @@
 // front end demultiplexes on them); single-session users leave the id 0.
 #pragma once
 
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -124,6 +126,15 @@ enum class ReadStatus {
 
 const char* to_string(ReadStatus status);
 
+// Bounds of a lingering close. Closing a socket that still holds unread
+// input makes the kernel reset the connection, and the peer then reads a
+// reset error in place of the EOF after the server's last frame (over TCP
+// the reset can even destroy that frame). So a server half-closes first and
+// discards input until the peer's EOF, at most this many bytes and for at
+// most this long, and only then closes.
+inline constexpr std::size_t kLingerDiscardCap = std::size_t{1} << 20;
+inline constexpr std::chrono::milliseconds kLingerTimeout{2000};
+
 // Frame transport over a connected socket.
 //
 // On a blocking fd every call runs to completion exactly as before. On a
@@ -164,8 +175,19 @@ class FrameChannel {
   // Switches the fd's O_NONBLOCK flag. Returns false on fcntl failure.
   bool set_nonblocking(bool enabled);
 
-  // Half-closes the write side (client side of the half-close tests).
+  // Half-closes the write side: the peer reads EOF after the frames
+  // already sent.
   void shutdown_write();
+
+  // Reads and discards whatever input is buffered, without blocking, adding
+  // the byte count to *discarded. Returns true while a linger should go on:
+  // false once the peer's EOF arrived, the socket failed, or *discarded
+  // reached kLingerDiscardCap.
+  bool discard_input(std::size_t* discarded);
+
+  // Blocking lingering close: half-closes, discards input until the peer's
+  // EOF, kLingerDiscardCap or kLingerTimeout, then closes the fd.
+  void close_lingering();
 
   int fd() const { return fd_.get(); }
 

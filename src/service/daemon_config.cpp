@@ -28,12 +28,6 @@ void register_daemon_flags(CliFlags& flags) {
   flags.add_int("eviction-alert", 0,
                 "flag eviction_alert in Stats replies once a session's "
                 "window_evictions reaches this (0 = off)");
-  flags.add_string("state-store", "",
-                   "per-session shared state-store byte budget: interval "
-                   "enumerations intern into one bounded lock-free store "
-                   "instead of private working sets; exhausting it yields a "
-                   "typed state-store-full Error frame (e.g. 64M; empty = "
-                   "private working sets)");
 }
 
 namespace {
@@ -83,7 +77,6 @@ DaemonConfig resolve_daemon_config(const CliFlags& flags) {
       flags.get_int_in_range("max-sessions", 1, 1 << 20));
   config.submit_budget_bytes = parse_budget_flag(flags, "submit-budget");
   config.tenant_budget_bytes = parse_budget_flag(flags, "tenant-budget");
-  config.state_store_budget_bytes = parse_budget_flag(flags, "state-store");
   config.eviction_alert_threshold = static_cast<std::uint64_t>(
       flags.get_int_in_range("eviction-alert", 0, 1LL << 40));
   return config;

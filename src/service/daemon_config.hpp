@@ -23,7 +23,6 @@ struct DaemonConfig {
   std::size_t submit_budget_bytes = 0;  // 0 = unbounded
   std::size_t tenant_budget_bytes = 0;  // 0 = per-session gates
   std::uint64_t eviction_alert_threshold = 0;  // 0 = alerting off
-  std::size_t state_store_budget_bytes = 0;  // 0 = private working sets
 };
 
 // Registers --listen / --front-end / --max-sessions / --submit-budget /

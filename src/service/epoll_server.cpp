@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/timerfd.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -71,6 +72,9 @@ void EpollServer::stop() {
   ids.reserve(connections_.size());
   for (const auto& [id, conn] : connections_) ids.push_back(id);
   for (const std::uint64_t id : ids) teardown(id, ReadStatus::kEof);
+  // With the reactor down nobody is left to finish a linger: close now (the
+  // peers already got their half-close).
+  lingering_.clear();
   listener_.reset();
   if (!bound_unix_path_.empty()) ::unlink(bound_unix_path_.c_str());
   tenant_gates_.clear();
@@ -237,7 +241,6 @@ SessionCore* EpollServer::open_stream(const std::shared_ptr<Connection>& conn,
   SessionCore::Limits limits;
   limits.submit_budget_bytes = options_.submit_budget_bytes;
   limits.eviction_alert_threshold = options_.eviction_alert_threshold;
-  limits.state_store_budget_bytes = options_.state_store_budget_bytes;
   // The send callback holds a raw Connection pointer: the core is owned by
   // conn->streams, so it can never outlive the connection it writes to.
   Connection* raw_conn = conn.get();
@@ -316,6 +319,44 @@ void EpollServer::teardown(std::uint64_t conn_id, ReadStatus why) {
   loop_->remove(conn->channel.fd());
   conn_by_fd_.erase(conn->channel.fd());
   connections_.erase(conn_id);
+  linger(std::move(conn->channel));
+}
+
+void EpollServer::linger(FrameChannel channel) {
+  channel.shutdown_write();
+  Lingering entry{std::move(channel), UniqueFd(), 0};
+  // Returning early closes the socket: the peer is already done, or no
+  // timer bounds the wait.
+  if (!entry.channel.discard_input(&entry.discarded)) return;
+  entry.timer =
+      UniqueFd(::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC));
+  itimerspec deadline = {};
+  deadline.it_value.tv_sec = kLingerTimeout.count() / 1000;
+  deadline.it_value.tv_nsec = kLingerTimeout.count() % 1000 * 1000000;
+  if (!entry.timer.valid() ||
+      ::timerfd_settime(entry.timer.get(), 0, &deadline, nullptr) != 0) {
+    return;
+  }
+  const int fd = entry.channel.fd();
+  const int timer = entry.timer.get();
+  lingering_.emplace(fd, std::move(entry));
+  loop_->add(fd, EventLoop::kReadable, [this, fd](std::uint32_t) {
+    const auto it = lingering_.find(fd);
+    if (it != lingering_.end() &&
+        !it->second.channel.discard_input(&it->second.discarded)) {
+      end_linger(fd);
+    }
+  });
+  loop_->add(timer, EventLoop::kReadable,
+             [this, fd](std::uint32_t) { end_linger(fd); });
+}
+
+void EpollServer::end_linger(int fd) {
+  const auto it = lingering_.find(fd);
+  if (it == lingering_.end()) return;
+  loop_->remove(fd);
+  loop_->remove(it->second.timer.get());
+  lingering_.erase(it);
 }
 
 void EpollServer::retry_blocked(std::uint64_t conn_id) {

@@ -54,7 +54,6 @@ class EpollServer {
     // (sessions grouped by Hello::tenant_id).
     std::size_t tenant_budget_bytes = 0;
     std::uint64_t eviction_alert_threshold = 0;  // Stats alert (0 = off)
-    std::size_t state_store_budget_bytes = 0;  // per-session store (0 = off)
     int backlog = 128;
   };
 
@@ -97,6 +96,15 @@ class EpollServer {
     bool close_after_flush = false;  // stream-0 session ended; drain then close
   };
 
+  // A torn-down connection in its lingering close: write side half-closed,
+  // input discarded on readability until the peer's EOF or the discard cap,
+  // or until `timer` (a timerfd armed to kLingerTimeout) fires.
+  struct Lingering {
+    FrameChannel channel;
+    UniqueFd timer;
+    std::size_t discarded = 0;
+  };
+
   // Frames drained per readiness dispatch before yielding to other
   // connections — the fairness quantum.
   static constexpr int kReadQuantum = 64;
@@ -125,6 +133,8 @@ class EpollServer {
   void finish_session(SessionCore& core);
   void update_interest(std::uint64_t conn_id, Connection& conn);
   void teardown(std::uint64_t conn_id, ReadStatus why);
+  void linger(FrameChannel channel);
+  void end_linger(int fd);
   void retry_blocked(std::uint64_t conn_id);
   std::shared_ptr<SubmitGate> gate_for(const HelloBody& hello);
 
@@ -140,6 +150,7 @@ class EpollServer {
   std::unordered_map<std::uint64_t, std::shared_ptr<Connection>> connections_;
   std::unordered_map<int, std::uint64_t> conn_by_fd_;
   std::unordered_map<std::uint32_t, std::weak_ptr<SubmitGate>> tenant_gates_;
+  std::unordered_map<int, Lingering> lingering_;  // keyed by socket fd
   std::uint64_t next_conn_id_ = 1;
   std::uint64_t next_session_id_ = 1;
   std::uint64_t live_sessions_ = 0;

@@ -58,7 +58,6 @@ const char* to_string(ErrorCode code) {
     case ErrorCode::kSessionLimit: return "session-limit";
     case ErrorCode::kShuttingDown: return "shutting-down";
     case ErrorCode::kBadStream: return "bad-stream";
-    case ErrorCode::kStateStoreFull: return "state-store-full";
   }
   return "?";
 }

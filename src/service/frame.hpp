@@ -81,7 +81,6 @@ enum class ErrorCode : std::uint16_t {
   kSessionLimit = 11,    // server at --max-sessions
   kShuttingDown = 12,    // event received after Shutdown began draining
   kBadStream = 13,       // frame on a stream this session does not own
-  kStateStoreFull = 14,  // session's shared state store hit its byte budget
 };
 
 const char* to_string(ErrorCode code);

@@ -110,7 +110,6 @@ void ParamountServer::run_session(std::uint64_t session_id, UniqueFd fd) {
   Session::Limits limits;
   limits.submit_budget_bytes = options_.submit_budget_bytes;
   limits.eviction_alert_threshold = options_.eviction_alert_threshold;
-  limits.state_store_budget_bytes = options_.state_store_budget_bytes;
   Session session(FrameChannel(std::move(fd)), session_id, limits);
   const Session::Result result = session.run();
   std::vector<std::thread> reap;
@@ -145,6 +144,9 @@ void ParamountServer::run_session(std::uint64_t session_id, UniqueFd fd) {
     }
     stats_cv_.notify_all();
   }
+  // The session is already counted complete; lingering only holds this
+  // thread and its fd until the peer's EOF or the linger bound.
+  session.close_lingering();
   for (std::thread& t : reap) {
     if (t.joinable()) t.join();
   }

@@ -56,7 +56,6 @@ class ParamountServer {
     std::uint32_t max_sessions = 8;       // concurrent session ceiling
     std::size_t submit_budget_bytes = 0;  // per-session SubmitGate (0 = off)
     std::uint64_t eviction_alert_threshold = 0;  // Stats alert (0 = off)
-    std::size_t state_store_budget_bytes = 0;  // per-session store (0 = off)
     int backlog = 16;
   };
 
@@ -72,7 +71,9 @@ class ParamountServer {
   // front end).
   bool start(std::string* error, ListenUnixError* why = nullptr);
 
-  // Idempotent: stops accepting, unblocks and joins every session thread.
+  // Idempotent: stops accepting, unblocks and joins every session thread
+  // (one still lingering over its closed session ends within
+  // kLingerTimeout).
   void stop();
 
   const std::string& socket_path() const { return options_.socket_path; }

@@ -129,11 +129,6 @@ SessionCore::Disposition SessionCore::handle_hello(const HelloBody& body) {
   options.telemetry = telemetry_.get();
   options.window_policy = {body.gc_every,
                            static_cast<std::size_t>(body.window_bytes)};
-  if (limits_.state_store_budget_bytes > 0) {
-    store_ = StateStore::make_with_budget(num_threads_,
-                                          limits_.state_store_budget_bytes);
-    options.store = store_.get();
-  }
   // The gate outlives the detector only through this shared_ptr copy: a
   // tenant gate is shared across sessions, and pooled workers may still be
   // retiring intervals while another session's Hello re-fetches it.
@@ -211,9 +206,7 @@ SessionCore::Disposition SessionCore::submit_pending() {
   PendingEvent pending = std::move(*pending_);
   pending_.reset();
   commit_event(pending.body, pending.clock);
-  // Inline-mode enumerations have finished here; pooled ones may latch the
-  // full flag later, caught at the next event/poll/drain reply point.
-  return check_store_full();
+  return Disposition::kContinue;
 }
 
 SessionCore::Disposition SessionCore::retry_pending() {
@@ -253,7 +246,6 @@ CountsBody SessionCore::current_counts() {
 }
 
 SessionCore::Disposition SessionCore::handle_poll() {
-  if (check_store_full() == Disposition::kClose) return Disposition::kClose;
   const CountsBody counts = current_counts();
   // Refresh the poset-wide gauges before the snapshot so the JSON agrees
   // with the counts (shard 0 only: gauge totals sum over shards, and the
@@ -262,7 +254,6 @@ SessionCore::Disposition SessionCore::handle_poll() {
   tel.metrics().set(tel.poset_resident_bytes, 0, counts.resident_bytes);
   tel.metrics().set(tel.poset_reclaimed_events, 0, counts.reclaimed_events);
   tel.metrics().set(tel.window_evictions, 0, counts.window_evictions);
-  if (store_ != nullptr) store_->publish_stats(&tel);
   StatsBody stats;
   stats.counts = counts;
   stats.eviction_alert_threshold = limits_.eviction_alert_threshold;
@@ -277,8 +268,6 @@ SessionCore::Disposition SessionCore::handle_poll() {
 SessionCore::Disposition SessionCore::handle_drain() {
   detector_->drain();
   if (windowed_) detector_->paramount().collect();
-  // Post-drain the latch is final for everything submitted so far.
-  if (check_store_full() == Disposition::kClose) return Disposition::kClose;
   if (!send_(encode_counts(Op::kDrained, current_counts()))) return close();
   return Disposition::kContinue;
 }
@@ -294,17 +283,6 @@ SessionCore::Disposition SessionCore::handle_shutdown() {
 void SessionCore::send_error(ErrorCode code, const std::string& message) {
   ++result_.protocol_errors;
   send_(encode_error(code, message));
-}
-
-SessionCore::Disposition SessionCore::check_store_full() {
-  if (detector_ == nullptr || store_ == nullptr ||
-      !detector_->paramount().store_full()) {
-    return Disposition::kContinue;
-  }
-  send_error(ErrorCode::kStateStoreFull,
-             "state store budget exhausted after " +
-                 std::to_string(store_->size()) + " interned states");
-  return close();
 }
 
 SessionCore::Disposition SessionCore::close(Disposition why) {
@@ -363,10 +341,10 @@ Session::Result Session::run() {
     core_.on_payload(payload);  // kBlocking mode: never kBlocked
   }
   core_.finish();
-  // The Shutdown/Goodbye handshake ends with a server-side half-close so
-  // the client sees EOF after Goodbye (the thread server owns the socket;
-  // the core only knows frames).
-  if (core_.result().clean_shutdown) channel_.shutdown_write();
+  // Whatever ended the session, half-close so the client reads EOF right
+  // after the last reply, Goodbye or a typed Error (the thread server owns
+  // the socket; the core only knows frames).
+  channel_.shutdown_write();
   return core_.result();
 }
 

@@ -41,7 +41,6 @@
 #include "poset/clock_validator.hpp"
 #include "service/channel.hpp"
 #include "service/frame.hpp"
-#include "util/state_store.hpp"
 #include "util/submit_gate.hpp"
 
 namespace paramount::service {
@@ -59,12 +58,6 @@ class SessionCore {
     // Stats replies flag eviction_alert once window_evictions reaches this
     // (0 = alerting off); the daemon's --eviction-alert flag.
     std::uint64_t eviction_alert_threshold = 0;
-    // Per-session shared StateStore budget (the daemon's --state-store
-    // flag). 0 = private per-interval working sets. When set, the session's
-    // interval subroutines intern into one bounded store; filling it is
-    // answered with a typed kStateStoreFull Error frame and a clean close —
-    // never an abort, and finish() still drains so no pin leaks.
-    std::size_t state_store_budget_bytes = 0;
   };
 
   struct Result {
@@ -174,12 +167,6 @@ class SessionCore {
   // Sends a typed Error frame (best effort) and counts it.
   void send_error(ErrorCode code, const std::string& message);
 
-  // Checks the driver's store-full latch at a reply point (this thread is
-  // the session's only frame writer, so the Error frame cannot interleave
-  // with a reply). Returns kClose (after sending kStateStoreFull) when the
-  // latch is set, kContinue otherwise.
-  Disposition check_store_full();
-
   Disposition close(Disposition why = Disposition::kClose);
 
   CountsBody current_counts();
@@ -202,9 +189,6 @@ class SessionCore {
   std::unique_ptr<obs::Telemetry> telemetry_;
   std::unique_ptr<AccessTable> access_table_;
   std::shared_ptr<SubmitGate> gate_;
-  // Declared before detector_: pooled workers intern into the store until
-  // the detector (destroyed first, reverse member order) has drained.
-  std::unique_ptr<StateStore> store_;
   std::unique_ptr<OnlineRaceDetector> detector_;
   // Shared wire/trace clock checker (poset/clock_validator.hpp): enforces
   // the same invariants OnlinePoset::insert() PM_CHECKs, as typed errors.
@@ -226,9 +210,13 @@ class Session {
   Session(FrameChannel channel, std::uint64_t session_id, Limits limits);
 
   // Runs the session to completion on the calling thread. Never throws,
-  // never aborts on malformed input; returns once the connection is done
-  // and every pin is released.
+  // never aborts on malformed input; returns once the connection is done,
+  // its write side half-closed, and every pin released.
   Result run();
+
+  // Closes the connection after run() without resetting it (see
+  // FrameChannel::close_lingering). Blocks for at most kLingerTimeout.
+  void close_lingering() { channel_.close_lingering(); }
 
  private:
   FrameChannel channel_;

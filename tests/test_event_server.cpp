@@ -32,6 +32,7 @@
 #include "core/paramount.hpp"
 #include "poset/poset_builder.hpp"
 #include "service/frame.hpp"
+#include "service_test_helpers.hpp"
 #include "util/sync.hpp"
 #include "workloads/event_stream.hpp"
 
@@ -518,6 +519,43 @@ TEST_F(EventServerTest, SoakIdleThousandsPlusActiveStreams) {
   server_.reset();
   EXPECT_LE(open_fd_count(), fds_before + 4);
 }
+
+// ---- lingering close ----
+
+// See flood_events in service_test_helpers.hpp: over both
+// transports the client must read the typed Error and then EOF.
+class EventServerLinger
+    : public EventServerTest,
+      public ::testing::WithParamInterface<Endpoint::Kind> {};
+
+TEST_P(EventServerLinger, ErrorThenFloodReadsErrorThenEof) {
+  start_server({}, GetParam());
+  FrameChannel channel = connect();
+  HelloBody h;
+  h.num_threads = 2;
+  hello(channel, h);
+  ASSERT_TRUE(send_clock_regression(channel));
+  ASSERT_TRUE(flood_events(channel));
+  const DecodedFrame error = read_frame(channel);
+  ASSERT_EQ(error.op, Op::kError);
+  EXPECT_EQ(error.error.code, ErrorCode::kClockRegression);
+  std::vector<std::uint8_t> payload;
+  EXPECT_EQ(channel.read_frame(&payload), ReadStatus::kEof);
+  // A peer that neither sends nor closes is still closed by the deadline
+  // (observable as POLLHUP on Unix sockets only).
+  if (GetParam() == Endpoint::Kind::kUnix) {
+    EXPECT_TRUE(wait_for_full_close(channel.fd(), kWait));
+  }
+  await_completed(1);
+  EXPECT_EQ(server_->stats().leaked_pins, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, EventServerLinger,
+    ::testing::Values(Endpoint::Kind::kUnix, Endpoint::Kind::kTcp),
+    [](const ::testing::TestParamInfo<Endpoint::Kind>& info) {
+      return info.param == Endpoint::Kind::kUnix ? "unix" : "tcp";
+    });
 
 // ---- TCP robustness ----
 

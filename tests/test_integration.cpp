@@ -3,6 +3,7 @@
 // simulator on it — the full pipeline each bench binary exercises.
 #include <gtest/gtest.h>
 
+#include "core/online_paramount.hpp"
 #include "core/paramount.hpp"
 #include "core/schedule_sim.hpp"
 #include "poset/lattice.hpp"
@@ -77,18 +78,24 @@ TEST(Integration, IntervalStatsFeedScheduleSimulator) {
 }
 
 TEST(Integration, OnlineAndOfflineSeeTheSamePoset) {
-  // Record the same deterministic workload twice: once offline, once through
-  // the online detector; the enumerated state count must match the offline
-  // lattice size (the programs are deterministic in event structure only on
-  // race-free workloads, so use sor).
-  const TracedProgramSpec& spec = traced_program("sor");
-  const RecordedTrace trace = record_program(spec, 1, false);
+  // Record one real-thread run, then replay that recording through online
+  // ParaMount in its observed insertion order: the online state count must
+  // equal the offline lattice size. (Two separate recordings can differ once
+  // threads really overlap, so both sides must see the same one.)
+  const RecordedTrace trace =
+      record_program(traced_program("sor"), 1, /*record_sync_events=*/false);
   const auto expected = count_ideals(trace.poset, UINT64_C(5'000'000));
   ASSERT_TRUE(expected.has_value());
 
-  const auto online = run_paramount_detector(spec, 1);
-  EXPECT_EQ(online.states_enumerated, *expected);
-  EXPECT_EQ(online.events, trace.poset.total_events());
+  OnlineParamount online(trace.poset.num_threads(), {},
+                         [](const OnlinePoset&, EventId, const Frontier&) {});
+  for (const EventId id : trace.order) {
+    const Event& event = trace.poset.event(id);
+    online.submit(id.tid, event.kind, event.object, event.vc);
+  }
+  online.drain();
+  EXPECT_EQ(online.states_enumerated(), *expected);
+  EXPECT_EQ(online.poset().total_events(), trace.poset.total_events());
 }
 
 TEST(Integration, AllTracedProgramsProduceValidPosets) {

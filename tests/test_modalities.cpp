@@ -85,6 +85,24 @@ TEST(Definitely, SingleStatePosetWithoutPhi) {
   EXPECT_FALSE(result.holds);
 }
 
+TEST(Definitely, EvaluatesPhiOncePerState) {
+  // φ = exactly {1,1}, which both ¬φ states {1,0} and {0,1} lead to: the
+  // sweep must still evaluate it (and every other state) only once.
+  const Poset poset = make_grid(2, 2);
+  std::map<Key, int> evaluations;
+  auto phi = [&](const Frontier& g) {
+    ++evaluations[key_of(g)];
+    return g[0] == 1 && g[1] == 1;
+  };
+  const auto result = detect_definitely(poset, phi);
+  EXPECT_FALSE(result.holds);  // {2,0} and {0,2} route around {1,1}
+  EXPECT_EQ(key_of(result.witness), (Key{2, 2}));
+  for (const auto& [state, count] : evaluations) {
+    EXPECT_EQ(count, 1) << "state {" << state[0] << "," << state[1] << "}";
+  }
+  EXPECT_EQ(result.states_explored, evaluations.size());
+}
+
 // Brute force: memoized "does a ¬φ path from `state` reach the final state".
 bool avoidable_path(const Poset& poset, const Frontier& state,
                     FunctionRef<bool(const Frontier&)> phi,

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 
 #include "core/schedule_sim.hpp"
 #include "enumeration/bfs_enumerator.hpp"
@@ -216,10 +217,37 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 5u), ::testing::Bool()));
 
 // A visitor exception must reach the caller, and sibling workers must stop
-// promptly: on a chain every interval is one state, abort is checked
-// between intervals, so only a bounded handful of extra states can slip
-// through after the throw.
+// promptly: on a chain every interval is one state and abort is checked
+// between intervals, so once the driver has recorded the failure each
+// sibling finishes at most its current interval.
+//
+// The bound must not depend on how long the exception takes to unwind, so
+// siblings are held still while it does: a spawned worker arms the throw,
+// and every other worker parks in the visitor until the thrower's thread
+// exits (its worker caught the exception and set the abort flag first).
+// The caller's thread is worker 0; it parks from its first visit, so it can
+// neither throw (nothing would release the others before it joins them)
+// nor run the whole chain before a spawned worker gets to the throw.
 class ParamountThrow : public ::testing::TestWithParam<bool> {};
+
+struct ThrowRendezvous {
+  Mutex mutex;
+  CondVar cv;
+  bool armed = false;     // a spawned worker is about to throw
+  bool observed = false;  // the thrower's thread exited after its catch
+};
+
+// Lives in the thrower's thread: its destructor runs at thread exit, after
+// the driver's catch block recorded the failure.
+struct ThreadExitSignal {
+  ThrowRendezvous* rendezvous = nullptr;
+  ~ThreadExitSignal() {
+    if (rendezvous == nullptr) return;
+    MutexLock lock(rendezvous->mutex);
+    rendezvous->observed = true;
+    rendezvous->cv.notify_all();
+  }
+};
 
 TEST_P(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
   const bool steal = GetParam();
@@ -232,11 +260,22 @@ TEST_P(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
   options.chunk_size = 2;
   options.steal = steal;
 
+  const std::thread::id caller = std::this_thread::get_id();
   for (const bool streaming : {false, true}) {
+    ThrowRendezvous rendezvous;
     std::atomic<std::uint64_t> visited{0};
     auto visitor = [&](const Frontier&) {
-      if (visited.fetch_add(1) == kThrowAt) {
+      const std::uint64_t k = visited.fetch_add(1);
+      const bool is_caller = std::this_thread::get_id() == caller;
+      MutexLock lock(rendezvous.mutex);
+      if (!rendezvous.armed && !is_caller && k >= kThrowAt) {
+        rendezvous.armed = true;
+        thread_local ThreadExitSignal exit_signal;
+        exit_signal.rendezvous = &rendezvous;
         throw std::runtime_error("visitor boom");
+      }
+      while ((is_caller || rendezvous.armed) && !rendezvous.observed) {
+        rendezvous.cv.wait(rendezvous.mutex);
       }
     };
     if (streaming) {
@@ -248,9 +287,11 @@ TEST_P(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
       EXPECT_THROW(enumerate_paramount(poset, options, visitor),
                    std::runtime_error);
     }
-    // Well below the 501 total states: the abort flag stopped the sweep.
-    EXPECT_LT(visited.load(), kThrowAt + 4 * options.num_workers *
-                                             options.chunk_size)
+    // The throw is armed by visit kThrowAt or kThrowAt + 1 (the caller's one
+    // parked visit may take index kThrowAt). After it, each of the other
+    // workers makes at most one parked visit plus, for interval 0, its
+    // second state.
+    EXPECT_LE(visited.load(), kThrowAt + 2 * options.num_workers)
         << (streaming ? "streaming" : "offline");
   }
 }

@@ -26,6 +26,7 @@
 #include "detect/offline_bfs_detector.hpp"
 #include "poset/poset_builder.hpp"
 #include "service/frame.hpp"
+#include "service_test_helpers.hpp"
 #include "workloads/event_stream.hpp"
 
 namespace paramount::service {
@@ -500,25 +501,25 @@ TEST_F(ServiceTest, ClockRegressionIsRejected) {
   HelloBody h;
   h.num_threads = 2;
   hello(channel, h);
-  // Thread 1 publishes two events; thread 0 adopts clock {1,2}, then its
-  // next event tries to roll thread 1's component back to 1.
-  for (EventIndex i = 1; i <= 2; ++i) {
-    EventBody b;
-    b.tid = 1;
-    b.delta.push_back({1, i});
-    ASSERT_TRUE(channel.write_frame(encode_event(b)));
-  }
-  EventBody adopt;
-  adopt.tid = 0;
-  adopt.delta.push_back({0, 1});
-  adopt.delta.push_back({1, 2});
-  ASSERT_TRUE(channel.write_frame(encode_event(adopt)));
-  EventBody regress;
-  regress.tid = 0;
-  regress.delta.push_back({0, 2});
-  regress.delta.push_back({1, 1});  // moves backwards
-  ASSERT_TRUE(channel.write_frame(encode_event(regress)));
+  ASSERT_TRUE(send_clock_regression(channel));
   expect_error_then_close(channel, ErrorCode::kClockRegression);
+  await_completed(1);
+  EXPECT_EQ(server_->stats().leaked_pins, 0u);
+}
+
+// Lingering close (thread front end): see flood_events in
+// service_test_helpers.hpp.
+TEST_F(ServiceTest, ErrorThenFloodReadsErrorThenEof) {
+  start_server();
+  FrameChannel channel = connect();
+  HelloBody h;
+  h.num_threads = 2;
+  hello(channel, h);
+  ASSERT_TRUE(send_clock_regression(channel));
+  ASSERT_TRUE(flood_events(channel));
+  expect_error_then_close(channel, ErrorCode::kClockRegression);
+  // A peer that neither sends nor closes is still closed by the deadline.
+  EXPECT_TRUE(wait_for_full_close(channel.fd(), kWait));
   await_completed(1);
   EXPECT_EQ(server_->stats().leaked_pins, 0u);
 }
@@ -792,87 +793,6 @@ TEST_F(ServiceTest, SubmitBudgetEngagesAndPreservesCounts) {
   const ServerStats stats = server_->stats();
   EXPECT_EQ(stats.leaked_pins, 0u);
   EXPECT_GT(stats.submit_stalls, 0u);
-}
-
-// ---- Shared state store (per-session budget) ----
-
-TEST_F(ServiceTest, StateStoreSessionMatchesOracle) {
-  // A generous per-session store budget switches every interval subroutine
-  // to store-backed enumeration; the state count must stay bit-identical to
-  // the (private-working-set) offline driver.
-  SyntheticEventStream::Params params;
-  params.num_threads = 4;
-  params.num_locks = 2;
-  params.sync_probability = 0.8;
-  params.seed = 7;
-  const std::uint64_t total = 3000;
-
-  ParamountServer::Options options;
-  options.state_store_budget_bytes = std::size_t{64} << 20;
-  start_server(options);
-  FrameChannel channel = connect();
-  HelloBody h;
-  h.num_threads = 4;
-  h.async_workers = 3;
-  hello(channel, h);
-
-  SyntheticEventStream stream(params);
-  std::vector<VectorClock> prev(4, VectorClock(4));
-  stream_events(channel, stream, prev, total);
-  ASSERT_TRUE(channel.write_frame(encode_shutdown()));
-  const DecodedFrame goodbye = read_frame(channel);
-  ASSERT_EQ(goodbye.op, Op::kGoodbye);
-  EXPECT_EQ(goodbye.counts.events, total);
-  EXPECT_EQ(goodbye.counts.states, oracle_states(params, total));
-  EXPECT_EQ(goodbye.counts.outstanding_pins, 0u);
-
-  await_completed(1);
-  const ServerStats stats = server_->stats();
-  EXPECT_EQ(stats.leaked_pins, 0u);
-  EXPECT_EQ(stats.clean_shutdowns, 1u);
-  EXPECT_EQ(stats.protocol_errors, 0u);
-}
-
-TEST_F(ServiceTest, StateStoreExhaustionAnswersTypedErrorAndReleasesPins) {
-  // A degenerate budget yields the 64-state minimum store; four unsynced
-  // threads blow through it within a few events. The session must answer a
-  // typed kStateStoreFull Error frame and close — never abort — and every
-  // pinned EnumGuard must be released on the way out.
-  ParamountServer::Options options;
-  options.state_store_budget_bytes = 1;  // 64-slot minimum store
-  start_server(options);
-  FrameChannel channel = connect();
-  HelloBody h;
-  h.num_threads = 4;
-  hello(channel, h);
-
-  SyntheticEventStream::Params params;
-  params.num_threads = 4;
-  params.sync_probability = 0.0;  // independent chains: lattice = (k+1)^4
-  SyntheticEventStream stream(params);
-  std::vector<VectorClock> prev(4, VectorClock(4));
-  // The session closes mid-stream once the latch trips; writes after that
-  // fail with EPIPE, which is the expected shape — keep writing until then.
-  for (int i = 0; i < 400; ++i) {
-    const SyntheticEventStream::StreamEvent ev = stream.next();
-    EventBody body;
-    body.tid = ev.tid;
-    body.kind = ev.kind;
-    body.object = ev.object;
-    for (std::size_t j = 0; j < ev.clock.size(); ++j) {
-      if (ev.clock[j] != prev[ev.tid][j]) {
-        body.delta.push_back({static_cast<std::uint32_t>(j), ev.clock[j]});
-      }
-    }
-    prev[ev.tid] = ev.clock;
-    if (!channel.write_frame(encode_event(body))) break;
-  }
-  expect_error_then_close(channel, ErrorCode::kStateStoreFull);
-
-  await_completed(1);
-  const ServerStats stats = server_->stats();
-  EXPECT_EQ(stats.leaked_pins, 0u);
-  EXPECT_EQ(stats.sessions_completed, 1u);
 }
 
 }  // namespace

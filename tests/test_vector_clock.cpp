@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
+
+#include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace paramount {
 namespace {
@@ -170,6 +175,43 @@ TEST(VectorClock, SinglePassCompareMatchesTwoLeqScans) {
     EXPECT_EQ(VectorClock::compare(a, b), expected)
         << a.to_string() << " vs " << b.to_string();
   }
+}
+
+// Frontier::hash() must keep distinct states collision-free in the full
+// 64-bit hash over a realistic corpus: frontiers are *small dense integers*,
+// the degenerate regime for weak mixers (the old shift-xor fold collided on
+// most of such a corpus).
+TEST(FrontierHashQuality, CollisionRatesStayBelowFixedBounds) {
+  std::vector<Frontier> corpus;
+  // Every state of a 63x63 grid: 4096 highly regular two-component states.
+  for (EventIndex a = 0; a <= 63; ++a) {
+    for (EventIndex b = 0; b <= 63; ++b) corpus.push_back(Frontier{a, b});
+  }
+  // Wider random frontiers with small components (the shapes enumeration
+  // actually produces), across several widths.
+  Rng rng(2026);
+  for (std::size_t width = 3; width <= 10; ++width) {
+    for (int i = 0; i < 2000; ++i) {
+      Frontier f(width);
+      for (std::size_t c = 0; c < width; ++c) {
+        f[c] = static_cast<EventIndex>(rng.next_below(40));
+      }
+      corpus.push_back(f);
+    }
+  }
+
+  // Dedup payloads: only distinct states may count as collisions.
+  std::set<testing::Key> seen;
+  std::vector<std::uint64_t> hashes;
+  for (const Frontier& f : corpus) {
+    if (seen.insert(testing::key_of(f)).second) hashes.push_back(f.hash());
+  }
+  ASSERT_GT(hashes.size(), 15000u)
+      << "corpus should be large enough to be meaningful";
+
+  std::sort(hashes.begin(), hashes.end());
+  EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end())
+      << "distinct states must not collide in the full 64-bit hash";
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "poset/online_poset.hpp"
 #include "runtime/access.hpp"
 #include "test_helpers.hpp"
+#include "util/submit_gate.hpp"
 #include "util/sync.hpp"
 #include "workloads/event_stream.hpp"
 
@@ -25,7 +26,9 @@ using testing::key_of;
 using testing::Key;
 
 // Drives `total_events` of a deterministic synthetic stream through an
-// OnlineParamount with the given options; returns every visited state.
+// OnlineParamount with the given options; returns every visited state. A
+// nonzero `max_in_flight` makes the producer wait while that many intervals
+// are still queued or running (the service's SubmitGate backpressure).
 struct StreamRun {
   std::vector<Key> states;
   std::size_t peak_poset_bytes = 0;
@@ -34,9 +37,14 @@ struct StreamRun {
 
 StreamRun run_stream(SyntheticEventStream::Params params,
                      std::uint64_t total_events,
-                     OnlineParamount::Options options) {
+                     OnlineParamount::Options options,
+                     std::size_t max_in_flight = 0) {
   StreamRun run;
   Mutex mutex;
+  SubmitGate gate(max_in_flight);
+  if (max_in_flight > 0) {
+    options.interval_done = [&gate](EventId) { gate.release(1); };
+  }
   OnlineParamount driver(
       params.num_threads, options,
       [&](const OnlinePoset&, EventId, const Frontier& f) {
@@ -46,6 +54,7 @@ StreamRun run_stream(SyntheticEventStream::Params params,
   SyntheticEventStream stream(params);
   for (std::uint64_t i = 0; i < total_events; ++i) {
     SyntheticEventStream::StreamEvent ev = stream.next();
+    if (max_in_flight > 0) gate.acquire(1);
     driver.submit(ev.tid, ev.kind, ev.object, std::move(ev.clock));
     if ((i & 255) == 0) {
       run.peak_poset_bytes =
@@ -213,24 +222,27 @@ TEST(WindowGc, StreamingHeapStaysBoundedAcross100kInserts) {
   params.seed = 9;
 
   constexpr std::uint64_t kEvents = 200000;
+  // Queued intervals pin the watermark, so an unbounded backlog would let
+  // the scheduler set the windowed peak; this bound sets it instead.
+  constexpr std::size_t kMaxInFlight = 256;
   OnlineParamount::Options windowed;
   windowed.async_workers = 3;
   windowed.window_policy.gc_every = 512;
-  const StreamRun gc_run = run_stream(params, kEvents, windowed);
+  const StreamRun gc_run = run_stream(params, kEvents, windowed, kMaxInFlight);
 
   OnlineParamount::Options unwindowed;
   unwindowed.async_workers = 3;
-  const StreamRun ref_run = run_stream(params, kEvents, unwindowed);
+  const StreamRun ref_run =
+      run_stream(params, kEvents, unwindowed, kMaxInFlight);
 
   EXPECT_EQ(gc_run.states.size(), ref_run.states.size());
   std::cout << "windowed peak=" << gc_run.peak_poset_bytes
             << " windowed final=" << gc_run.final_poset_bytes
             << " unwindowed final=" << ref_run.final_poset_bytes << "\n";
   // The unwindowed poset keeps all 200k events resident forever. The
-  // windowed peak rides the worker backlog (queued intervals pin the
-  // watermark), so it is timing-dependent — but it must stay well below the
-  // linear footprint, and the post-drain plateau is just the partially
-  // covered tail segments.
+  // windowed peak is the collect cadence plus the bounded backlog, far
+  // below the linear footprint, and the post-drain plateau is just the
+  // partially covered tail segments.
   EXPECT_LT(gc_run.peak_poset_bytes * 2, ref_run.final_poset_bytes);
   EXPECT_LT(gc_run.final_poset_bytes * 6, ref_run.final_poset_bytes);
 }

@@ -72,7 +72,6 @@ RAW_MMAP_EXEMPT_DIR = Path("src") / "trace"
 HOT_LOOP_FILES = {
     Path("src/enumeration/lexical_enumerator.hpp"),
     Path("src/enumeration/bfs_enumerator.hpp"),
-    Path("src/enumeration/level_enumerator.hpp"),
 }
 
 RAW_SYNC_RE = re.compile(

@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <string>
 
 #include "core/online_paramount.hpp"
@@ -30,7 +29,6 @@
 #include "poset/topo_sort.hpp"
 #include "util/cli.hpp"
 #include "util/mem_meter.hpp"
-#include "util/state_store.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -45,65 +43,8 @@ EnumAlgorithm parse_algorithm(const std::string& name) {
   if (name == "bfs") return EnumAlgorithm::kBfs;
   if (name == "lexical") return EnumAlgorithm::kLexical;
   if (name == "dfs") return EnumAlgorithm::kDfs;
-  if (name == "level") return EnumAlgorithm::kLevel;
   std::fprintf(stderr, "error: unknown --algorithm '%s'\n", name.c_str());
   std::exit(2);
-}
-
-// Parses --state-store=private | shared[:BYTES]. Returns false on a
-// malformed spec; *budget_bytes keeps its default when no :BYTES suffix.
-bool parse_state_store(const std::string& spec, bool* shared,
-                       std::size_t* budget_bytes) {
-  *shared = false;
-  if (spec.empty() || spec == "private") return true;
-  std::string head = spec;
-  std::string tail;
-  const std::size_t colon = spec.find(':');
-  if (colon != std::string::npos) {
-    head = spec.substr(0, colon);
-    tail = spec.substr(colon + 1);
-  }
-  if (head != "shared") return false;
-  *shared = true;
-  if (!tail.empty()) {
-    std::uint64_t bytes = 0;
-    if (!parse_byte_size(tail, &bytes) || bytes == 0) return false;
-    *budget_bytes = static_cast<std::size_t>(bytes);
-  }
-  return true;
-}
-
-constexpr std::size_t kDefaultStoreBudget = std::size_t{256} << 20;  // 256 MiB
-
-// Builds the shared store selected by --state-store (null = private mode)
-// or exits with usage error 2 on a malformed spec.
-std::unique_ptr<StateStore> make_cli_store(const CliFlags& flags,
-                                           std::size_t num_threads) {
-  bool shared = false;
-  std::size_t budget = kDefaultStoreBudget;
-  if (!parse_state_store(flags.get_string("state-store"), &shared, &budget)) {
-    std::fprintf(stderr,
-                 "error: --state-store expects private or shared[:BYTES] "
-                 "(e.g. shared:512M), got '%s'\n",
-                 flags.get_string("state-store").c_str());
-    std::exit(2);
-  }
-  if (!shared) return nullptr;
-  return StateStore::make_with_budget(num_threads, budget);
-}
-
-void print_store_summary(const StateStore& store) {
-  const StateStore::Stats s = store.stats();
-  const double mean_probe =
-      s.probe_count == 0 ? 0.0
-                         : static_cast<double>(s.probe_sum) /
-                               static_cast<double>(s.probe_count);
-  std::printf("store_interned_states: %zu\n", s.size);
-  std::printf("store_resident_bytes: %zu\n", s.resident_bytes);
-  std::printf("store_load_factor: %.3f\n", store.load_factor());
-  std::printf("store_mean_probe: %.3f\n", mean_probe);
-  std::printf("store_full_rejections: %llu\n",
-              static_cast<unsigned long long>(s.full_rejections));
 }
 
 TopoPolicy parse_policy(const std::string& name) {
@@ -234,9 +175,6 @@ int run_count(const Poset& poset, const CliFlags& flags) {
   options.subroutine = parse_algorithm(flags.get_string("algorithm"));
   options.topo_policy = parse_policy(flags.get_string("order"));
   const bool streaming = flags.get_bool("streaming");
-  const std::unique_ptr<StateStore> store =
-      make_cli_store(flags, poset.num_threads());
-  options.store = store.get();
 
   obs::Telemetry telemetry(options.num_workers,
                            obs::SpanTracer::kDefaultCapacityPerShard,
@@ -245,21 +183,13 @@ int run_count(const Poset& poset, const CliFlags& flags) {
 
   WallTimer timer;
   ParamountResult result;
-  try {
-    if (streaming) {
-      const auto order =
-          topological_sort(poset, options.topo_policy, options.seed);
-      result = enumerate_paramount_streaming(poset, order, options,
-                                             [](const Frontier&) {});
-    } else {
-      result = enumerate_paramount(poset, options, [](const Frontier&) {});
-    }
-  } catch (const StateStoreFull& e) {
-    std::fprintf(stderr,
-                 "error: shared state store is full (%zu of %zu states "
-                 "interned); raise --state-store=shared:BYTES\n",
-                 e.interned(), e.capacity());
-    return 1;
+  if (streaming) {
+    const auto order =
+        topological_sort(poset, options.topo_policy, options.seed);
+    result = enumerate_paramount_streaming(poset, order, options,
+                                           [](const Frontier&) {});
+  } else {
+    result = enumerate_paramount(poset, options, [](const Frontier&) {});
   }
   const double elapsed = timer.elapsed_seconds();
 
@@ -273,10 +203,6 @@ int run_count(const Poset& poset, const CliFlags& flags) {
       options.chunk_size, options.steal ? "steal" : "no-steal",
       format_seconds(elapsed).c_str());
 
-  if (store != nullptr) {
-    store->publish_stats(&telemetry);
-    print_store_summary(*store);
-  }
   if constexpr (obs::kTelemetryEnabled) {
     print_telemetry_summary(telemetry, elapsed);
   } else {
@@ -327,10 +253,6 @@ int run_online(const CliFlags& flags) {
     }
     wp.window_bytes = static_cast<std::size_t>(bytes);
   }
-  const std::unique_ptr<StateStore> store =
-      make_cli_store(flags, sp.num_threads);
-  options.store = store.get();
-
   obs::Telemetry telemetry(sp.num_threads + options.async_workers,
                            obs::SpanTracer::kDefaultCapacityPerShard,
                            trace_overflow(flags));
@@ -381,17 +303,6 @@ int run_online(const CliFlags& flags) {
   std::printf("spans_dropped: %llu\n",
               static_cast<unsigned long long>(telemetry.tracer().dropped()));
   std::printf("peak_rss_bytes: %zu\n", peak_rss_bytes());
-  if (store != nullptr) {
-    store->publish_stats(&telemetry);
-    print_store_summary(*store);
-    if (driver.store_full()) {
-      std::fprintf(stderr,
-                   "error: shared state store filled mid-run (%zu states); "
-                   "raise --state-store=shared:BYTES\n",
-                   store->size());
-      return 1;
-    }
-  }
 
   if constexpr (obs::kTelemetryEnabled) {
     print_telemetry_summary(telemetry, elapsed);
@@ -502,11 +413,7 @@ int main(int argc, char** argv) {
   flags.add_string("mode", "count",
                    "count | print | intervals | conjunctive | online");
   flags.add_string("algorithm", "lexical",
-                   "bfs | lexical | dfs | level (subroutine for count)");
-  flags.add_string("state-store", "private",
-                   "private = per-interval working sets (default); "
-                   "shared[:BYTES] = one lock-free interning store shared by "
-                   "all workers (count/online modes; default 256M)");
+                   "bfs | lexical | dfs (subroutine for count)");
   flags.add_string("order", "interleave",
                    "interleave | thread-major | random");
   flags.add_int("workers", 4, "ParaMount workers for count mode");

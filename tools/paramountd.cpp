@@ -71,7 +71,6 @@ int main(int argc, char** argv) {
     options.max_sessions = config.max_sessions;
     options.submit_budget_bytes = config.submit_budget_bytes;
     options.eviction_alert_threshold = config.eviction_alert_threshold;
-    options.state_store_budget_bytes = config.state_store_budget_bytes;
     ParamountServer server(std::move(options));
     ListenUnixError why = ListenUnixError::kNone;
     if (!server.start(&error, &why)) {
@@ -97,7 +96,6 @@ int main(int argc, char** argv) {
     options.submit_budget_bytes = config.submit_budget_bytes;
     options.tenant_budget_bytes = config.tenant_budget_bytes;
     options.eviction_alert_threshold = config.eviction_alert_threshold;
-    options.state_store_budget_bytes = config.state_store_budget_bytes;
     EpollServer server(std::move(options));
     ListenUnixError why = ListenUnixError::kNone;
     if (!server.start(&error, &why)) {
