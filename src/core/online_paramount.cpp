@@ -30,9 +30,10 @@ EventId OnlineParamount::submit(ThreadId tid, OpKind kind,
   // With a window policy the interval's Gmin is pinned atomically with the
   // insert; the pin travels to enumerate_interval via ins.pin_slot and is
   // released when the enumeration finishes.
-  const OnlinePoset::Inserted ins =
+  OnlinePoset::Inserted ins =
       poset_.insert(tid, kind, object, std::move(clock),
                     /*pin=*/options_.window_policy.enabled());
+  const EventId id = ins.id;
   if (tel != nullptr) {
     // The insert is Algorithm 4's atomic block: it appends to →p and
     // snapshots the maximal frontier (Gbnd).
@@ -42,13 +43,20 @@ EventId OnlineParamount::submit(ThreadId tid, OpKind kind,
     tel->tracer().record(tid, "gbnd_snapshot", "online", insert_ns,
                          done_ns - insert_ns);
   }
-  if (pool_ != nullptr) {
-    pool_->submit([this, ins] { enumerate_interval(ins); });
+  // Gmin == Gbnd: the event causally follows every event inserted before it,
+  // so its box holds the single state Gmin. Enumerating that one state costs
+  // less than the hand-off (a task allocation, two queue locks and a wake on
+  // another CPU), so only multi-state boxes go to the pool.
+  if (pool_ != nullptr && ins.gmin != ins.gbnd) {
+    pool_->submit([this, ins = std::move(ins)] {
+      enumerate_interval(
+          ins, poset_.num_threads() + ThreadPool::current_worker_index());
+    });
   } else {
-    enumerate_interval(ins);
+    enumerate_interval(ins, tid);
   }
   maybe_collect();
-  return ins.id;
+  return id;
 }
 
 void OnlineParamount::drain() {
@@ -90,20 +98,13 @@ void OnlineParamount::maybe_collect() {
   if (due) collect();
 }
 
-void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins) {
+void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins,
+                                         std::size_t shard) {
   // Adopt the pin taken at insert time (inert without a window policy):
   // while this guard lives, collect() cannot advance the watermark past
   // ins.gmin, so every index inside [Gmin, Gbnd] stays resident.
   OnlinePoset::EnumGuard guard(&poset_, ins.pin_slot);
   obs::Telemetry* const tel = options_.telemetry;
-  // Inline mode runs on the submitting program thread (shard = its tid);
-  // pooled mode runs on a pool worker (shards above the program threads).
-  std::size_t shard = ins.id.tid;
-  if (tel != nullptr && pool_ != nullptr) {
-    const std::size_t worker = ThreadPool::current_worker_index();
-    PM_DCHECK(worker != ThreadPool::npos);
-    shard = poset_.num_threads() + worker;
-  }
   const std::uint64_t start_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
   std::uint64_t states = 0;
   // The empty state {0,…,0} belongs to the interval of the first event in

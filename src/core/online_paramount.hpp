@@ -12,8 +12,13 @@
 //     interval before returning — the configuration of the paper's online
 //     detector ("after a thread executes an event, the thread is immediately
 //     used to enumerate the interval");
-//   * pooled (async_workers > 0): intervals are queued to a dedicated worker
-//     pool and submission returns immediately; call drain() to synchronize.
+//   * pooled (async_workers > 0): intervals whose box holds more than one
+//     state (Gmin != Gbnd) are queued to a dedicated worker pool and
+//     submission returns immediately; call drain() to synchronize. A
+//     single-state interval (Gmin == Gbnd: the event causally follows every
+//     event inserted before it) is cheaper to enumerate than to hand off, so
+//     it still finishes inside submit() on the submitting thread, and a
+//     visitor exception thrown from it propagates out of submit().
 #pragma once
 
 #include <atomic>
@@ -43,16 +48,18 @@ class OnlineParamount {
     EnumAlgorithm subroutine = EnumAlgorithm::kLexical;
     std::size_t async_workers = 0;  // 0 = enumerate inline on submit
     // Optional telemetry sink (see src/obs/). Shard layout: submitting
-    // program thread t writes shard t; pooled enumeration worker w writes
-    // shard num_threads + w. Requires num_threads + async_workers shards.
+    // program thread t writes shard t, including the intervals it
+    // enumerates itself; pooled enumeration worker w writes shard
+    // num_threads + w. Requires num_threads + async_workers shards.
     obs::Telemetry* telemetry = nullptr;
     WindowPolicy window_policy;  // default: no reclamation (unbounded)
     // Invoked once per interval after its enumeration finished AND its
     // window pin (if any) was released — the point where the interval has
     // stopped holding any poset storage alive. Service-mode backpressure
     // returns submit-queue budget here. Runs on whichever thread enumerated
-    // the interval (a pool worker in pooled mode), so it must be
-    // thread-safe; it must not call back into this driver.
+    // the interval: a pool worker for a multi-state interval in pooled
+    // mode, otherwise the submitting thread before submit() returns. It must
+    // be thread-safe and must not call back into this driver.
     std::function<void(EventId)> interval_done;
   };
 
@@ -94,7 +101,9 @@ class OnlineParamount {
   }
 
  private:
-  void enumerate_interval(const OnlinePoset::Inserted& ins);
+  // `shard` is the telemetry shard of the calling thread (see
+  // Options::telemetry).
+  void enumerate_interval(const OnlinePoset::Inserted& ins, std::size_t shard);
   void maybe_collect();
 
   OnlinePoset poset_;

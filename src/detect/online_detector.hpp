@@ -4,7 +4,10 @@
 // (Algorithm 4) and evaluates the data-race predicate (Algorithm 6) on each
 // enumerated global state. In the default inline mode, the monitored
 // program's own thread enumerates the interval of the event it just produced
-// — the configuration evaluated in Table 2.
+// — the configuration evaluated in Table 2. With async_workers > 0 only
+// multi-state intervals go to the pool; an event whose interval holds a
+// single state is still checked on the thread that produced it, inside
+// on_event().
 #pragma once
 
 #include <memory>

@@ -49,11 +49,10 @@ OnlinePoset::Inserted OnlinePoset::insert(ThreadId tid, OpKind kind,
     PM_CHECK_MSG(threads_[tid].events.back().vc.leq(clock),
                  "per-thread vector clocks must be componentwise monotone");
   }
-  e.vc = clock;
-
   Inserted result;
   result.id = e.id;
-  result.gmin = e.vc;
+  result.gmin = clock;
+  e.vc = std::move(clock);
   result.position = next_position_++;
   result.first = result.position == 0;
 

@@ -251,8 +251,10 @@ SessionCore* EpollServer::open_stream(const std::shared_ptr<Connection>& conn,
       });
   core->set_gate_provider(
       [this](const HelloBody& hello) { return gate_for(hello); });
-  // Fired from whatever thread releases submit budget (typically a pool
-  // worker retiring an interval): hop to the loop thread to resume reads.
+  // Fired from whatever thread releases submit budget: a pool worker
+  // retiring a multi-state interval, or this loop thread itself when a
+  // single-state interval finished inside submit(). Either way, post to the
+  // loop so the retry runs after the current frame's handling returns.
   core->set_gate_ready([this, conn_id] {
     loop_->post([this, conn_id] { retry_blocked(conn_id); });
   });

@@ -191,8 +191,10 @@ SessionCore::Disposition SessionCore::handle_event(const EventBody& body) {
 }
 
 SessionCore::Disposition SessionCore::submit_pending() {
-  // Backpressure: admit against the in-flight interval budget; pooled
-  // workers return the charge via interval_done.
+  // Backpressure: admit against the in-flight interval budget; whichever
+  // thread finishes the interval returns the charge via interval_done (a
+  // pooled worker, or this thread before commit_event() returns when the
+  // interval holds a single state).
   if (gate_mode_ == GateMode::kBlocking) {
     // Block here (the session thread stops reading its socket; the kernel
     // buffer pushes back on the client).

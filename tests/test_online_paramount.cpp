@@ -8,8 +8,10 @@
 #include <atomic>
 #include <thread>
 
+#include "obs/telemetry.hpp"
 #include "poset/lattice.hpp"
 #include "poset/online_poset.hpp"
+#include "poset/poset_builder.hpp"
 #include "poset/topo_sort.hpp"
 #include "test_helpers.hpp"
 #include "util/sync.hpp"
@@ -161,17 +163,108 @@ TEST(OnlineParamount, SequentialReplayMatchesOracle) {
   }
 }
 
+// Pooled replay that also records, per interval, whether interval_done ran on
+// the submitting thread.
+struct PooledRun {
+  std::vector<Key> states;
+  std::uint64_t done_on_submitter = 0;
+  std::uint64_t done_elsewhere = 0;
+  std::uint64_t states_enumerated = 0;
+  std::size_t outstanding_pins = 0;
+  obs::MetricsSnapshot metrics;
+};
+
+PooledRun replay_pooled(const Poset& poset, const std::vector<EventId>& order,
+                        OnlineParamount::WindowPolicy window_policy) {
+  constexpr std::size_t kWorkers = 3;
+  obs::Telemetry telemetry(poset.num_threads() + kWorkers);
+  const std::thread::id submitter = std::this_thread::get_id();
+  std::atomic<std::uint64_t> on_submitter{0};
+  std::atomic<std::uint64_t> elsewhere{0};
+  OnlineParamount::Options options;
+  options.async_workers = kWorkers;
+  options.telemetry = &telemetry;
+  options.window_policy = window_policy;
+  options.interval_done = [&](EventId) {
+    // relaxed: tallies read after drain(), which orders every interval.
+    (std::this_thread::get_id() == submitter ? on_submitter : elsewhere)
+        .fetch_add(1, std::memory_order_relaxed);
+  };
+  PooledRun run;
+  Mutex mutex;
+  OnlineParamount online(
+      poset.num_threads(), options,
+      [&](const OnlinePoset&, EventId, const Frontier& f) {
+        MutexLock guard(mutex);
+        run.states.push_back(key_of(f));
+      });
+  for (const EventId id : order) {
+    const Event& e = poset.event(id);
+    online.submit(id.tid, e.kind, e.object, e.vc);
+  }
+  online.drain();
+  run.done_on_submitter = on_submitter.load();
+  run.done_elsewhere = elsewhere.load();
+  run.states_enumerated = online.states_enumerated();
+  run.outstanding_pins = online.poset().outstanding_pins();
+  run.metrics = telemetry.snapshot();
+  return run;
+}
+
+// A chain across four threads (every event follows the one inserted before
+// it) is a total order: Gmin == Gbnd for every event, so pooled mode must
+// enumerate every interval on the submitting thread and queue nothing.
+TEST(OnlineParamount, PooledChainRunsEveryIntervalOnSubmitter) {
+  constexpr ThreadId kThreads = 4;
+  constexpr std::size_t kEvents = 40;
+  PosetBuilder builder(kThreads);
+  EventId prev = builder.add_event(0);
+  for (std::size_t i = 1; i < kEvents; ++i) {
+    prev = builder.add_event_after(static_cast<ThreadId>(i % kThreads), prev);
+  }
+  const Poset poset = std::move(builder).build();
+  const auto order = topological_sort(poset, TopoPolicy::kInterleave);
+
+  const PooledRun run = replay_pooled(poset, order, {/*gc_every=*/8, 0});
+  EXPECT_EQ(run.done_on_submitter, kEvents);
+  EXPECT_EQ(run.done_elsewhere, 0u);
+  EXPECT_EQ(run.states_enumerated, count_ideals(poset).value());
+  EXPECT_EQ(run.outstanding_pins, 0u);
+  EXPECT_EQ(run.metrics.find_counter("pool.tasks")->total, 0u);
+  if constexpr (obs::kTelemetryEnabled) {
+    EXPECT_EQ(run.metrics.find_counter("paramount.intervals")->total, kEvents);
+  }
+}
+
+// Mixed boxes: exactly the events whose Gbnd differs from their Gmin go to
+// the pool; every interval is still enumerated once and the union of the
+// intervals is the lattice.
 TEST(OnlineParamount, AsyncWorkersMatchOracle) {
   const Poset poset = make_random(4, 26, 0.4, 11);
   std::set<Key> oracle;
   for (const Frontier& f : all_ideals(poset)) oracle.insert(key_of(f));
-
-  OnlineParamount::Options options;
-  options.async_workers = 3;
   const auto order = topological_sort(poset, TopoPolicy::kInterleave);
-  const auto states = replay(poset, order, options);
-  EXPECT_TRUE(all_distinct(states));
-  EXPECT_EQ(as_set(states), oracle);
+
+  std::uint64_t multi_state = 0;
+  OnlinePoset shadow(poset.num_threads());
+  for (const EventId id : order) {
+    const OnlinePoset::Inserted ins =
+        shadow.insert(id.tid, OpKind::kInternal, 0, poset.event(id).vc);
+    if (ins.gbnd != ins.gmin) ++multi_state;
+  }
+  ASSERT_GT(multi_state, 0u);
+  ASSERT_LT(multi_state, order.size());
+
+  const PooledRun run = replay_pooled(poset, order, {});
+  EXPECT_TRUE(all_distinct(run.states));
+  EXPECT_EQ(as_set(run.states), oracle);
+  EXPECT_EQ(run.done_elsewhere, multi_state);
+  EXPECT_EQ(run.done_on_submitter, order.size() - multi_state);
+  if constexpr (obs::kTelemetryEnabled) {
+    EXPECT_EQ(run.metrics.find_counter("pool.tasks")->total, multi_state);
+    EXPECT_EQ(run.metrics.find_counter("paramount.intervals")->total,
+              order.size());
+  }
 }
 
 TEST(OnlineParamount, SubroutineChoiceIrrelevant) {
