@@ -9,6 +9,7 @@
 // assigned to the first event of →p by convention.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "poset/poset.hpp"
@@ -22,11 +23,13 @@ struct Interval {
   Frontier gbnd;  // frontier of events up to `event` in →p
 
   // Number of box cells |{G : gmin ≤ G ≤ gbnd}| — an upper bound on the
-  // interval's state count, used for load-balance diagnostics.
+  // interval's state count, used for load-balance diagnostics. Saturates at
+  // UINT64_MAX: a wide box's product of widths overflows 64 bits.
   std::uint64_t box_cells() const {
     std::uint64_t cells = 1;
     for (std::size_t i = 0; i < gmin.size(); ++i) {
-      cells *= (gbnd[i] - gmin[i]) + 1;
+      const std::uint64_t width = std::uint64_t{gbnd[i] - gmin[i]} + 1;
+      if (__builtin_mul_overflow(cells, width, &cells)) return UINT64_MAX;
     }
     return cells;
   }

@@ -133,9 +133,8 @@ ParamountResult enumerate_paramount(const Poset& poset,
       visit(poset.empty_frontier());
       ++states;
     }
-    const EnumStats stats = enumerate_box(
-        options.subroutine, poset, iv.gmin, iv.gbnd,
-        [&](const Frontier& state) { visit(state); }, options.meter);
+    const EnumStats stats = enumerate_box(options.subroutine, poset, iv.gmin,
+                                          iv.gbnd, visit, options.meter);
     states += stats.states;
     // relaxed: monotone counter; the final load happens after the workers
     // join, which orders every contribution.
@@ -296,9 +295,8 @@ ParamountResult enumerate_paramount_streaming(
       visit(poset.empty_frontier());
       ++states;
     }
-    const EnumStats stats = enumerate_box(
-        options.subroutine, poset, gmin, claimed.gbnd,
-        [&](const Frontier& state) { visit(state); }, options.meter);
+    const EnumStats stats = enumerate_box(options.subroutine, poset, gmin,
+                                          claimed.gbnd, visit, options.meter);
     states += stats.states;
     // relaxed: monotone counter, read after the joins; see the offline driver.
     total_states.fetch_add(states, std::memory_order_relaxed);

@@ -1,14 +1,16 @@
 // Correctness of the three sequential enumerators: exactly-once enumeration
 // of all consistent states, agreement with the brute-force lattice oracle,
-// ordering guarantees, bounded (boxed) enumeration, and the memory-budget
-// behaviour.
+// ordering guarantees, bounded (boxed) enumeration, the memory-budget
+// behaviour, and the visit order and clock-read cost of the lexical run loop.
 #include <gtest/gtest.h>
 
+#include "core/interval.hpp"
 #include "enumeration/bfs_enumerator.hpp"
 #include "enumeration/dfs_enumerator.hpp"
 #include "enumeration/dispatch.hpp"
 #include "enumeration/lexical_enumerator.hpp"
 #include "poset/lattice.hpp"
+#include "poset/online_poset.hpp"
 #include "test_helpers.hpp"
 
 namespace paramount {
@@ -224,7 +226,9 @@ TEST(Enumerators, LexicalUsesConstantMemory) {
   const EnumStats stats =
       enumerate_lexical(poset, [](const Frontier&) {}, &meter);
   EXPECT_EQ(stats.states, 4096u);
-  EXPECT_LT(stats.peak_bytes, 1024u);  // O(n), not O(width)
+  // O(n), not O(width): the current frontier plus the lo/hi bounds, the
+  // working set Figure 12 reports for L-Para.
+  EXPECT_EQ(stats.peak_bytes, 3 * sizeof(Frontier));
 }
 
 TEST(Enumerators, BfsPeakMemoryTracksLatticeWidth) {
@@ -243,6 +247,133 @@ TEST(Enumerators, StatsCountMatchesOracle) {
         enumerate_all(algorithm, poset, [](const Frontier&) {});
     EXPECT_EQ(stats.states, expected) << to_string(algorithm);
   }
+}
+
+// ---- the run loop of enumerate_lexical ----
+
+// Checks that enumerate_lexical over [lo, hi] visits exactly the sequence
+// that chaining lexical_successor from lo produces, and returns its length.
+template <typename PosetT>
+std::uint64_t expect_successor_chain(const PosetT& poset, const Frontier& lo,
+                                     const Frontier& hi) {
+  Frontier expected = lo;
+  bool chain_live = true;
+  std::uint64_t matched = 0;
+  bool diverged = false;
+  enumerate_lexical(poset, lo, hi, [&](const Frontier& state) {
+    if (diverged) return;
+    if (!chain_live || state != expected) {
+      diverged = true;
+      ADD_FAILURE() << "box " << lo.to_string() << ".." << hi.to_string()
+                    << ": visit " << matched << " is " << state.to_string()
+                    << ", successor chain "
+                    << (chain_live ? expected.to_string() : "ended");
+      return;
+    }
+    ++matched;
+    chain_live = lexical_successor(poset, lo, hi, expected);
+  });
+  EXPECT_FALSE(chain_live) << "enumeration stopped before the chain ended, box "
+                           << lo.to_string() << ".." << hi.to_string();
+  return matched;
+}
+
+// Boxes over this many cells are skipped: they would dominate the runtime.
+constexpr std::uint64_t kMaxOracleCells = 200'000;
+
+class LexicalRunLoop
+    : public ::testing::TestWithParam<std::tuple<std::size_t, double>> {};
+
+// Every interval box of one event stream, on both poset types, under two
+// insertion orders. 17 and 64 threads spill the clocks out of InlinedVector's
+// 16 inline slots.
+TEST_P(LexicalRunLoop, VisitsTheSuccessorChain) {
+  const auto [processes, density] = GetParam();
+  const std::uint64_t seed =
+      10 * processes + static_cast<std::uint64_t>(10 * density);
+  const Poset poset = make_random(processes, 8 * processes, density, seed);
+  for (const TopoPolicy policy :
+       {TopoPolicy::kThreadMajor, TopoPolicy::kRandom}) {
+    OnlinePoset online(processes);
+    std::uint64_t boxes = 0;
+    std::uint64_t states = 0;
+    for (const Interval& iv :
+         compute_intervals(poset, topological_sort(poset, policy, seed))) {
+      const Event& e = poset.event(iv.event);
+      const OnlinePoset::Inserted ins =
+          online.insert(e.tid(), e.kind, e.object, e.vc);
+      ASSERT_EQ(ins.gbnd, iv.gbnd);
+      if (iv.box_cells() > kMaxOracleCells) continue;
+      ++boxes;
+      states += expect_successor_chain(poset, iv.gmin, iv.gbnd);
+      states += expect_successor_chain(online, ins.gmin, ins.gbnd);
+    }
+    EXPECT_GT(boxes, 0u) << to_string(policy);
+    EXPECT_GE(states, 2 * boxes) << to_string(policy);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomPosets, LexicalRunLoop,
+    ::testing::Combine(::testing::Values(1u, 2u, 6u, 17u, 64u),
+                       ::testing::Values(0.1, 0.5, 0.9)),
+    [](const auto& info) {
+      return "n" + std::to_string(std::get<0>(info.param)) + "_p" +
+             std::to_string(static_cast<int>(std::get<1>(info.param) * 10));
+    });
+
+// A PosetLike that counts clock reads.
+class CountingPoset {
+ public:
+  explicit CountingPoset(const Poset& poset) : poset_(poset) {}
+  std::size_t num_threads() const { return poset_.num_threads(); }
+  const VectorClock& vc(ThreadId tid, EventIndex index) const {
+    ++reads_;
+    return poset_.vc(tid, index);
+  }
+  bool is_consistent(const Frontier& frontier) const {
+    return poset_.is_consistent(frontier);
+  }
+  std::uint64_t reads() const { return reads_; }
+
+ private:
+  const Poset& poset_;
+  mutable std::uint64_t reads_ = 0;
+};
+
+// Within a run a state costs one clock read; the general step runs only
+// between runs. The per-step successor alone reads at least two clocks per
+// state (the advanced event and the retained prefix it joins).
+TEST(Enumerators, LexicalReadsAboutOneClockPerState) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1000}, {2, 30}, {3, 12}};  // {chains, events per chain}
+  for (const auto& [chains, length] : shapes) {
+    PosetBuilder builder(chains);
+    for (ThreadId t = 0; t < chains; ++t) {
+      for (std::size_t i = 0; i < length; ++i) builder.add_event(t);
+    }
+    const Poset poset = std::move(builder).build();
+    const CountingPoset counting(poset);
+    const EnumStats stats =
+        enumerate_lexical(counting, poset.empty_frontier(),
+                          poset.full_frontier(), [](const Frontier&) {});
+    std::uint64_t cells = 1;
+    for (std::size_t t = 0; t < chains; ++t) cells *= length + 1;
+    ASSERT_EQ(stats.states, cells);
+    EXPECT_LE(static_cast<double>(counting.reads()),
+              1.2 * static_cast<double>(stats.states))
+        << chains << " chains of " << length << ": " << counting.reads()
+        << " clock reads for " << stats.states << " states";
+  }
+}
+
+// The always-on check after the loops still catches a broken box: {0,2} is
+// inconsistent (e2[2] needs e1[1]), so the chain from {0,0} never reaches it.
+TEST(EnumeratorsDeathTest, LexicalInconsistentHiDies) {
+  const Poset poset = make_figure4_poset();
+  EXPECT_DEATH(enumerate_lexical(poset, Frontier{0, 0}, Frontier{0, 2},
+                                 [](const Frontier&) {}),
+               "PM_CHECK failed");
 }
 
 TEST(Enumerators, DispatchNamesAlgorithms) {

@@ -54,6 +54,17 @@ TEST(Interval, BoxCells) {
   EXPECT_EQ(iv.box_cells(), 2u * 3u);
   iv.gmin = iv.gbnd;
   EXPECT_EQ(iv.box_cells(), 1u);
+
+  // Width 2 on every thread: 63 threads give exactly 2^63 cells; 64 give
+  // 2^64, which saturates instead of wrapping to 0.
+  iv.gmin = Frontier(63);
+  iv.gbnd = Frontier(63);
+  for (std::size_t t = 0; t < 63; ++t) iv.gbnd[t] = 1;
+  EXPECT_EQ(iv.box_cells(), std::uint64_t{1} << 63);
+  iv.gmin = Frontier(64);
+  iv.gbnd = Frontier(64);
+  for (std::size_t t = 0; t < 64; ++t) iv.gbnd[t] = 1;
+  EXPECT_EQ(iv.box_cells(), UINT64_MAX);
 }
 
 // Theorem 1: every Gbnd(e) is a consistent global state, for every policy.
