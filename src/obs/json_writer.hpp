@@ -5,7 +5,7 @@
 // both Perfetto and the bench post-processing scripts parse it fine.
 #pragma once
 
-#include <cinttypes>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -55,20 +55,8 @@ class JsonWriter {
     return *this;
   }
 
-  JsonWriter& value(std::uint64_t v) {
-    comma();
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-    out_ += buf;
-    return *this;
-  }
-  JsonWriter& value(std::int64_t v) {
-    comma();
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-    out_ += buf;
-    return *this;
-  }
+  JsonWriter& value(std::uint64_t v) { return integer(v); }
+  JsonWriter& value(std::int64_t v) { return integer(v); }
   JsonWriter& value(double v) {
     comma();
     char buf[32];
@@ -100,6 +88,14 @@ class JsonWriter {
       if (depth_.back()) out_.push_back(',');
       depth_.back() = true;
     }
+  }
+
+  template <typename Int>
+  JsonWriter& integer(Int v) {
+    comma();
+    char buf[24];  // 20 digits and a sign fit
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    return *this;
   }
 
   void pop() {

@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -26,6 +27,9 @@ bool make_addr(const std::string& path, sockaddr_un* addr) {
   std::memcpy(addr->sun_path, path.c_str(), path.size() + 1);
   return true;
 }
+
+// Frame header: u32 LE payload length, then u32 LE stream id.
+constexpr std::size_t kFrameHeaderBytes = 8;
 
 std::string errno_string(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
@@ -300,63 +304,95 @@ const char* to_string(ReadStatus status) {
   return "?";
 }
 
+ReadStatus FrameChannel::read_frame(std::span<const std::uint8_t>* payload,
+                                    std::uint32_t* stream_id) {
+  // Frames come out of the read buffer; the socket is read only when the
+  // buffer holds no complete frame, one recv() per pass. Partial progress
+  // stays in the buffer, so a kWouldBlock return loses nothing whatever
+  // the split point.
+  while (true) {
+    std::size_t need = kFrameHeaderBytes;
+    if (in_end_ - in_begin_ >= kFrameHeaderBytes) {
+      const std::uint8_t* frame = in_.get() + in_begin_;
+      const std::uint32_t len = load_le32(frame);
+      // Reject before sizing the buffer: a hostile prefix must not size it.
+      if (len > kMaxFramePayload) return ReadStatus::kOversized;
+      need += len;
+      if (in_end_ - in_begin_ >= need) {
+        *payload = {frame + kFrameHeaderBytes, len};
+        if (stream_id != nullptr) *stream_id = load_le32(frame + 4);
+        in_begin_ += need;
+        return ReadStatus::kFrame;
+      }
+    }
+    if (const std::optional<ReadStatus> status = fill(need)) return *status;
+  }
+}
+
 ReadStatus FrameChannel::read_frame(std::vector<std::uint8_t>* payload,
                                     std::uint32_t* stream_id) {
-  // Resumable two-phase read: header (8 bytes), then payload. Progress is
-  // kept in members so a kWouldBlock return on a non-blocking fd loses
-  // nothing — the next call continues exactly where the kernel stopped,
-  // whatever the split point.
-  if (!in_body_) {
-    while (header_got_ < sizeof(header_)) {
-      const ssize_t n = ::recv(fd_.get(), header_ + header_got_,
-                               sizeof(header_) - header_got_, 0);
-      if (n > 0) {
-        header_got_ += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n == 0) {
-        return header_got_ == 0 ? ReadStatus::kEof : ReadStatus::kTruncated;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return ReadStatus::kWouldBlock;
-      }
-      return ReadStatus::kError;
-    }
-    const std::uint32_t len = load_le32(header_);
-    read_stream_ = load_le32(header_ + 4);
-    // Reject before allocating: a hostile prefix must not size a buffer.
-    if (len > kMaxFramePayload) return ReadStatus::kOversized;
-    body_.clear();
-    body_.resize(len);
-    body_got_ = 0;
-    in_body_ = true;
+  std::span<const std::uint8_t> view;
+  const ReadStatus status = read_frame(&view, stream_id);
+  if (status == ReadStatus::kFrame) {
+    payload->assign(view.begin(), view.end());
+    // Nothing views the buffer now: a drained one goes at once, so a
+    // blocking client waiting for its next reply holds none.
+    if (in_begin_ == in_end_) release_input();
   }
-  while (body_got_ < body_.size()) {
-    const ssize_t n = ::recv(fd_.get(), body_.data() + body_got_,
-                             body_.size() - body_got_, 0);
+  return status;
+}
+
+bool FrameChannel::has_buffered_frame() const {
+  const std::size_t buffered = in_end_ - in_begin_;
+  if (buffered < kFrameHeaderBytes) return false;
+  const std::uint32_t len = load_le32(in_.get() + in_begin_);
+  return len > kMaxFramePayload || buffered - kFrameHeaderBytes >= len;
+}
+
+std::optional<ReadStatus> FrameChannel::fill(std::size_t need) {
+  const std::size_t buffered = in_end_ - in_begin_;
+  const std::size_t cap = std::max(kReadChunk, need);
+  if (in_cap_ != cap) {
+    // First read, a frame longer than the chunk, or back to the chunk size
+    // after one.
+    std::unique_ptr<std::uint8_t[]> fresh(new std::uint8_t[cap]);
+    if (buffered > 0) std::memcpy(fresh.get(), in_.get() + in_begin_, buffered);
+    in_ = std::move(fresh);
+    in_cap_ = cap;
+  } else if (in_begin_ > 0 && buffered > 0) {
+    std::memmove(in_.get(), in_.get() + in_begin_, buffered);
+  }
+  in_begin_ = 0;
+  in_end_ = buffered;
+  while (true) {
+    const ssize_t n = ::recv(fd_.get(), in_.get() + in_end_, cap - in_end_, 0);
     if (n > 0) {
-      body_got_ += static_cast<std::size_t>(n);
-      continue;
+      in_end_ += static_cast<std::size_t>(n);
+      return std::nullopt;
     }
-    // EOF anywhere inside the payload means the frame was cut short.
-    if (n == 0) return ReadStatus::kTruncated;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadStatus::kWouldBlock;
-    return ReadStatus::kError;
+    if (n < 0 && errno == EINTR) continue;
+    ReadStatus status = ReadStatus::kError;
+    if (n == 0) {
+      // EOF between frames is orderly; anywhere inside one, it cut it short.
+      status = buffered == 0 ? ReadStatus::kEof : ReadStatus::kTruncated;
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      status = ReadStatus::kWouldBlock;
+    }
+    if (buffered == 0) release_input();
+    return status;
   }
-  *payload = std::move(body_);
-  body_.clear();
-  body_got_ = 0;
-  in_body_ = false;
-  header_got_ = 0;
-  if (stream_id != nullptr) *stream_id = read_stream_;
-  return ReadStatus::kFrame;
+}
+
+void FrameChannel::release_input() {
+  in_.reset();
+  in_cap_ = 0;
+  in_begin_ = 0;
+  in_end_ = 0;
 }
 
 bool FrameChannel::write_frame(std::span<const std::uint8_t> payload,
                                std::uint32_t stream_id) {
-  std::uint8_t header[8];
+  std::uint8_t header[kFrameHeaderBytes];
   store_le32(header, static_cast<std::uint32_t>(payload.size()));
   store_le32(header + 4, stream_id);
   if (has_pending_write()) {
@@ -444,6 +480,7 @@ bool FrameChannel::set_nonblocking(bool enabled) {
 void FrameChannel::shutdown_write() { ::shutdown(fd_.get(), SHUT_WR); }
 
 bool FrameChannel::discard_input(std::size_t* discarded) {
+  release_input();
   std::uint8_t scratch[16384];
   while (*discarded < kLingerDiscardCap) {
     const ssize_t n = ::recv(fd_.get(), scratch, sizeof(scratch), MSG_DONTWAIT);

@@ -17,6 +17,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -137,22 +139,48 @@ inline constexpr std::chrono::milliseconds kLingerTimeout{2000};
 
 // Frame transport over a connected socket.
 //
-// On a blocking fd every call runs to completion exactly as before. On a
-// non-blocking fd (set_nonblocking) the channel keeps partial progress
-// between calls: read_frame returns kWouldBlock mid-frame and resumes where
-// it left off, and write_frame queues whatever the kernel would not take —
-// flush() retries the backlog when the fd signals writable.
+// Reads are buffered: when the read buffer holds no complete frame, one
+// recv() asks for up to kReadChunk bytes (more only when a single frame is
+// longer, and only once its header passed the kMaxFramePayload check), and
+// read_frame then hands out the buffered frames one by one as spans into
+// the buffer. A span stays valid until the next read_frame or
+// discard_input call on the channel. The buffer is freed whenever a read
+// finds it drained and the socket empty too (kWouldBlock, kEof, kError),
+// so an idle non-blocking connection holds none.
+//
+// On a blocking fd every call runs to completion. On a non-blocking fd
+// (set_nonblocking) the channel keeps partial progress between calls:
+// read_frame returns kWouldBlock mid-frame and resumes where it left off,
+// and write_frame queues whatever the kernel would not take — flush()
+// retries the backlog when the fd signals writable. Level-triggered epoll
+// fires for bytes still in the kernel, not for frames already in the read
+// buffer: a reactor that stops reading while has_buffered_frame() holds
+// must come back to the channel on its own.
 class FrameChannel {
  public:
+  // Bytes one recv() asks for while the buffered frame fits in them.
+  static constexpr std::size_t kReadChunk = std::size_t{16} << 10;
+
   explicit FrameChannel(UniqueFd fd) : fd_(std::move(fd)) {}
 
-  // Reads one frame. An oversized header poisons the stream (the payload is
-  // unread, so framing is lost); callers must close after
+  // Reads one frame; *payload views the read buffer (see above for how
+  // long). An oversized header poisons the stream (the payload is unread,
+  // so framing is lost); callers must close after
   // kOversized/kTruncated/kError. kWouldBlock (non-blocking fds only) keeps
   // the partial frame buffered; call again when the fd is readable.
   // *stream_id (optional) receives the frame's stream id.
+  ReadStatus read_frame(std::span<const std::uint8_t>* payload,
+                        std::uint32_t* stream_id = nullptr);
+
+  // The same read, with the payload copied out of the buffer for callers
+  // that keep it past the next read; a buffer this drains is freed at once.
   ReadStatus read_frame(std::vector<std::uint8_t>* payload,
                         std::uint32_t* stream_id = nullptr);
+
+  // True iff the next read_frame answers from the read buffer without
+  // touching the socket: a complete frame, or a header it rejects as
+  // oversized, is buffered.
+  bool has_buffered_frame() const;
 
   // Writes the 8-byte header plus the payload as a single coalesced
   // sendmsg (one packet on TCP, not header-then-payload). Partial writes
@@ -179,10 +207,10 @@ class FrameChannel {
   // already sent.
   void shutdown_write();
 
-  // Reads and discards whatever input is buffered, without blocking, adding
-  // the byte count to *discarded. Returns true while a linger should go on:
-  // false once the peer's EOF arrived, the socket failed, or *discarded
-  // reached kLingerDiscardCap.
+  // Drops the read buffer, then reads and discards whatever input the
+  // kernel holds, without blocking, adding that byte count to *discarded.
+  // Returns true while a linger should go on: false once the peer's EOF
+  // arrived, the socket failed, or *discarded reached kLingerDiscardCap.
   bool discard_input(std::size_t* discarded);
 
   // Blocking lingering close: half-closes, discards input until the peer's
@@ -192,13 +220,19 @@ class FrameChannel {
   int fd() const { return fd_.get(); }
 
  private:
-  // Incremental read progress, preserved across kWouldBlock returns.
-  std::uint8_t header_[8] = {};
-  std::size_t header_got_ = 0;
-  std::vector<std::uint8_t> body_;
-  std::size_t body_got_ = 0;
-  bool in_body_ = false;
-  std::uint32_t read_stream_ = 0;
+  // One recv() toward a frame of `need` bytes (header included), after
+  // moving the buffered part of that frame to the front of a buffer sized
+  // max(kReadChunk, need). Returns nullopt once bytes arrived; otherwise
+  // the status read_frame reports.
+  std::optional<ReadStatus> fill(std::size_t need);
+  void release_input();
+
+  // Read buffer: bytes [in_begin_, in_end_) are received but not yet
+  // returned as frames. Null while empty.
+  std::unique_ptr<std::uint8_t[]> in_;
+  std::size_t in_cap_ = 0;
+  std::size_t in_begin_ = 0;
+  std::size_t in_end_ = 0;
 
   // Write backlog (bytes the kernel refused on a non-blocking fd).
   std::vector<std::uint8_t> out_;

@@ -97,7 +97,7 @@ void EpollServer::on_acceptable() {
       MutexLock lock(stats_mutex_);
       ++stats_.connections_accepted;
     }
-    loop_->add(raw, EventLoop::kReadable,
+    loop_->add(raw, conn->interest,
                [this, conn_id](std::uint32_t ready) {
                  on_connection_ready(conn_id, ready);
                });
@@ -143,17 +143,16 @@ void EpollServer::on_connection_ready(std::uint64_t conn_id,
 
 void EpollServer::read_quantum(const std::shared_ptr<Connection>& conn,
                                std::uint64_t conn_id) {
-  std::vector<std::uint8_t> payload;
+  std::span<const std::uint8_t> payload;
   std::uint32_t stream_id = 0;
-  // Bounded work per dispatch: a connection with a deep kernel buffer
-  // yields after kReadQuantum frames so its neighbours' Polls stay prompt
-  // (level-triggered epoll re-fires immediately for the remainder).
+  // Bounded work per dispatch: a connection with a deep backlog yields
+  // after kReadQuantum frames so its neighbours' Polls stay prompt.
   for (int i = 0; i < kReadQuantum; ++i) {
     const ReadStatus status = conn->channel.read_frame(&payload, &stream_id);
     switch (status) {
       case ReadStatus::kFrame:
         if (!dispatch_frame(conn, conn_id, stream_id, payload)) return;
-        if (conn->blocked) return;
+        if (conn->blocked) return;  // retry_blocked() resumes the buffer
         break;
       case ReadStatus::kWouldBlock:
         return;
@@ -165,6 +164,20 @@ void EpollServer::read_quantum(const std::shared_ptr<Connection>& conn,
         return;
     }
   }
+  // Level-triggered epoll re-fires for the bytes still in the kernel, but
+  // not for the frames already in the read buffer.
+  if (conn->channel.has_buffered_frame()) schedule_read(conn_id, *conn);
+}
+
+void EpollServer::schedule_read(std::uint64_t conn_id, Connection& conn) {
+  if (conn.read_scheduled) return;
+  conn.read_scheduled = true;
+  loop_->post([this, conn_id] {
+    const auto it = connections_.find(conn_id);
+    if (it == connections_.end()) return;
+    it->second->read_scheduled = false;
+    on_connection_ready(conn_id, EventLoop::kReadable);
+  });
 }
 
 bool EpollServer::dispatch_frame(const std::shared_ptr<Connection>& conn,
@@ -297,7 +310,10 @@ void EpollServer::update_interest(std::uint64_t conn_id, Connection& conn) {
     interest |= EventLoop::kReadable;
   }
   if (conn.channel.has_pending_write()) interest |= EventLoop::kWritable;
-  loop_->modify(conn.channel.fd(), interest);
+  if (interest != conn.interest &&
+      loop_->modify(conn.channel.fd(), interest)) {
+    conn.interest = interest;
+  }
 }
 
 void EpollServer::teardown(std::uint64_t conn_id, ReadStatus why) {
@@ -364,25 +380,26 @@ void EpollServer::end_linger(int fd) {
 void EpollServer::retry_blocked(std::uint64_t conn_id) {
   const auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;
-  std::shared_ptr<Connection> conn = it->second;
-  if (!conn->blocked) return;
-  const auto sit = conn->streams.find(conn->blocked_stream);
-  if (sit == conn->streams.end()) {
-    conn->blocked = false;
-    update_interest(conn_id, *conn);
-    return;
+  Connection& conn = *it->second;
+  if (!conn.blocked) return;
+  const auto sit = conn.streams.find(conn.blocked_stream);
+  if (sit == conn.streams.end()) {
+    conn.blocked = false;
+  } else {
+    switch (sit->second->retry_pending()) {
+      case SessionCore::Disposition::kBlocked:
+        return;  // re-queued on the gate; stay paused
+      case SessionCore::Disposition::kClose:
+        finish_stream(conn, conn.blocked_stream);
+        break;
+      case SessionCore::Disposition::kContinue:
+        conn.blocked = false;
+        break;
+    }
   }
-  switch (sit->second->retry_pending()) {
-    case SessionCore::Disposition::kBlocked:
-      return;  // re-queued on the gate; stay paused
-    case SessionCore::Disposition::kClose:
-      finish_stream(*conn, conn->blocked_stream);
-      break;
-    case SessionCore::Disposition::kContinue:
-      conn->blocked = false;
-      break;
-  }
-  update_interest(conn_id, *conn);
+  // Frames that arrived while the connection was paused may already sit in
+  // its read buffer, where epoll will not report them: read on now.
+  on_connection_ready(conn_id, EventLoop::kReadable);
 }
 
 std::shared_ptr<SubmitGate> EpollServer::gate_for(const HelloBody& hello) {

@@ -18,7 +18,11 @@
 // share one gate — a flooding tenant stalls its own streams, not the
 // daemon. Per-connection read quanta (kReadQuantum frames per readiness
 // dispatch) keep one hot connection from starving the rest, which is what
-// holds p99 Poll latency flat as idle-session count grows.
+// holds p99 Poll latency flat as idle-session count grows. Frames are
+// dispatched straight from each FrameChannel's read buffer; epoll does not
+// fire for those bytes, so a quantum that ends with frames still buffered
+// posts its connection's next read, and a gate-blocked connection resumes
+// its buffered frames as soon as the gate admits it.
 //
 // Close semantics per stream: a session on stream 0 (the plain
 // one-session-per-connection client) closes the connection when it ends,
@@ -94,6 +98,11 @@ class EpollServer {
     bool blocked = false;
     std::uint32_t blocked_stream = 0;
     bool close_after_flush = false;  // stream-0 session ended; drain then close
+    // The interest set registered with the loop (update_interest skips the
+    // epoll_ctl when it would not change).
+    std::uint32_t interest = EventLoop::kReadable;
+    // A posted read_quantum is pending for frames left in the read buffer.
+    bool read_scheduled = false;
   };
 
   // A torn-down connection in its lingering close: write side half-closed,
@@ -122,6 +131,9 @@ class EpollServer {
   void on_connection_ready(std::uint64_t conn_id, std::uint32_t ready);
   void read_quantum(const std::shared_ptr<Connection>& conn,
                     std::uint64_t conn_id);
+  // Posts a read of frames already in the connection's read buffer, which
+  // level-triggered epoll does not signal.
+  void schedule_read(std::uint64_t conn_id, Connection& conn);
   // Routes one decoded-enough frame (payload + stream id); returns false
   // when the connection must be torn down.
   bool dispatch_frame(const std::shared_ptr<Connection>& conn,

@@ -2,8 +2,10 @@
 //
 // One thread calls run(); fds are registered with a callback receiving the
 // ready-event bits (level-triggered, so a callback that leaves data unread
-// is re-invoked on the next wait — the natural shape for per-connection
-// read quanta and for pausing reads under submit backpressure). Other
+// in the kernel is re-invoked on the next wait — the natural shape for
+// per-connection read quanta and for pausing reads under submit
+// backpressure; data it already read into its own buffer is its own to
+// come back to, through post()). Other
 // threads talk to the loop exclusively through post(), which enqueues a
 // closure and wakes the loop via an eventfd; everything else (add/modify/
 // remove, the handler table, all Connection state in the server above) is

@@ -6,6 +6,17 @@
 
 namespace paramount::service {
 
+namespace {
+
+// Frame scratch, one per thread that feeds SessionCores: a core is fed by
+// one thread at a time and on_payload never re-enters another core, so
+// every session on the reactor shares these buffers. The Event path then
+// allocates nothing once they are warm, and an idle session holds none.
+thread_local DecodedFrame tls_frame;
+thread_local VectorClock tls_clock;
+
+}  // namespace
+
 std::size_t event_cost_bytes(std::size_t num_threads) {
   // Event struct + one clock component per thread + queued-task overhead.
   return sizeof(Event) + num_threads * sizeof(EventIndex) + 64;
@@ -22,13 +33,12 @@ SessionCore::Disposition SessionCore::on_payload(
                "frame while submission is blocked");
     return close();
   }
-  DecodedFrame frame;
-  if (const auto err = decode_frame(payload, &frame)) {
+  if (const auto err = decode_frame(payload, &tls_frame)) {
     send_error(err->code, err->message);
     return close();
   }
   ++result_.frames;
-  return handle_frame(frame);
+  return handle_frame(tls_frame);
 }
 
 SessionCore::Disposition SessionCore::on_transport_status(ReadStatus status) {
@@ -157,8 +167,9 @@ SessionCore::Disposition SessionCore::handle_event(const EventBody& body) {
   // previous event, then validate it via the shared ClockValidator — the
   // same checks the trace replayer applies, as strict as
   // OnlinePoset::insert(): a violation must yield an Error frame, never an
-  // abort.
-  VectorClock clock = validator_->prev_clock(tid);
+  // abort. The copy reuses the scratch clock's buffer.
+  VectorClock& clock = tls_clock;
+  clock = validator_->prev_clock(tid);
   for (const ClockDelta& d : body.delta) {
     if (d.component >= num_threads_) {
       send_error(ErrorCode::kBadEvent, "clock delta component out of range");
@@ -183,14 +194,18 @@ SessionCore::Disposition SessionCore::handle_event(const EventBody& body) {
                "accesses are only valid on collection events");
     return close();
   }
-  // The event is fully validated but nothing is committed yet — stash it
-  // and let the gate decide whether submission happens now or after budget
-  // frees (retrying a stash repeats no side effects).
-  pending_ = PendingEvent{body, std::move(clock)};
-  return submit_pending();
+  // The event is fully validated but nothing is committed yet: commit now
+  // if the gate admits it, or stash a copy until budget frees (retrying a
+  // stash repeats no side effects).
+  if (!admit()) {
+    pending_ = PendingEvent{body, clock};
+    return Disposition::kBlocked;
+  }
+  commit_event(body, clock);
+  return Disposition::kContinue;
 }
 
-SessionCore::Disposition SessionCore::submit_pending() {
+bool SessionCore::admit() {
   // Backpressure: admit against the in-flight interval budget; whichever
   // thread finishes the interval returns the charge via interval_done (a
   // pooled worker, or this thread before commit_event() returns when the
@@ -199,22 +214,23 @@ SessionCore::Disposition SessionCore::submit_pending() {
     // Block here (the session thread stops reading its socket; the kernel
     // buffer pushes back on the client).
     gate_->acquire(event_cost_);
-  } else if (!gate_->acquire_or_notify(event_cost_, gate_ready_, this)) {
-    // Stays stashed; the owner stops reading this session until the gate's
-    // release fires gate_ready_ and retry_pending() wins admission.
-    ++result_.submit_stalls;
-    return Disposition::kBlocked;
+    return true;
   }
-  PendingEvent pending = std::move(*pending_);
-  pending_.reset();
-  commit_event(pending.body, pending.clock);
-  return Disposition::kContinue;
+  if (gate_->acquire_or_notify(event_cost_, gate_ready_, this)) return true;
+  // The owner stops reading this session until the gate's release fires
+  // gate_ready_ and retry_pending() wins admission.
+  ++result_.submit_stalls;
+  return false;
 }
 
 SessionCore::Disposition SessionCore::retry_pending() {
   if (state_ == State::kClosed) return Disposition::kClose;
   if (!pending_.has_value()) return Disposition::kContinue;
-  return submit_pending();
+  if (!admit()) return Disposition::kBlocked;
+  const PendingEvent pending = std::move(*pending_);
+  pending_.reset();
+  commit_event(pending.body, pending.clock);
+  return Disposition::kContinue;
 }
 
 void SessionCore::commit_event(const EventBody& body,
@@ -333,7 +349,7 @@ Session::Session(FrameChannel channel, std::uint64_t session_id,
             }) {}
 
 Session::Result Session::run() {
-  std::vector<std::uint8_t> payload;
+  std::span<const std::uint8_t> payload;
   while (!core_.closed()) {
     const ReadStatus status = channel_.read_frame(&payload);
     if (status != ReadStatus::kFrame) {

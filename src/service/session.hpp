@@ -143,9 +143,9 @@ class SessionCore {
  private:
   enum class State { kAwaitHello, kStreaming, kClosed };
 
-  // A validated event waiting on submit budget (kNotify mode): clock
-  // already reconstructed and checked, but nothing committed — retry is
-  // idempotent.
+  // A validated event waiting on submit budget (kNotify mode), copied out
+  // of the frame scratch: clock already reconstructed and checked, but
+  // nothing committed — retry is idempotent.
   struct PendingEvent {
     EventBody body;
     VectorClock clock;
@@ -159,8 +159,9 @@ class SessionCore {
   Disposition handle_drain();
   Disposition handle_shutdown();
 
-  // Admits pending_ against the gate and, on success, commits it.
-  Disposition submit_pending();
+  // Charges one event against the gate; false (a stall, counted) when
+  // kNotify mode must wait for gate_ready_.
+  bool admit();
   // The post-admission half: access-table append, clock commit, on_event.
   void commit_event(const EventBody& body, const VectorClock& clock);
 

@@ -50,11 +50,9 @@ class InlinedVector {
 
   InlinedVector(InlinedVector&& other) noexcept { steal_from(other); }
 
+  // Reuses the current buffer, inline or heap, whenever other fits it.
   InlinedVector& operator=(const InlinedVector& other) {
-    if (this != &other) {
-      release();
-      assign_from(other);
-    }
+    if (this != &other) assign_from(other);
     return *this;
   }
 
@@ -162,7 +160,10 @@ class InlinedVector {
   }
 
   void assign_from(const InlinedVector& other) {
-    if (other.size_ > N) grow_to(other.size_);
+    if (other.size_ > capacity_) {
+      size_ = 0;  // nothing of the old contents survives: skip their copy
+      grow_to(other.size_);
+    }
     std::memcpy(static_cast<void*>(data_),
                 static_cast<const void*>(other.data_),
                 other.size_ * sizeof(T));

@@ -6,9 +6,11 @@
 // at the header/body seam, mid-body) and resume to the identical payload
 // once the rest arrives; a non-blocking writer whose kernel buffer is full
 // must buffer the tail and flush() it out across arbitrary resume offsets
-// with no byte reordered or dropped. The listen_unix suite pins the
-// socket-stealing fix: a stale socket file is reclaimed, a live daemon's
-// socket gets a typed kLiveListener refusal and is left untouched.
+// with no byte reordered or dropped. The buffered-read cases put many
+// frames, or one frame longer than the read chunk, behind a single recv().
+// The listen_unix suite pins the socket-stealing fix: a stale socket file
+// is reclaimed, a live daemon's socket gets a typed kLiveListener refusal
+// and is left untouched.
 //
 // Raw ::read/::write/socketpair are used deliberately here to control
 // exactly how many bytes cross the wire per step — that is the point of
@@ -23,6 +25,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -196,6 +199,83 @@ TEST(FrameChannelSplits, WriteProducesTheDocumentedWireImage) {
     got += static_cast<std::size_t>(n);
   }
   EXPECT_EQ(raw, wire_frame(payload, 9));
+}
+
+// ---- buffered reads ----
+
+// Many frames and the close arrive in one write(): one recv() brings them
+// all into the read buffer, and read_frame must hand every frame out of it
+// in order before it reports the orderly EOF.
+TEST(FrameChannelSplits, FramesAndCloseInOneWriteComeOutInOrder) {
+  constexpr std::uint32_t kFrames = 100;
+  std::vector<std::uint8_t> wire;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    const std::vector<std::uint8_t> image =
+        wire_frame(std::vector<std::uint8_t>(i % 7, static_cast<std::uint8_t>(i)),
+                   i);
+    wire.insert(wire.end(), image.begin(), image.end());
+  }
+  ASSERT_LT(wire.size(), FrameChannel::kReadChunk);
+  Pair pair;
+  write_all(pair.a->fd(), wire.data(), wire.size());
+  pair.a.reset();
+  std::span<const std::uint8_t> got;
+  std::uint32_t stream = 0;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    ASSERT_EQ(pair.b->read_frame(&got, &stream), ReadStatus::kFrame)
+        << "frame " << i;
+    EXPECT_EQ(stream, i);
+    EXPECT_EQ(std::vector<std::uint8_t>(got.begin(), got.end()),
+              std::vector<std::uint8_t>(i % 7, static_cast<std::uint8_t>(i)))
+        << "frame " << i;
+    EXPECT_EQ(pair.b->has_buffered_frame(), i + 1 < kFrames) << "frame " << i;
+  }
+  EXPECT_EQ(pair.b->read_frame(&got, &stream), ReadStatus::kEof);
+}
+
+// A payload larger than the read chunk grows the buffer for that frame
+// only; it must round-trip intact between two non-blocking ends whose
+// kernel buffers cannot hold it at once, and the next frame must follow.
+TEST(FrameChannelSplits, PayloadLargerThanTheReadChunkRoundTrips) {
+  std::vector<std::uint8_t> big(std::size_t{256} << 10);
+  for (std::size_t j = 0; j < big.size(); ++j) {
+    big[j] = static_cast<std::uint8_t>((j * 131 + j / 251) & 0xFF);
+  }
+  ASSERT_GT(big.size(), FrameChannel::kReadChunk);
+  const std::vector<std::uint8_t> small = test_payload();
+  Pair pair;
+  const int shrink = 4096;  // kernels clamp to a floor; any small value works
+  ASSERT_EQ(::setsockopt(pair.a->fd(), SOL_SOCKET, SO_SNDBUF, &shrink,
+                         sizeof(shrink)), 0);
+  ASSERT_EQ(::setsockopt(pair.b->fd(), SOL_SOCKET, SO_RCVBUF, &shrink,
+                         sizeof(shrink)), 0);
+  ASSERT_TRUE(pair.a->set_nonblocking(true));
+  ASSERT_TRUE(pair.b->set_nonblocking(true));
+  ASSERT_TRUE(pair.a->write_frame(big, 5));
+  ASSERT_TRUE(pair.a->write_frame(small, 6));
+  std::span<const std::uint8_t> got;
+  std::uint32_t stream = 0;
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::vector<std::uint32_t> streams;
+  int would_block = 0;
+  while (frames.size() < 2) {
+    ASSERT_NE(pair.a->flush(), FrameChannel::FlushStatus::kError);
+    const ReadStatus status = pair.b->read_frame(&got, &stream);
+    if (status == ReadStatus::kWouldBlock) {
+      ++would_block;
+      continue;
+    }
+    ASSERT_EQ(status, ReadStatus::kFrame) << to_string(status);
+    frames.emplace_back(got.begin(), got.end());
+    streams.push_back(stream);
+  }
+  EXPECT_GT(would_block, 0) << "the frame never had to wait for its tail";
+  EXPECT_FALSE(pair.a->has_pending_write());
+  EXPECT_EQ(frames[0], big);
+  EXPECT_EQ(streams[0], 5u);
+  EXPECT_EQ(frames[1], small);
+  EXPECT_EQ(streams[1], 6u);
+  EXPECT_EQ(pair.b->read_frame(&got, &stream), ReadStatus::kWouldBlock);
 }
 
 // ---- S3: every short-write split point ----

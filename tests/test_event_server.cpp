@@ -18,9 +18,11 @@
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -119,28 +121,81 @@ class EventServerTest : public ::testing::Test {
         << "sessions did not complete";
   }
 
+  // Puts Hello, `events` events of `params` and Drain on one connection in
+  // a single write(), checks that Drained carries the exact counts, then
+  // ends the session with Shutdown and waits until the server retired it.
+  void drain_pipelined_stream(const HelloBody& hello,
+                              const SyntheticEventStream::Params& params,
+                              std::uint64_t events);
+
   Endpoint endpoint_;
   std::unique_ptr<EpollServer> server_;
 };
+
+// The next synthetic event, delta-encoded against its thread's previous
+// clock in `prev`.
+EventBody next_event(SyntheticEventStream& stream,
+                     std::vector<VectorClock>& prev) {
+  const SyntheticEventStream::StreamEvent ev = stream.next();
+  EventBody body;
+  body.tid = ev.tid;
+  body.kind = ev.kind;
+  body.object = ev.object;
+  for (std::size_t j = 0; j < ev.clock.size(); ++j) {
+    if (ev.clock[j] != prev[ev.tid][j]) {
+      body.delta.push_back({static_cast<std::uint32_t>(j), ev.clock[j]});
+    }
+  }
+  prev[ev.tid] = ev.clock;
+  return body;
+}
 
 // Sends `total` delta-encoded synthetic events on `stream`.
 void stream_events(FrameChannel& channel, SyntheticEventStream& stream,
                    std::vector<VectorClock>& prev, std::uint64_t total,
                    std::uint32_t stream_id = 0) {
   for (std::uint64_t i = 0; i < total; ++i) {
-    const SyntheticEventStream::StreamEvent ev = stream.next();
-    EventBody body;
-    body.tid = ev.tid;
-    body.kind = ev.kind;
-    body.object = ev.object;
-    for (std::size_t j = 0; j < ev.clock.size(); ++j) {
-      if (ev.clock[j] != prev[ev.tid][j]) {
-        body.delta.push_back({static_cast<std::uint32_t>(j), ev.clock[j]});
+    ASSERT_TRUE(
+        channel.write_frame(encode_event(next_event(stream, prev)), stream_id));
+  }
+}
+
+// Hello, `total` events of `params`, then Drain, as one stream-0 wire image
+// (8-byte LE header of length and stream id, then the payload, per frame):
+// what a client that pipelines its whole stream puts in one write().
+std::vector<std::uint8_t> pipelined_stream(
+    const HelloBody& hello, const SyntheticEventStream::Params& params,
+    std::uint64_t total) {
+  std::vector<std::uint8_t> wire;
+  const auto append = [&wire](const std::vector<std::uint8_t>& payload) {
+    const std::uint32_t header[2] = {
+        static_cast<std::uint32_t>(payload.size()), 0};
+    for (const std::uint32_t v : header) {
+      for (int shift = 0; shift < 32; shift += 8) {
+        wire.push_back(static_cast<std::uint8_t>(v >> shift));
       }
     }
-    prev[ev.tid] = ev.clock;
-    ASSERT_TRUE(channel.write_frame(encode_event(body), stream_id));
+    wire.insert(wire.end(), payload.begin(), payload.end());
+  };
+  append(encode_hello(hello));
+  SyntheticEventStream stream(params);
+  std::vector<VectorClock> prev(params.num_threads,
+                                VectorClock(params.num_threads));
+  for (std::uint64_t i = 0; i < total; ++i) {
+    append(encode_event(next_event(stream, prev)));
   }
+  append(encode_drain());
+  return wire;
+}
+
+// Bounds every blocking read on `channel`, so a server that never answers
+// fails the test (read_frame reports kWouldBlock) instead of hanging it.
+void set_read_timeout(FrameChannel& channel) {
+  timeval tv = {};
+  tv.tv_sec = std::chrono::duration_cast<std::chrono::seconds>(kWait).count();
+  ASSERT_EQ(::setsockopt(channel.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv,
+                         sizeof(tv)),
+            0);
 }
 
 std::uint64_t oracle_states(const SyntheticEventStream::Params& params,
@@ -227,6 +282,67 @@ INSTANTIATE_TEST_SUITE_P(
         TransportCase{Endpoint::Kind::kTcp, 0, 0, "tcp_inline"},
         TransportCase{Endpoint::Kind::kTcp, 2, 64, "tcp_pooled_gc"}),
     [](const auto& info) { return info.param.name; });
+
+// ---- frames already in the read buffer ----
+
+void EventServerTest::drain_pipelined_stream(
+    const HelloBody& hello, const SyntheticEventStream::Params& params,
+    std::uint64_t events) {
+  FrameChannel channel = connect();
+  set_read_timeout(channel);
+  const std::vector<std::uint8_t> wire = pipelined_stream(hello, params, events);
+  ASSERT_LT(wire.size(), FrameChannel::kReadChunk);
+  ASSERT_EQ(::write(channel.fd(), wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
+
+  ASSERT_EQ(read_frame(channel).op, Op::kHelloAck);
+  const DecodedFrame drained = read_frame(channel);
+  ASSERT_EQ(drained.op, Op::kDrained);
+  EXPECT_EQ(drained.counts.events, events);
+  EXPECT_EQ(drained.counts.states, oracle_states(params, events));
+  EXPECT_EQ(drained.counts.outstanding_pins, 0u);
+
+  ASSERT_TRUE(channel.write_frame(encode_shutdown()));
+  EXPECT_EQ(read_frame(channel).op, Op::kGoodbye);
+  await_completed(1);
+}
+
+// One recv() brings the whole pipelined stream into the connection's read
+// buffer, more frames than a read quantum holds, and epoll does not report
+// bytes already read: the quantum that stops with frames still buffered
+// must come back to them, or Drained never arrives.
+TEST_F(EventServerTest, PipelinedStreamInOneWriteDrains) {
+  start_server();
+  const SyntheticEventStream::Params params = oracle_params(11);
+  HelloBody h;
+  h.num_threads = params.num_threads;
+  constexpr std::uint64_t kEvents = 200;
+  drain_pipelined_stream(h, params, kEvents);
+  const ServerStats stats = server_->stats();
+  EXPECT_EQ(stats.frames, kEvents + 3);  // Hello, Events, Drain, Shutdown
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(stats.leaked_pins, 0u);
+}
+
+// The same stream against a submit budget of one event, with pooled
+// intervals in flight: the gate blocks the connection while frames wait in
+// its read buffer. The retry that wins admission must go on reading them;
+// no new bytes will arrive to wake the connection.
+TEST_F(EventServerTest, GateBlockedConnectionResumesBufferedFrames) {
+  const SyntheticEventStream::Params params = oracle_params(12);
+  EpollServer::Options options;
+  options.submit_budget_bytes = event_cost_bytes(params.num_threads);
+  start_server(std::move(options));
+  HelloBody h;
+  h.num_threads = params.num_threads;
+  h.async_workers = 2;
+  h.gc_every = 16;
+  drain_pipelined_stream(h, params, 200);
+  const ServerStats stats = server_->stats();
+  EXPECT_GT(stats.submit_stalls, 0u) << "the gate never blocked the stream";
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(stats.leaked_pins, 0u);
+}
 
 // ---- stream-id multiplexing ----
 

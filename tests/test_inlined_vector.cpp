@@ -95,6 +95,38 @@ TEST(InlinedVector, CopyAssignReplacesContents) {
   EXPECT_EQ(a, b);
 }
 
+// Copy-assignment reuses the target's buffer when the source fits it: no
+// free-then-malloc per assignment, and no capacity creep either.
+TEST(InlinedVector, CopyAssignReusesHeapBuffer) {
+  using Wide = InlinedVector<std::uint32_t, 16>;
+  Wide source(64, 7);
+  Wide target(64, 1);
+  ASSERT_FALSE(target.is_inline());
+  const std::uint32_t* data = target.data();
+  const std::size_t capacity = target.capacity();
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    source[i % 64] = i;
+    target = source;
+    ASSERT_EQ(target, source);
+    ASSERT_EQ(target.data(), data) << "assignment " << i;
+    ASSERT_EQ(target.capacity(), capacity) << "assignment " << i;
+  }
+}
+
+TEST(InlinedVector, CopyAssignKeepsInlineTargetInline) {
+  IV source{1, 2, 3, 4};
+  IV target{9};
+  target = source;
+  EXPECT_TRUE(target.is_inline());
+  EXPECT_EQ(target, source);
+  // A source past the inline capacity still spills, sized to fit.
+  IV wide;
+  for (std::uint32_t i = 0; i < 10; ++i) wide.push_back(i);
+  target = wide;
+  EXPECT_FALSE(target.is_inline());
+  EXPECT_EQ(target, wide);
+}
+
 TEST(InlinedVector, SelfAssignIsNoop) {
   IV a{1, 2, 3};
   const IV expected = a;

@@ -7,6 +7,8 @@
 #include <atomic>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -17,6 +19,7 @@
 
 #include "core/online_paramount.hpp"
 #include "core/paramount.hpp"
+#include "obs/json_writer.hpp"
 #include "obs/telemetry.hpp"
 #include "poset/poset_builder.hpp"
 #include "util/thread_pool.hpp"
@@ -367,6 +370,24 @@ TEST(Metrics, JsonSnapshotParsesBack) {
 }
 
 // ---- span tracer ----
+
+TEST(Metrics, JsonWriterIntegersAreExact) {
+  const auto render = [](auto v) {
+    obs::JsonWriter w;
+    w.value(v);
+    return std::move(w).take();
+  };
+  EXPECT_EQ(render(std::uint64_t{0}), "0");
+  EXPECT_EQ(render(std::uint64_t{1}), "1");
+  EXPECT_EQ(render(std::numeric_limits<std::uint64_t>::max()),
+            "18446744073709551615");
+  EXPECT_EQ(render(std::numeric_limits<std::int64_t>::min()),
+            "-9223372036854775808");
+  EXPECT_EQ(render(std::int64_t{-1}), "-1");
+  // Doubles keep their %.6g form.
+  EXPECT_EQ(render(0.125), "0.125");
+  EXPECT_EQ(render(1234567.0), "1.23457e+06");
+}
 
 TEST(Tracer, ChromeTraceJsonParsesBack) {
   PM_SKIP_IF_NO_TELEMETRY();
