@@ -23,16 +23,20 @@ OnlineParamount::~OnlineParamount() {
 }
 
 EventId OnlineParamount::submit(ThreadId tid, OpKind kind,
-                                std::uint32_t object, VectorClock clock) {
+                                std::uint32_t object,
+                                const VectorClock& clock) {
   obs::Telemetry* const tel = options_.telemetry;
   const std::uint64_t insert_ns =
       tel != nullptr ? tel->tracer().now_ns() : 0;
+  // Reused by every submit on this thread: insert() copy-assigns Gmin and
+  // Gbnd into its buffers, which stop allocating after the first event.
+  // Only its contents between this insert and the hand-off below matter.
+  thread_local OnlinePoset::Inserted ins;
   // With a window policy the interval's Gmin is pinned atomically with the
   // insert; the pin travels to enumerate_interval via ins.pin_slot and is
   // released when the enumeration finishes.
-  OnlinePoset::Inserted ins =
-      poset_.insert(tid, kind, object, std::move(clock),
-                    /*pin=*/options_.window_policy.enabled());
+  poset_.insert(tid, kind, object, clock,
+                /*pin=*/options_.window_policy.enabled(), &ins);
   const EventId id = ins.id;
   if (tel != nullptr) {
     // The insert is Algorithm 4's atomic block: it appends to →p and
@@ -44,16 +48,19 @@ EventId OnlineParamount::submit(ThreadId tid, OpKind kind,
                          done_ns - insert_ns);
   }
   // Gmin == Gbnd: the event causally follows every event inserted before it,
-  // so its box holds the single state Gmin. Enumerating that one state costs
+  // so its box holds the single state Gmin. Visiting that one state costs
   // less than the hand-off (a task allocation, two queue locks and a wake on
-  // another CPU), so only multi-state boxes go to the pool.
-  if (pool_ != nullptr && ins.gmin != ins.gbnd) {
-    pool_->submit([this, ins = std::move(ins)] {
+  // another CPU), so only multi-state boxes go to the pool, each with its
+  // own copy of the Inserted.
+  const bool one_state = ins.gmin == ins.gbnd;
+  if (pool_ != nullptr && !one_state) {
+    pool_->submit([this, ins = ins] {
       enumerate_interval(
-          ins, poset_.num_threads() + ThreadPool::current_worker_index());
+          ins, /*one_state=*/false,
+          poset_.num_threads() + ThreadPool::current_worker_index());
     });
   } else {
-    enumerate_interval(ins, tid);
+    enumerate_interval(ins, one_state, tid);
   }
   maybe_collect();
   return id;
@@ -99,7 +106,7 @@ void OnlineParamount::maybe_collect() {
 }
 
 void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins,
-                                         std::size_t shard) {
+                                         bool one_state, std::size_t shard) {
   // Adopt the pin taken at insert time (inert without a window policy):
   // while this guard lives, collect() cannot advance the watermark past
   // ins.gmin, so every index inside [Gmin, Gbnd] stays resident.
@@ -113,10 +120,17 @@ void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins,
     visit_(poset_, ins.id, poset_.empty_frontier());
     ++states;
   }
-  const EnumStats stats = enumerate_box(
-      options_.subroutine, poset_, ins.gmin, ins.gbnd,
-      [&](const Frontier& state) { visit_(poset_, ins.id, state); });
-  states += stats.states;
+  if (one_state) {
+    // The box [Gmin, Gmin]: every subroutine would visit Gmin alone.
+    visit_(poset_, ins.id, ins.gmin);
+    ++states;
+  } else {
+    states += enumerate_box(options_.subroutine, poset_, ins.gmin, ins.gbnd,
+                            [&](const Frontier& state) {
+                              visit_(poset_, ins.id, state);
+                            })
+                  .states;
+  }
   // relaxed: monotone statistics counters; the final reads happen after
   // drain()/destruction, which order all contributions.
   states_.fetch_add(states, std::memory_order_relaxed);

@@ -19,6 +19,11 @@
 //     event inserted before it) is cheaper to enumerate than to hand off, so
 //     it still finishes inside submit() on the submitting thread, and a
 //     visitor exception thrown from it propagates out of submit().
+//
+// In both modes a single-state interval is visited directly — its one state
+// is Gmin — without running the enumeration subroutine, and submit() fills
+// a per-thread reused Inserted, so the path of such an event allocates
+// nothing once its thread has submitted one event.
 #pragma once
 
 #include <atomic>
@@ -66,6 +71,7 @@ class OnlineParamount {
   // Visitor invoked once per enumerated global state, possibly from several
   // threads at once. `owner` is the event whose interval is being enumerated
   // (the predicate's "new event e"); `state` is only valid during the call.
+  // It must not call submit() (the calling thread's Inserted is in use).
   using IntervalStateVisitor =
       std::function<void(const OnlinePoset& poset, EventId owner,
                          const Frontier& state)>;
@@ -80,7 +86,7 @@ class OnlineParamount {
   // Inserts an event (clock already computed per Algorithm 3) and enumerates
   // its interval per the execution mode. Thread-safe. Returns the event id.
   EventId submit(ThreadId tid, OpKind kind, std::uint32_t object,
-                 VectorClock clock);
+                 const VectorClock& clock);
 
   // Waits until every queued interval has been enumerated (no-op inline).
   void drain();
@@ -101,9 +107,10 @@ class OnlineParamount {
   }
 
  private:
-  // `shard` is the telemetry shard of the calling thread (see
-  // Options::telemetry).
-  void enumerate_interval(const OnlinePoset::Inserted& ins, std::size_t shard);
+  // `one_state` is ins.gmin == ins.gbnd; `shard` is the telemetry shard of
+  // the calling thread (see Options::telemetry).
+  void enumerate_interval(const OnlinePoset::Inserted& ins, bool one_state,
+                          std::size_t shard);
   void maybe_collect();
 
   OnlinePoset poset_;

@@ -67,7 +67,7 @@ void check_races(const PosetT& poset, const AccessTable& table, EventId owner,
     evicted();
     return;
   }
-  const Event& e = poset.event(owner.tid, owner.index);
+  const auto& e = poset.event(owner.tid, owner.index);
   if (e.kind != OpKind::kCollection) return;
   if (state[owner.tid] != owner.index) {
     // The empty state {0,…,0} is assigned to the first event's interval as
@@ -84,7 +84,7 @@ void check_races(const PosetT& poset, const AccessTable& table, EventId owner,
       evicted();
       continue;
     }
-    const Event& f = poset.event(i, state[i]);
+    const auto& f = poset.event(i, state[i]);
     if (f.kind != OpKind::kCollection) continue;
     // Frontier events of different threads are usually concurrent, but the
     // maximal event of thread i may lie inside e's causal history (e.g. in
@@ -116,11 +116,11 @@ void check_races_all_pairs(const PosetT& poset, const AccessTable& table,
   const std::size_t n = poset.num_threads();
   for (ThreadId i = 0; i < n; ++i) {
     if (state[i] == 0) continue;
-    const Event& ei = poset.event(i, state[i]);
+    const auto& ei = poset.event(i, state[i]);
     if (ei.kind != OpKind::kCollection) continue;
     for (ThreadId j = i + 1; j < n; ++j) {
       if (state[j] == 0) continue;
-      const Event& ej = poset.event(j, state[j]);
+      const auto& ej = poset.event(j, state[j]);
       if (ej.kind != OpKind::kCollection) continue;
       // Epoch form of the ordering test (see check_races above): ei is
       // thread i's event state[i], ej thread j's event state[j].

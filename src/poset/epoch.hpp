@@ -19,8 +19,10 @@ struct Epoch {
 
   bool valid() const { return clk != 0; }
 
-  // epoch ≼ C  iff  clk ≤ C[tid]
-  bool happens_before(const VectorClock& clock) const {
+  // epoch ≼ C  iff  clk ≤ C[tid]. C is a VectorClock or an OnlinePoset
+  // ClockView.
+  template <typename Clock>
+  bool happens_before(const Clock& clock) const {
     return clk <= clock[tid];
   }
 };

@@ -67,4 +67,17 @@ struct Event {
   EventIndex index() const { return id.index; }
 };
 
+// An event read from OnlinePoset storage: the fields of Event, by value,
+// with the clock left in place as a view. Generic code over both posets
+// binds poset.event() with `const auto&` and reads the same members.
+struct EventView {
+  EventId id;
+  OpKind kind = OpKind::kInternal;
+  std::uint32_t object = 0;
+  ClockView vc;
+
+  ThreadId tid() const { return id.tid; }
+  EventIndex index() const { return id.index; }
+};
+
 }  // namespace paramount

@@ -16,7 +16,7 @@ template <typename PosetT>
 bool event_enabled(const PosetT& poset, const Frontier& state, ThreadId tid) {
   const EventIndex next = state[tid] + 1;
   if (next > poset.num_events(tid)) return false;
-  const VectorClock& vc = poset.vc(tid, next);
+  const auto& vc = poset.vc(tid, next);
   for (ThreadId j = 0; j < poset.num_threads(); ++j) {
     if (j != tid && vc[j] > state[j]) return false;
   }
@@ -41,7 +41,7 @@ std::vector<Frontier> successors(const PosetT& poset, const Frontier& state) {
 // event's vector clock (Gmin(e) = e.vc, §2.2 of the paper).
 template <typename PosetT>
 Frontier least_state_containing(const PosetT& poset, EventId id) {
-  return poset.vc(id.tid, id.index);
+  return Frontier(poset.vc(id.tid, id.index));
 }
 
 // Number of events included in a state (the BFS level of the state).

@@ -1,5 +1,7 @@
 #include "poset/online_poset.hpp"
 
+#include <algorithm>
+
 namespace paramount {
 
 namespace {
@@ -9,6 +11,15 @@ namespace {
 // correct and cheap.
 constexpr int kSnapshotRetries = 8;
 }  // namespace
+
+OnlinePoset::OnlinePoset(std::size_t num_threads)
+    : threads_([num_threads] {
+        // A row holds the n clock components, the kind and the object.
+        // PerThread cannot move (its StableVector cannot), so the vector
+        // builds every element in place from its row width.
+        const std::vector<std::size_t> widths(num_threads, num_threads + 2);
+        return std::vector<PerThread>(widths.begin(), widths.end());
+      }()) {}
 
 Frontier OnlinePoset::published_frontier() const {
   Frontier f(num_threads());
@@ -20,23 +31,20 @@ Frontier OnlinePoset::published_frontier() const {
   return published_frontier_locked();
 }
 
-OnlinePoset::Inserted OnlinePoset::insert(ThreadId tid, OpKind kind,
-                                          std::uint32_t object,
-                                          VectorClock clock, bool pin) {
-  PM_CHECK(tid < threads_.size());
-  PM_CHECK(clock.size() == num_threads());
+void OnlinePoset::insert(ThreadId tid, OpKind kind, std::uint32_t object,
+                         const VectorClock& clock, bool pin, Inserted* out) {
+  const std::size_t n = num_threads();
+  PM_CHECK(tid < n);
+  PM_CHECK(clock.size() == n);
 
   MutexLock guard(insert_mutex_);
 
-  Event e;
-  e.id = EventId{tid, num_events(tid) + 1};
-  e.kind = kind;
-  e.object = object;
-  PM_CHECK_MSG(clock[tid] == e.id.index,
+  const EventId id{tid, num_events(tid) + 1};
+  PM_CHECK_MSG(clock[tid] == id.index,
                "own clock component must equal the event's index");
   // The clock may only reference already published events (Property 1 is
   // achieved by insertion order — §4.2).
-  for (ThreadId j = 0; j < num_threads(); ++j) {
+  for (ThreadId j = 0; j < n; ++j) {
     if (j == tid) continue;
     PM_CHECK_MSG(clock[j] <= num_events(j),
                  "clock references an event not yet inserted");
@@ -45,30 +53,31 @@ OnlinePoset::Inserted OnlinePoset::insert(ThreadId tid, OpKind kind,
   // clocks are transitively closed). The sliding-window watermark *relies*
   // on this to lower-bound future Gmins, so a violating trace must abort
   // here rather than corrupt reclamation downstream.
-  if (e.id.index > 1) {
-    PM_CHECK_MSG(threads_[tid].events.back().vc.leq(clock),
+  if (id.index > 1) {
+    PM_CHECK_MSG(vc(tid, id.index - 1).leq(clock),
                  "per-thread vector clocks must be componentwise monotone");
   }
-  Inserted result;
-  result.id = e.id;
-  result.gmin = clock;
-  e.vc = std::move(clock);
-  result.position = next_position_++;
-  result.first = result.position == 0;
 
-  threads_[tid].events.push_back(std::move(e));
+  // The one copy of the clock: into the event's row, published with it.
+  threads_[tid].rows.push_row([&](EventIndex* row) {
+    std::copy_n(clock.data(), n, row);
+    row[n] = static_cast<EventIndex>(kind);
+    row[n + 1] = object;
+  });
 
+  out->id = id;
+  out->gmin = clock;
+  out->position = next_position_++;
+  out->first = out->position == 0;
   // Gbnd(e): snapshot of maximal events after inserting e — exactly the
   // frontier of { f : f = e or f →p e } (Definition 1 via insertion order).
   // Exact by construction: we hold the insertion lock.
-  result.gbnd = published_frontier_locked();
+  if (out->gbnd.size() != n) out->gbnd = Frontier(n);
+  for (ThreadId t = 0; t < n; ++t) out->gbnd[t] = num_events(t);
 
-  if (pin) {
-    // Registered before the insertion lock drops so no collect() can advance
-    // the watermark between publication and the pin taking effect.
-    result.pin_slot = register_pin_locked(result.gmin);
-  }
-  return result;
+  // Registered before the insertion lock drops so no collect() can advance
+  // the watermark between publication and the pin taking effect.
+  out->pin_slot = pin ? register_pin_locked(out->gmin) : kNoPin;
 }
 
 std::uint32_t OnlinePoset::register_pin_locked(const Frontier& gmin) {
@@ -125,7 +134,7 @@ OnlinePoset::CollectStats OnlinePoset::collect_locked() {
       stats.resident_bytes = heap_bytes();
       return stats;
     }
-    const VectorClock& last = threads_[t].events.back().vc;
+    const ClockView last = vc(t, num_events(t));
     for (ThreadId j = 0; j < n; ++j) {
       watermark[j] = t == 0 ? last[j] : std::min(watermark[j], last[j]);
     }
@@ -154,7 +163,7 @@ OnlinePoset::CollectStats OnlinePoset::collect_locked() {
     const EventIndex old_base =
         threads_[j].window_base.load(std::memory_order_relaxed);
     if (base <= old_base) continue;
-    threads_[j].events.release_prefix(base);
+    threads_[j].rows.release_prefix(base);
     threads_[j].window_base.store(base, std::memory_order_relaxed);
     reclaimed_now += base - old_base;
   }

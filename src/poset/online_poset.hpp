@@ -10,6 +10,12 @@
 // read side is lock-free (Theorem 3: insertion does not interfere with
 // concurrent bounded enumerations).
 //
+// Storage. Each event is one StableVector row of n + 2 words: its n clock
+// components, its kind and its object. insert() copies the clock into the
+// row once; vc() returns a ClockView into the row and event() an EventView,
+// so no read copies a clock and heap_bytes() counts every byte the events
+// hold, clocks included.
+//
 // Sliding-window reclamation. Events strictly below the global watermark
 //   w[j] = min( min over in-flight intervals I of Gmin(I)[j],
 //               min over program threads t of vc(last event of t)[j] )
@@ -28,7 +34,9 @@
 //
 // OnlinePoset satisfies the PosetLike read concept used by the enumerators:
 //   num_threads(), num_events(tid), vc(tid, index), event(tid, index),
-//   empty_frontier(), is_consistent(frontier). With a sliding window active
+//   empty_frontier(), is_consistent(frontier). vc() and event() return views
+//   by value where Poset returns references; generic code binds both with
+//   `const auto&`. With a sliding window active
 // the reads are only valid for live indices (index > window_base(tid));
 // vc()/event() enforce this with a debug assertion, and is_live() lets
 // detectors drop candidates that left the window instead of crashing.
@@ -47,8 +55,7 @@ namespace paramount {
 
 class OnlinePoset {
  public:
-  explicit OnlinePoset(std::size_t num_threads)
-      : threads_(num_threads) {}
+  explicit OnlinePoset(std::size_t num_threads);
 
   // ---- concurrent read interface (PosetLike) ----
 
@@ -56,18 +63,18 @@ class OnlinePoset {
 
   EventIndex num_events(ThreadId tid) const {
     PM_DCHECK(tid < threads_.size());
-    return static_cast<EventIndex>(threads_[tid].events.size());
+    return static_cast<EventIndex>(threads_[tid].rows.size());
   }
 
-  const Event& event(ThreadId tid, EventIndex index) const {
-    PM_DCHECK(tid < threads_.size());
-    PM_DCHECK(index >= 1);
-    PM_DCHECK(is_live(tid, index));  // reclaimed slots must never be read
-    return threads_[tid].events[index - 1];
+  EventView event(ThreadId tid, EventIndex index) const {
+    const EventIndex* r = row(tid, index);
+    const std::size_t n = num_threads();
+    return EventView{EventId{tid, index}, static_cast<OpKind>(r[n]), r[n + 1],
+                     ClockView(r, n)};
   }
 
-  const VectorClock& vc(ThreadId tid, EventIndex index) const {
-    return event(tid, index).vc;
+  ClockView vc(ThreadId tid, EventIndex index) const {
+    return ClockView(row(tid, index), num_threads());
   }
 
   Frontier empty_frontier() const { return Frontier(num_threads()); }
@@ -204,14 +211,25 @@ class OnlinePoset {
   // caller adopts the pin into an EnumGuard and releases it when the
   // interval's enumeration finishes.
   Inserted insert(ThreadId tid, OpKind kind, std::uint32_t object,
-                  VectorClock clock, bool pin = false)
+                  const VectorClock& clock, bool pin = false)
+      PM_EXCLUDES(insert_mutex_) {
+    Inserted result;
+    insert(tid, kind, object, clock, pin, &result);
+    return result;
+  }
+
+  // The same insert, filling a caller-owned *out: its gmin and gbnd are
+  // copy-assigned, so an Inserted reused across inserts of one width
+  // allocates nothing after the first.
+  void insert(ThreadId tid, OpKind kind, std::uint32_t object,
+              const VectorClock& clock, bool pin, Inserted* out)
       PM_EXCLUDES(insert_mutex_);
 
-  // Bytes held by the event storage, for the memory benches and the byte
-  // high-water GC trigger.
+  // Bytes held by the event storage (rows and directory), for the memory
+  // benches and the byte high-water GC trigger.
   std::size_t heap_bytes() const {
     std::size_t bytes = 0;
-    for (const PerThread& pt : threads_) bytes += pt.events.heap_bytes();
+    for (const PerThread& pt : threads_) bytes += pt.rows.heap_bytes();
     return bytes;
   }
 
@@ -219,9 +237,17 @@ class OnlinePoset {
   friend class EnumGuard;
 
   struct PerThread {
-    StableVector<Event> events;
+    explicit PerThread(std::size_t width) : rows(width) {}
+    StableVector<EventIndex> rows;  // see "Storage" in the file comment
     std::atomic<EventIndex> window_base{0};
   };
+
+  const EventIndex* row(ThreadId tid, EventIndex index) const {
+    PM_DCHECK(tid < threads_.size());
+    PM_DCHECK(index >= 1);
+    PM_DCHECK(is_live(tid, index));  // reclaimed slots must never be read
+    return threads_[tid].rows.row(index - 1);
+  }
 
   struct PinSlot {
     Frontier gmin;

@@ -9,6 +9,7 @@
 // (Gmin(e) = e.vc), so the two share one representation.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -22,6 +23,66 @@ using ThreadId = std::uint32_t;
 // 1-based index of an event within its thread; 0 means "no event yet".
 using EventIndex = std::uint32_t;
 
+// A read-only view of n clock components stored elsewhere. OnlinePoset keeps
+// each event's clock inside the event's storage row and hands out views, so
+// reading a published clock neither copies nor allocates. The read
+// operations match VectorClock's, and a VectorClock converts to a view of
+// itself.
+class ClockView {
+ public:
+  ClockView() = default;
+  ClockView(const EventIndex* data, std::size_t size)
+      : data_(data), size_(size) {}
+
+  std::size_t size() const { return size_; }
+  const EventIndex* data() const { return data_; }
+
+  EventIndex operator[](std::size_t i) const {
+    PM_DCHECK(i < size_);
+    return data_[i];
+  }
+
+  const EventIndex* begin() const { return data_; }
+  const EventIndex* end() const { return data_ + size_; }
+
+  // VectorClock::leq over views. That one keeps its own body: forwarding it
+  // here reorders the code of the offline kernels that call it.
+  bool leq(ClockView other) const {
+    const std::size_t common = std::min(size_, other.size_);
+    for (std::size_t i = 0; i < common; ++i) {
+      if (data_[i] > other.data_[i]) return false;
+    }
+    for (std::size_t i = common; i < size_; ++i) {
+      if (data_[i] > 0) return false;  // other's missing component is 0
+    }
+    return true;
+  }
+
+  // Iterated splitmix64: every component passes through a full-avalanche
+  // finalizer. Frontiers are *small dense integers*, and the old
+  // shift-xor fold left the high bits nearly unmixed (see
+  // FrontierHashQuality in tests/test_vector_clock.cpp, which pins the
+  // collision rate).
+  std::uint64_t hash() const {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ size_;
+    for (EventIndex c : *this) {
+      h += 0x9e3779b97f4a7c15ULL + c;
+      h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+      h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+      h ^= h >> 31;
+    }
+    return h;
+  }
+
+  friend bool operator==(ClockView a, ClockView b) {
+    return a.size_ == b.size_ && std::equal(a.begin(), a.end(), b.begin());
+  }
+
+ private:
+  const EventIndex* data_ = nullptr;
+  std::size_t size_ = 0;
+};
+
 class VectorClock {
  public:
   // Result of comparing two clocks under the componentwise partial order.
@@ -34,7 +95,22 @@ class VectorClock {
 
   VectorClock(std::initializer_list<EventIndex> init) : components_(init) {}
 
+  // Copies the viewed components (explicit: a copy may allocate).
+  explicit VectorClock(ClockView view) : components_(view.size()) {
+    std::copy(view.begin(), view.end(), components_.begin());
+  }
+
+  operator ClockView() const {
+    return ClockView(components_.data(), components_.size());
+  }
+
   std::size_t size() const { return components_.size(); }
+  const EventIndex* data() const { return components_.data(); }
+
+  // Sets the clock to `num_threads` zero components, reusing the buffer.
+  void assign_zero(std::size_t num_threads) {
+    components_.assign(num_threads, 0);
+  }
 
   EventIndex operator[](std::size_t i) const { return components_[i]; }
   EventIndex& operator[](std::size_t i) { return components_[i]; }
@@ -108,21 +184,8 @@ class VectorClock {
     return false;
   }
 
-  // Iterated splitmix64: every component passes through a full-avalanche
-  // finalizer. Frontiers are *small dense integers*, and the old
-  // shift-xor fold left the high bits nearly unmixed (see
-  // FrontierHashQuality in tests/test_vector_clock.cpp, which pins the
-  // collision rate).
-  std::uint64_t hash() const {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ components_.size();
-    for (EventIndex c : components_) {
-      h += 0x9e3779b97f4a7c15ULL + c;
-      h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-      h ^= h >> 31;
-    }
-    return h;
-  }
+  // See ClockView::hash; a clock and a view of it hash alike.
+  std::uint64_t hash() const { return ClockView(*this).hash(); }
 
   std::uint64_t sum() const {
     std::uint64_t s = 0;

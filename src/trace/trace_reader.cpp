@@ -355,7 +355,9 @@ TraceCursor::Status TraceCursor::next(TraceEvent* out, TraceError* error) {
 }
 
 bool TraceCursor::decode_event(TraceEvent* out, TraceError* error) {
-  // Failure-path only: decoding an intact record allocates nothing here.
+  // Builds the failure message only; an intact record decodes into clock_
+  // and accesses_, which allocate only while they grow to the trace's
+  // widths, and *out is copy-assigned, which reuses its buffers.
   const auto at = [this] {
     return "event " + std::to_string(sequence_) + ": ";
   };
@@ -406,8 +408,11 @@ bool TraceCursor::decode_event(TraceEvent* out, TraceError* error) {
     return false;
   }
   const std::size_t n = reader_->num_threads();
-  VectorClock clock =
-      absolute ? VectorClock(n) : validator_.prev_clock(tid);
+  if (absolute) {
+    clock_.assign_zero(n);
+  } else {
+    clock_ = validator_.prev_clock(tid);
+  }
   std::uint64_t num_components = 0;
   if (!get_varint(&p_, end_, &num_components) || num_components > n) {
     fail(error, TraceErrorCode::kBadEvent, at() + "bad clock component count");
@@ -432,27 +437,27 @@ bool TraceCursor::decode_event(TraceEvent* out, TraceError* error) {
            at() + "zero clock increment in a delta record");
       return false;
     }
-    const std::uint64_t base = absolute ? 0 : clock[component];
+    const std::uint64_t base = absolute ? 0 : clock_[component];
     const std::uint64_t updated = base + value;
     if (updated > std::numeric_limits<EventIndex>::max()) {
       fail(error, TraceErrorCode::kBadEvent,
            at() + "clock component above 2^32-1");
       return false;
     }
-    clock[component] = static_cast<EventIndex>(updated);
+    clock_[component] = static_cast<EventIndex>(updated);
   }
 
-  std::vector<TraceAccess> accesses;
+  accesses_.clear();
   if ((flags & kHasAccesses) != 0) {
     std::uint64_t num_accesses = 0;
     // Each encoded access is at least 2 bytes, so the payload bounds the
-    // count — no allocation is sized from the raw value.
+    // count. Nothing is reserved from the raw value: the scratch grows by
+    // push_back and keeps its capacity for later events.
     if (!get_varint(&p_, end_, &num_accesses) ||
         num_accesses > static_cast<std::uint64_t>(end_ - p_)) {
       fail(error, TraceErrorCode::kBadEvent, at() + "bad access count");
       return false;
     }
-    accesses.reserve(num_accesses);
     for (std::uint64_t a = 0; a < num_accesses; ++a) {
       std::uint64_t var = 0;
       if (!get_varint(&p_, end_, &var) ||
@@ -465,13 +470,13 @@ bool TraceCursor::decode_event(TraceEvent* out, TraceError* error) {
         fail(error, TraceErrorCode::kBadEvent, at() + "unknown access flags");
         return false;
       }
-      accesses.push_back(TraceAccess{static_cast<VarId>(var),
-                                     (aflags & kAccessIsWrite) != 0,
-                                     (aflags & kAccessIsInit) != 0});
+      accesses_.push_back(TraceAccess{static_cast<VarId>(var),
+                                      (aflags & kAccessIsWrite) != 0,
+                                      (aflags & kAccessIsInit) != 0});
     }
   }
 
-  const ClockValidator::Verdict verdict = validator_.validate(tid, clock);
+  const ClockValidator::Verdict verdict = validator_.validate(tid, clock_);
   if (verdict != ClockValidator::Verdict::kOk) {
     fail(error,
          verdict == ClockValidator::Verdict::kRegression
@@ -480,14 +485,14 @@ bool TraceCursor::decode_event(TraceEvent* out, TraceError* error) {
          at() + validator_.describe(tid, verdict));
     return false;
   }
-  validator_.commit(tid, clock);
+  validator_.commit(tid, clock_);
   seen_in_chunk_[tid] = 1;
 
   out->tid = tid;
   out->kind = kind;
   out->object = static_cast<std::uint32_t>(object);
-  out->clock = std::move(clock);
-  out->accesses = std::move(accesses);
+  out->clock = clock_;
+  out->accesses = accesses_;
   return true;
 }
 

@@ -12,6 +12,9 @@
 // error state; hostile bytes can never abort the process or index out of
 // the mapping. cursor_at_chunk(i) seeks in O(1) using the footer's
 // per-thread published bases (chunks are self-contained, see format.hpp).
+// Events decode into buffers the cursor owns and are copy-assigned into the
+// caller's TraceEvent, so a caller that reuses one TraceEvent decodes with
+// no allocation once the buffers have grown to the trace's widths.
 //
 // The raw mmap/munmap calls live here by design: the invariant linter's
 // raw-mmap rule keeps them from leaking outside src/trace/.
@@ -39,7 +42,8 @@ class TraceCursor {
   };
 
   // Decodes the next event into *out. On kError the same error is returned
-  // on every later call (sticky): a defective trace has no valid suffix.
+  // on every later call (sticky): a defective trace has no valid suffix,
+  // and *out is left as it was.
   Status next(TraceEvent* out, TraceError* error);
 
   // 0-based sequence number (in file order) of the next event.
@@ -61,6 +65,9 @@ class TraceCursor {
   std::uint64_t sequence_ = 0;
   ClockValidator validator_{0};
   std::vector<char> seen_in_chunk_;
+  // Decode scratch, reused across events (see the file comment).
+  VectorClock clock_;
+  std::vector<TraceAccess> accesses_;
   bool failed_ = false;
   TraceError sticky_;
 };

@@ -9,34 +9,40 @@
 // size() == k may freely access indices [0, k) with no further
 // synchronization and no locks on the read path.
 //
+// Each index holds one row of `width` consecutive elements, fixed at
+// construction. Width 1 is a plain sequence (the AccessTable). OnlinePoset
+// stores one event per row: its n clock components, then its kind and
+// object, so one size increment publishes an event together with its clock.
+//
 // Long-lived monitored runs additionally need the *front* of the sequence to
 // be reclaimable: once the sliding-window watermark (see OnlinePoset) has
 // passed an index, its slot will never be read again and its memory should
 // return to the allocator. Two consequences for the layout:
-//   * segment capacity is capped at MaxSegment — purely geometric growth
-//     would leave the newest segment O(n) large, so resident memory could
-//     never drop below half the total event count no matter how much prefix
-//     is released;
+//   * segment capacity is capped at MaxSegment rows — purely geometric
+//     growth would leave the newest segment O(n) large, so resident memory
+//     could never drop below half the total event count no matter how much
+//     prefix is released;
 //   * release_prefix(n) frees every segment that lies entirely below n
 //     (segment granularity: a partially covered segment stays resident).
 //
-// Layout: segment s < kGeomSegments holds Base * 2^s elements (the classic
+// Layout: segment s < kGeomSegments holds Base * 2^s rows (the classic
 // geometric ramp keeps small vectors small); every later segment holds
-// MaxSegment elements and is addressed through a two-level directory
+// MaxSegment rows and is addressed through a two-level directory
 // (kTopSlots leaf blocks of kLeafSegments segment pointers each), so the
 // directory never relocates and capacity is ~kTopSlots * kLeafSegments *
-// MaxSegment elements per vector.
+// MaxSegment rows per vector.
 //
 // Concurrency contract:
-//   * exactly one thread may call push_back() at a time (external mutual
-//     exclusion — the paper's "atomic block" — is the caller's job);
-//   * release_prefix() must be serialized with push_back() by the caller
+//   * exactly one thread may call push_back() or push_row() at a time
+//     (external mutual exclusion — the paper's "atomic block" — is the
+//     caller's job);
+//   * release_prefix() must be serialized with the appends by the caller
 //     (OnlinePoset runs both under its insertion mutex), and the caller
 //     guarantees no reader will ever again access an index below the
 //     released prefix (the EnumGuard watermark protocol);
-//   * any number of threads may call size(), heap_bytes() and operator[]
-//     concurrently with the writer, provided the index was covered by an
-//     observed size() and is at or above the released prefix.
+//   * any number of threads may call size(), heap_bytes(), operator[] and
+//     row() concurrently with the writer, provided the index was covered by
+//     an observed size() and is at or above the released prefix.
 #pragma once
 
 #include <atomic>
@@ -64,7 +70,9 @@ class StableVector {
   static constexpr std::size_t kTopSlots = 512;
 
  public:
-  StableVector() = default;
+  explicit StableVector(std::size_t width = 1) : width_(width) {
+    PM_CHECK(width > 0);
+  }
 
   StableVector(const StableVector&) = delete;
   StableVector& operator=(const StableVector&) = delete;
@@ -89,13 +97,27 @@ class StableVector {
 
   bool empty() const { return size() == 0; }
 
+  std::size_t width() const { return width_; }
+
+  // The first element of row i; the row's other elements follow it.
+  const T* row(std::size_t i) const { return slot(i); }
+
   const T& operator[](std::size_t i) const { return *slot(i); }
   T& operator[](std::size_t i) { return *slot(i); }
 
   const T& back() const { return (*this)[size() - 1]; }
 
-  // Appends and returns the index of the new element. Single writer only.
+  // Appends one element to a width-1 vector and returns its index. Single
+  // writer only.
   std::size_t push_back(T value) {
+    PM_DCHECK(width_ == 1);
+    return push_row([&value](T* dst) { *dst = std::move(value); });
+  }
+
+  // Appends one row, written in place by fill(T* row) before the row is
+  // published, and returns its index. Single writer only.
+  template <typename Fill>
+  std::size_t push_row(Fill&& fill) {
     // relaxed: size_ and the segment pointers are only written by this (the
     // single writer) thread, which always sees its own prior stores.
     const std::size_t i = size_.load(std::memory_order_relaxed);
@@ -104,18 +126,18 @@ class StableVector {
     if (entry.load(std::memory_order_relaxed) == nullptr) {
       // Release so a reader that races to this segment through a published
       // size sees initialized storage.
-      const std::size_t cap = segment_capacity(s);
-      entry.store(new T[cap], std::memory_order_release);
+      const std::size_t elems = segment_capacity(s) * width_;
+      entry.store(new T[elems], std::memory_order_release);
       // relaxed: byte accounting only, see heap_bytes().
-      live_bytes_.fetch_add(cap * sizeof(T), std::memory_order_relaxed);
+      live_bytes_.fetch_add(elems * sizeof(T), std::memory_order_relaxed);
     }
-    *slot(i) = std::move(value);
+    fill(slot(i));
     size_.store(i + 1, std::memory_order_release);
     return i;
   }
 
   // Frees every segment that lies entirely below index `n`. The caller must
-  // serialize this with push_back() and guarantee no reader will touch
+  // serialize this with the appends and guarantee no reader will touch
   // indices below `n` again (see the concurrency contract above). Only whole
   // segments are reclaimed, so released() may lag `n` by up to one segment.
   void release_prefix(std::size_t n) {
@@ -133,7 +155,7 @@ class StableVector {
         entry.store(nullptr, std::memory_order_release);
         delete[] seg;
         // relaxed: byte accounting only, see heap_bytes().
-        live_bytes_.fetch_sub(segment_capacity(s) * sizeof(T),
+        live_bytes_.fetch_sub(segment_capacity(s) * width_ * sizeof(T),
                               std::memory_order_relaxed);
       }
       ++next_release_;
@@ -199,14 +221,15 @@ class StableVector {
       seg = leaf[flat % kLeafSegments].load(std::memory_order_acquire);
     }
     PM_DCHECK(seg != nullptr);  // fires on access below the released prefix
-    return seg + (i - segment_start(s));
+    return seg + (i - segment_start(s)) * width_;
   }
 
   std::atomic<T*> geom_[kGeomSegments] = {};
   std::atomic<std::atomic<T*>*> leaves_[kTopSlots] = {};
   std::atomic<std::size_t> size_{0};
   std::atomic<std::size_t> live_bytes_{0};
-  std::size_t next_release_ = 0;  // serialized with push_back by the caller
+  std::size_t next_release_ = 0;  // serialized with the appends by the caller
+  const std::size_t width_;
 };
 
 }  // namespace paramount

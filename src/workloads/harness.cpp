@@ -128,7 +128,7 @@ std::uint64_t poset_fingerprint(const OnlinePoset& poset) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   for (ThreadId t = 0; t < poset.num_threads(); ++t) {
     for (EventIndex i = 1; i <= poset.num_events(t); ++i) {
-      const Event& e = poset.event(t, i);
+      const EventView e = poset.event(t, i);
       h ^= (e.id.packed() * 0xbf58476d1ce4e5b9ULL) ^ e.vc.hash();
       h *= 0x94d049bb133111ebULL;
     }

@@ -13,11 +13,11 @@
 
 namespace paramount::testing {
 
-// A frontier as a plain comparable vector (for std::set membership and gtest
-// diffs).
+// A frontier or clock as a plain comparable vector (for std::set membership
+// and gtest diffs).
 using Key = std::vector<EventIndex>;
 
-inline Key key_of(const Frontier& f) {
+inline Key key_of(ClockView f) {
   Key k(f.size());
   for (std::size_t i = 0; i < f.size(); ++i) k[i] = f[i];
   return k;

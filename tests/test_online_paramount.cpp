@@ -146,6 +146,136 @@ TEST(OnlinePoset, PublishedFrontierHammerStaysConsistent) {
   EXPECT_EQ(torn.load(), 0u);
 }
 
+// A round-robin chain over `width` threads, described by formula so a
+// reader can check any published row without sharing state with the
+// writer: event k (0-based, in insertion order) is on thread k % width, and
+// its clock counts, per thread, the events among the first k + 1.
+struct RoundRobinChain {
+  std::size_t width;
+
+  ThreadId tid(std::uint64_t k) const {
+    return static_cast<ThreadId>(k % width);
+  }
+  std::uint64_t position(ThreadId t, EventIndex i) const {
+    return (i - 1) * width + t;
+  }
+  EventIndex component(std::uint64_t k, ThreadId j) const {
+    return j <= k ? static_cast<EventIndex>((k - j) / width + 1) : 0;
+  }
+  VectorClock clock(std::uint64_t k) const {
+    VectorClock vc(width);
+    for (ThreadId j = 0; j < width; ++j) vc[j] = component(k, j);
+    return vc;
+  }
+  OpKind kind(std::uint64_t k) const {
+    return static_cast<OpKind>(k % (static_cast<int>(OpKind::kCollection) + 1));
+  }
+  std::uint32_t object(std::uint64_t k) const {
+    return static_cast<std::uint32_t>(0xFFFFFFFFu - 7 * k);
+  }
+  // True iff the published row of event (t, i) is exactly the chain's.
+  bool row_matches(const OnlinePoset& poset, ThreadId t, EventIndex i) const {
+    const std::uint64_t k = position(t, i);
+    const EventView e = poset.event(t, i);
+    const ClockView vc = poset.vc(t, i);
+    if (e.id != EventId{t, i} || e.kind != kind(k) || e.object != object(k) ||
+        vc.size() != width || e.vc.data() != vc.data()) {
+      return false;
+    }
+    for (ThreadId j = 0; j < width; ++j) {
+      if (vc[j] != component(k, j)) return false;
+    }
+    return true;
+  }
+};
+
+TEST(OnlinePoset, RowsRoundTripThroughVcAndEventAtEveryWidth) {
+  // 16 is the last clock width that fits VectorClock's inline storage, 17
+  // the first that spills.
+  for (const std::size_t width : {1u, 6u, 16u, 17u, 64u}) {
+    const RoundRobinChain chain{width};
+    OnlinePoset poset(width);
+    const std::uint64_t events = 3 * width + 2;
+    for (std::uint64_t k = 0; k < events; ++k) {
+      poset.insert(chain.tid(k), chain.kind(k), chain.object(k),
+                   chain.clock(k));
+    }
+    for (ThreadId t = 0; t < width; ++t) {
+      for (EventIndex i = 1; i <= poset.num_events(t); ++i) {
+        ASSERT_TRUE(chain.row_matches(poset, t, i))
+            << "width " << width << ", event " << EventId{t, i}.to_string();
+        EXPECT_EQ(VectorClock(poset.vc(t, i)),
+                  chain.clock(chain.position(t, i)));
+      }
+    }
+  }
+}
+
+// Theorem 3's lock-free read path: a reader checks every row the writer has
+// published while the writer keeps appending. A row read through an observed
+// num_events() must be complete, never partly written.
+TEST(OnlinePoset, ReaderChecksEveryPublishedRowWhileWriterAppends) {
+  constexpr std::size_t kWidth = 17;  // clocks wider than the inline buffer
+  constexpr std::uint64_t kEvents = 20000;
+  const RoundRobinChain chain{kWidth};
+  OnlinePoset poset(kWidth);
+  std::atomic<bool> done{false};
+  std::uint64_t bad_rows = 0;
+  std::uint64_t rows_checked = 0;
+
+  std::thread reader([&] {
+    std::vector<EventIndex> checked(kWidth, 0);
+    bool last_pass = false;
+    while (!last_pass) {
+      last_pass = done.load(std::memory_order_acquire);
+      for (ThreadId t = 0; t < kWidth; ++t) {
+        const EventIndex published = poset.num_events(t);
+        for (EventIndex i = checked[t] + 1; i <= published; ++i) {
+          if (!chain.row_matches(poset, t, i)) ++bad_rows;
+          ++rows_checked;
+        }
+        checked[t] = published;
+      }
+    }
+  });
+  for (std::uint64_t k = 0; k < kEvents; ++k) {
+    poset.insert(chain.tid(k), chain.kind(k), chain.object(k),
+                 chain.clock(k));
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(bad_rows, 0u);
+  EXPECT_EQ(rows_checked, kEvents);
+}
+
+// heap_bytes() counts the clock rows themselves, so it is at least
+// (n clock words + kind + object) per resident event at every width, and it
+// falls when collect() frees a segment.
+TEST(OnlinePoset, HeapBytesCountEveryClockRow) {
+  for (const std::size_t width : {6u, 64u}) {
+    const RoundRobinChain chain{width};
+    OnlinePoset poset(width);
+    // Enough events per thread to fill more than the first 64-row segment.
+    const std::uint64_t events = 200 * width;
+    for (std::uint64_t k = 0; k < events; ++k) {
+      poset.insert(chain.tid(k), chain.kind(k), chain.object(k),
+                   chain.clock(k));
+    }
+    const std::size_t row_bytes = (width + 2) * sizeof(EventIndex);
+    const std::size_t before = poset.heap_bytes();
+    EXPECT_GE(before, events * row_bytes) << "width " << width;
+
+    const OnlinePoset::CollectStats stats = poset.collect();
+    ASSERT_GT(stats.reclaimed_events, 0u) << "width " << width;
+    EXPECT_EQ(stats.resident_bytes, poset.heap_bytes());
+    EXPECT_LT(poset.heap_bytes(), before) << "width " << width;
+    EXPECT_GE(poset.heap_bytes(),
+              (events - poset.reclaimed_events()) * row_bytes)
+        << "width " << width;
+  }
+}
+
 TEST(OnlineParamount, SequentialReplayMatchesOracle) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const Poset poset = make_random(4, 28, 0.4, seed);
@@ -233,6 +363,55 @@ TEST(OnlineParamount, PooledChainRunsEveryIntervalOnSubmitter) {
   EXPECT_EQ(run.metrics.find_counter("pool.tasks")->total, 0u);
   if constexpr (obs::kTelemetryEnabled) {
     EXPECT_EQ(run.metrics.find_counter("paramount.intervals")->total, kEvents);
+  }
+}
+
+// Every interval of a chain holds one state, its Gmin, which submit() visits
+// directly instead of running the subroutine. Inline and pooled, each event
+// is visited exactly once, at its own clock and on the submitting thread,
+// and the first event's interval still also owns the empty state.
+TEST(OnlineParamount, OneStateIntervalsVisitGminOnceInlineAndPooled) {
+  constexpr std::size_t kWidth = 17;  // clocks wider than the inline buffer
+  constexpr std::uint64_t kEvents = 3 * kWidth + 5;
+  const RoundRobinChain chain{kWidth};
+  for (const std::size_t workers : {0u, 2u}) {
+    struct Visit {
+      EventId owner;
+      Key state;
+      bool on_submitter;
+    };
+    const std::thread::id submitter = std::this_thread::get_id();
+    Mutex mutex;
+    std::vector<Visit> visits;
+    OnlineParamount::Options options;
+    options.async_workers = workers;
+    options.window_policy.gc_every = 8;
+    OnlineParamount online(
+        kWidth, options,
+        [&](const OnlinePoset&, EventId owner, const Frontier& f) {
+          MutexLock guard(mutex);
+          visits.push_back(
+              {owner, key_of(f), std::this_thread::get_id() == submitter});
+        });
+    for (std::uint64_t k = 0; k < kEvents; ++k) {
+      online.submit(chain.tid(k), chain.kind(k), chain.object(k),
+                    chain.clock(k));
+    }
+    online.drain();
+
+    ASSERT_EQ(visits.size(), kEvents + 1) << workers << " workers";
+    EXPECT_EQ(visits[0].owner, (EventId{0, 1}));
+    EXPECT_EQ(visits[0].state, Key(kWidth, 0));
+    for (std::uint64_t k = 0; k < kEvents; ++k) {
+      const Visit& v = visits[k + 1];
+      EXPECT_EQ(v.owner.tid, chain.tid(k)) << "event " << k;
+      EXPECT_EQ(chain.position(v.owner.tid, v.owner.index), k);
+      EXPECT_EQ(v.state, key_of(chain.clock(k))) << "event " << k;
+      EXPECT_TRUE(v.on_submitter) << "event " << k;
+    }
+    EXPECT_EQ(online.states_enumerated(), kEvents + 1);
+    EXPECT_EQ(online.intervals_processed(), kEvents);
+    EXPECT_EQ(online.poset().outstanding_pins(), 0u);
   }
 }
 

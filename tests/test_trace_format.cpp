@@ -211,6 +211,115 @@ TEST(TraceSeek, FooterIndexMatchesSequentialScan) {
   }
 }
 
+// A chain over `width` threads in which each thread emits two events in a
+// row: every event's clock covers every earlier event. With a chunk size
+// that does not divide 2, some pairs straddle a chunk boundary, so the
+// trace mixes absolute records (each thread's first in a chunk) with delta
+// records (its second).
+std::vector<TraceEvent> paired_chain(std::size_t width, std::size_t count) {
+  std::vector<TraceEvent> events;
+  VectorClock clock(width);
+  for (std::size_t i = 0; i < count; ++i) {
+    TraceEvent event;
+    event.tid = static_cast<ThreadId>((i / 2) % width);
+    event.kind = OpKind::kInternal;
+    event.object = static_cast<std::uint32_t>(i);
+    clock[event.tid] += 1;
+    event.clock = clock;
+    events.push_back(std::move(event));
+  }
+  return events;
+}
+
+TEST(TraceCursorReuse, AbsoluteAndDeltaRecordsAcrossChunksAtEveryWidth) {
+  // 16 is the last clock width that fits VectorClock's inline storage, 17
+  // the first that spills, 64 the convoy benchmark's.
+  for (const std::size_t width : {1u, 16u, 17u, 64u}) {
+    const std::vector<TraceEvent> original = paired_chain(width, 4 * width + 9);
+    TempTrace file("chain" + std::to_string(width));
+    write_trace(file.path(), width, original, 5);
+
+    TraceReader reader;
+    TraceError error;
+    ASSERT_TRUE(reader.open(file.path(), &error)) << error.to_string();
+    ASSERT_GT(reader.num_chunks(), 1u);
+    TraceCursor cursor = reader.cursor();
+    TraceEvent event;  // one event reused for the whole scan
+    for (std::size_t i = 0; i < original.size(); ++i) {
+      ASSERT_EQ(cursor.next(&event, &error), TraceCursor::Status::kOk)
+          << "width " << width << ", event " << i << ": "
+          << error.to_string();
+      EXPECT_EQ(event.tid, original[i].tid) << "width " << width;
+      EXPECT_EQ(event.object, original[i].object) << "width " << width;
+      ASSERT_EQ(event.clock, original[i].clock)
+          << "width " << width << ", event " << i;
+    }
+    EXPECT_EQ(cursor.next(&event, &error), TraceCursor::Status::kEnd);
+  }
+}
+
+TEST(TraceCursorReuse, EventWithoutAccessesClearsTheReusedList) {
+  std::vector<TraceEvent> events(3);
+  events[0].tid = 0;
+  events[0].kind = OpKind::kCollection;
+  events[0].clock = VectorClock{1, 0};
+  events[0].accesses = {{7, true, false}, {9, false, false}};
+  events[1].tid = 1;
+  events[1].kind = OpKind::kAcquire;
+  events[1].object = 4;
+  events[1].clock = VectorClock{1, 1};
+  events[2].tid = 0;
+  events[2].kind = OpKind::kCollection;
+  events[2].object = 1;
+  events[2].clock = VectorClock{2, 1};
+  events[2].accesses = {{3, false, true}};
+  TempTrace file("reuse");
+  write_trace(file.path(), 2, events);
+
+  TraceReader reader;
+  TraceError error;
+  ASSERT_TRUE(reader.open(file.path(), &error)) << error.to_string();
+  TraceCursor cursor = reader.cursor();
+  TraceEvent event;
+  for (const TraceEvent& expected : events) {
+    ASSERT_EQ(cursor.next(&event, &error), TraceCursor::Status::kOk)
+        << error.to_string();
+    EXPECT_EQ(event.kind, expected.kind);
+    EXPECT_EQ(event.clock, expected.clock);
+    EXPECT_EQ(event.accesses, expected.accesses);
+  }
+  EXPECT_EQ(cursor.next(&event, &error), TraceCursor::Status::kEnd);
+}
+
+// Bit-at-a-time CRC-32 with no tables: the reference the slice-by-8
+// implementation must reproduce byte for byte.
+std::uint32_t crc32_bitwise(const std::uint8_t* p, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(TraceCrc32, CheckValue) {
+  // The standard CRC-32/ISO-HDLC check value.
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+}
+
+TEST(TraceCrc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(0x5eed);
+  std::vector<std::uint8_t> bytes(1024 + 8);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::uint8_t* p = bytes.data() + offset;
+      ASSERT_EQ(crc32(p, len), crc32_bitwise(p, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
 // ---- robustness ----
 
 TEST(TraceHostile, EveryTruncationPointRejected) {
