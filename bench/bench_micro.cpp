@@ -255,15 +255,11 @@ BENCHMARK(BM_ParamountDriverTelemetry);
 
 // ---- scheduler ----
 
-// Steal vs no-steal A/B at 8 workers on a skewed workload: a sparse random
-// poset mixes one-state intervals with intervals of tens of thousands of
-// states, so a batch routinely pairs a giant with tiny batch-mates. Arg(0)
-// = shared-counter/cursor path (--no-steal), Arg(1) = work-stealing deques.
-// Compare the queue_wait_p99_ns counter across the two streaming runs:
-// without stealing, a claimed event stranded behind a slow batch-mate waits
-// out the giant's whole enumeration (tens of ms at this size), while an
-// idle sibling steals it within one interval's time (~9x lower p99 here).
-// State counts are bit-identical across all four variants by construction.
+// The work-stealing drivers at 8 workers on a skewed workload: a sparse
+// random poset mixes one-state intervals with intervals of tens of thousands
+// of states, so a batch routinely pairs a giant with tiny batch-mates. The
+// queue_wait_p99_ns counter shows how long a claimed event stranded behind a
+// slow batch-mate waits before an idle sibling steals it.
 void paramount_scheduler_bench(benchmark::State& state, bool streaming) {
   RandomPosetParams params;
   params.num_processes = 6;
@@ -275,7 +271,6 @@ void paramount_scheduler_bench(benchmark::State& state, bool streaming) {
   ParamountOptions options;
   options.num_workers = 8;
   options.chunk_size = 8;
-  options.steal = state.range(0) != 0;
   obs::Telemetry telemetry(options.num_workers,
                            /*trace_capacity_per_shard=*/256);
   options.telemetry = &telemetry;
@@ -304,12 +299,12 @@ void paramount_scheduler_bench(benchmark::State& state, bool streaming) {
 void BM_ParamountOffline8Workers(benchmark::State& state) {
   paramount_scheduler_bench(state, /*streaming=*/false);
 }
-BENCHMARK(BM_ParamountOffline8Workers)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_ParamountOffline8Workers)->UseRealTime();
 
 void BM_ParamountStreaming8Workers(benchmark::State& state) {
   paramount_scheduler_bench(state, /*streaming=*/true);
 }
-BENCHMARK(BM_ParamountStreaming8Workers)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_ParamountStreaming8Workers)->UseRealTime();
 
 void BM_IsConsistent(benchmark::State& state) {
   const Poset poset = bench_poset(10, 60);

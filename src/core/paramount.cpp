@@ -37,10 +37,10 @@ void record_interval(obs::Telemetry* tel, std::size_t worker,
   tel->metrics().observe(tel->interval_ns, worker, end_ns - start_ns);
 }
 
-// One work acquisition (counter claim, deque pop, or steal): the claims
-// counter plus the queue-wait histogram. `seek_ns` is when the work was
-// first sought or became claimable, so the wait covers both lock/counter
-// latency and any time the item spent parked in a deque or batch.
+// One work acquisition (deque pop or steal): the claims counter plus the
+// queue-wait histogram. `seek_ns` is when the work was first sought or
+// became claimable, so the wait covers both lock latency and any time the
+// item spent parked in a deque.
 void record_claim(obs::Telemetry* tel, std::size_t worker,
                   std::uint64_t seek_ns, const char* arg_name,
                   std::uint64_t arg_value) {
@@ -154,87 +154,54 @@ ParamountResult enumerate_paramount(const Poset& poset,
     abort_flag.store(true, std::memory_order_relaxed);
   };
 
-  if (options.steal) {
-    // Work-stealing path: the chunks are dealt round-robin into per-worker
-    // deques up front; each worker drains its own deque and steals once
-    // empty. No shared claim point — the deque owner's pop is uncontended.
-    const std::size_t num_chunks = (intervals.size() + chunk - 1) / chunk;
-    WorkStealingScheduler<std::size_t> scheduler(
-        options.num_workers, options.seed,
-        /*initial_capacity=*/num_chunks / options.num_workers + 1);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      scheduler.push(c % options.num_workers, c * chunk);
-    }
-
-    auto worker = [&](std::size_t worker_index) {
-      try {
-        // relaxed: abort_flag is an advisory stop flag, see fail().
-        while (!abort_flag.load(std::memory_order_relaxed)) {
-          const std::uint64_t seek_ns =
-              tel != nullptr ? tel->tracer().now_ns() : 0;
-          std::size_t begin;
-          if (!scheduler.pop(worker_index, begin)) {
-            std::uint64_t failed_probes = 0;
-            const bool stole =
-                scheduler.steal(worker_index, begin, &failed_probes);
-            record_steal(tel, worker_index, seek_ns, stole, failed_probes);
-            // A failed sweep is definitive here: nothing is pushed after
-            // the initial deal, and every deque's residue is drained by
-            // its owner. Refresh the gauge on the way out so a deque that
-            // thieves drained doesn't leave a stale depth behind.
-            if (!stole) {
-              sample_queue_depth(tel, scheduler, worker_index);
-              return;
-            }
-          }
-          record_claim(tel, worker_index, seek_ns, "first_interval", begin);
-          sample_queue_depth(tel, scheduler, worker_index);
-          const std::size_t end = std::min(begin + chunk, intervals.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            // A sibling may have failed mid-chunk; don't run the rest of a
-            // large chunk to completion against a doomed result.
-            // relaxed: advisory stop flag, see fail().
-            if (abort_flag.load(std::memory_order_relaxed)) return;
-            process_interval(i, worker_index);
-          }
-        }
-      } catch (...) {
-        fail(std::current_exception());
-      }
-    };
-    run_workers(options.num_workers, worker);
-  } else {
-    // Shared-counter path (the PR-1 scheduler, kept for A/B benching):
-    // every claim is a fetch_add on one cache line.
-    std::atomic<std::size_t> next_interval{0};
-    auto worker = [&](std::size_t worker_index) {
-      try {
-        // relaxed: abort_flag is an advisory stop flag, see fail().
-        while (!abort_flag.load(std::memory_order_relaxed)) {
-          const std::uint64_t seek_ns =
-              tel != nullptr ? tel->tracer().now_ns() : 0;
-          // relaxed: the RMW alone claims each chunk exactly once; interval
-          // data is immutable during the run, so no ordering piggybacks.
-          const std::size_t begin =
-              next_interval.fetch_add(chunk, std::memory_order_relaxed);
-          if (begin >= intervals.size()) return;
-          record_claim(tel, worker_index, seek_ns, "first_interval", begin);
-          const std::size_t end = std::min(begin + chunk, intervals.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            // relaxed: advisory stop flag, see fail().
-            if (abort_flag.load(std::memory_order_relaxed)) return;
-            process_interval(i, worker_index);
-          }
-        }
-      } catch (...) {
-        fail(std::current_exception());
-        // Drain remaining intervals so sibling workers stop quickly.
-        // relaxed: best-effort fast-forward of the claim counter.
-        next_interval.store(intervals.size(), std::memory_order_relaxed);
-      }
-    };
-    run_workers(options.num_workers, worker);
+  // The chunks are dealt round-robin into per-worker deques up front; each
+  // worker drains its own deque and steals once empty. No shared claim
+  // point — the deque owner's pop is uncontended.
+  const std::size_t num_chunks = (intervals.size() + chunk - 1) / chunk;
+  WorkStealingScheduler<std::size_t> scheduler(
+      options.num_workers, options.seed,
+      /*initial_capacity=*/num_chunks / options.num_workers + 1);
+  for (std::size_t c = 0; c < num_chunks; ++c) {
+    scheduler.push(c % options.num_workers, c * chunk);
   }
+
+  auto worker = [&](std::size_t worker_index) {
+    try {
+      // relaxed: abort_flag is an advisory stop flag, see fail().
+      while (!abort_flag.load(std::memory_order_relaxed)) {
+        const std::uint64_t seek_ns =
+            tel != nullptr ? tel->tracer().now_ns() : 0;
+        std::size_t begin;
+        if (!scheduler.pop(worker_index, begin)) {
+          std::uint64_t failed_probes = 0;
+          const bool stole =
+              scheduler.steal(worker_index, begin, &failed_probes);
+          record_steal(tel, worker_index, seek_ns, stole, failed_probes);
+          // A failed sweep is definitive here: nothing is pushed after
+          // the initial deal, and every deque's residue is drained by
+          // its owner. Refresh the gauge on the way out so a deque that
+          // thieves drained doesn't leave a stale depth behind.
+          if (!stole) {
+            sample_queue_depth(tel, scheduler, worker_index);
+            return;
+          }
+        }
+        record_claim(tel, worker_index, seek_ns, "first_interval", begin);
+        sample_queue_depth(tel, scheduler, worker_index);
+        const std::size_t end = std::min(begin + chunk, intervals.size());
+        for (std::size_t i = begin; i < end; ++i) {
+          // A sibling may have failed mid-chunk; don't run the rest of a
+          // large chunk to completion against a doomed result.
+          // relaxed: advisory stop flag, see fail().
+          if (abort_flag.load(std::memory_order_relaxed)) return;
+          process_interval(i, worker_index);
+        }
+      }
+    } catch (...) {
+      fail(std::current_exception());
+    }
+  };
+  run_workers(options.num_workers, worker);
 
   if (first_error) std::rethrow_exception(first_error);
 
@@ -281,8 +248,7 @@ ParamountResult enumerate_paramount_streaming(
     Frontier gbnd;
     // Tracer timestamp of the seek that claimed this event from the cursor
     // (0 when telemetry is off). queue_wait_ns measures from here to the
-    // start of processing, so work that sits in a deque — or, on the
-    // no-steal path, behind a slow batch-mate — shows up as wait.
+    // start of processing, so work that sits in a deque shows up as wait.
     std::uint64_t ready_ns;
   };
 
@@ -314,149 +280,86 @@ ParamountResult enumerate_paramount_streaming(
     abort_flag.store(true, std::memory_order_relaxed);
   };
 
-  if (options.steal) {
-    // Work-stealing path. The paper's atomic block (advance the cursor,
-    // snapshot the running Gbnd frontier) is the only code left under the
-    // cursor lock; claimed batches go into the claimer's own deque, so a
-    // worker revisits the lock once per `chunk` events and idle workers
-    // pull from their siblings instead of convoying on the mutex.
-    WorkStealingScheduler<Claimed*> scheduler(options.num_workers,
-                                              options.seed);
-    auto worker = [&](std::size_t worker_index) {
-      try {
-        std::vector<Claimed*> batch;
-        batch.reserve(chunk);
-        // relaxed: advisory stop flag, see fail().
-        while (!abort_flag.load(std::memory_order_relaxed)) {
-          const std::uint64_t seek_ns =
-              tel != nullptr ? tel->tracer().now_ns() : 0;
-          Claimed* item = nullptr;
-          if (!scheduler.pop(worker_index, item)) {
-            // Own deque dry: rescue a sibling's stranded claim before
-            // admitting fresh events. A claimed event ages in a deque
-            // behind a slow batch-mate, while an unclaimed event waits in
-            // the cursor for free — so stealing first is what caps the
-            // claim-to-start tail under skew.
-            std::uint64_t failed_probes = 0;
-            const bool stole =
-                scheduler.steal(worker_index, item, &failed_probes);
-            record_steal(tel, worker_index, seek_ns, stole, failed_probes);
-            if (!stole) {
-              // Nothing to steal: refill from the shared cursor.
-              batch.clear();
-              std::uint64_t acquired_ns = 0;
-              std::uint64_t snapshot_done_ns = 0;
-              {
-                MutexLock guard(cursor_mutex);
-                acquired_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
-                while (cursor < order.size() && batch.size() < chunk) {
-                  const std::size_t i = cursor++;
-                  const EventId id = order[i];
-                  running[id.tid] = id.index;
-                  batch.push_back(new Claimed{i, id, running, seek_ns});
-                }
-                snapshot_done_ns =
-                    tel != nullptr ? tel->tracer().now_ns() : 0;
+  // The paper's atomic block (advance the cursor, snapshot the running Gbnd
+  // frontier) is the only code under the cursor lock; claimed batches go
+  // into the claimer's own deque, so a worker revisits the lock once per
+  // `chunk` events and idle workers pull from their siblings instead of
+  // convoying on the mutex.
+  WorkStealingScheduler<Claimed*> scheduler(options.num_workers, options.seed);
+  auto worker = [&](std::size_t worker_index) {
+    try {
+      std::vector<Claimed*> batch;
+      batch.reserve(chunk);
+      // relaxed: advisory stop flag, see fail().
+      while (!abort_flag.load(std::memory_order_relaxed)) {
+        const std::uint64_t seek_ns =
+            tel != nullptr ? tel->tracer().now_ns() : 0;
+        Claimed* item = nullptr;
+        if (!scheduler.pop(worker_index, item)) {
+          // Own deque dry: rescue a sibling's stranded claim before
+          // admitting fresh events. A claimed event ages in a deque
+          // behind a slow batch-mate, while an unclaimed event waits in
+          // the cursor for free — so stealing first is what caps the
+          // claim-to-start tail under skew.
+          std::uint64_t failed_probes = 0;
+          const bool stole =
+              scheduler.steal(worker_index, item, &failed_probes);
+          record_steal(tel, worker_index, seek_ns, stole, failed_probes);
+          if (!stole) {
+            // Nothing to steal: refill from the shared cursor.
+            batch.clear();
+            std::uint64_t acquired_ns = 0;
+            std::uint64_t snapshot_done_ns = 0;
+            {
+              MutexLock guard(cursor_mutex);
+              acquired_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
+              while (cursor < order.size() && batch.size() < chunk) {
+                const std::size_t i = cursor++;
+                const EventId id = order[i];
+                running[id.tid] = id.index;
+                batch.push_back(new Claimed{i, id, running, seek_ns});
               }
-              // Cursor exhausted after a failed sweep: retire. The only
-              // remaining items sit in deques whose owners drain them; zero
-              // this worker's gauge so the exit doesn't leave a stale depth.
-              if (batch.empty()) {
-                sample_queue_depth(tel, scheduler, worker_index);
-                return;
-              }
-              if (tel != nullptr) {
-                tel->metrics().observe(tel->gbnd_ns, worker_index,
-                                       snapshot_done_ns - acquired_ns);
-                tel->tracer().record(worker_index, "gbnd_snapshot", "queue",
-                                     acquired_ns,
-                                     snapshot_done_ns - acquired_ns, "events",
-                                     batch.size());
-              }
-              item = batch.front();
-              for (std::size_t k = 1; k < batch.size(); ++k) {
-                scheduler.push(worker_index, batch[k]);
-              }
+              snapshot_done_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
+            }
+            // Cursor exhausted after a failed sweep: retire. The only
+            // remaining items sit in deques whose owners drain them; zero
+            // this worker's gauge so the exit doesn't leave a stale depth.
+            if (batch.empty()) {
+              sample_queue_depth(tel, scheduler, worker_index);
+              return;
+            }
+            if (tel != nullptr) {
+              tel->metrics().observe(tel->gbnd_ns, worker_index,
+                                     snapshot_done_ns - acquired_ns);
+              tel->tracer().record(worker_index, "gbnd_snapshot", "queue",
+                                   acquired_ns, snapshot_done_ns - acquired_ns,
+                                   "events", batch.size());
+            }
+            item = batch.front();
+            for (std::size_t k = 1; k < batch.size(); ++k) {
+              scheduler.push(worker_index, batch[k]);
             }
           }
-          sample_queue_depth(tel, scheduler, worker_index);
-          std::unique_ptr<Claimed> owned(item);
-          // Waits are measured from the claiming seek, not this worker's:
-          // a popped or stolen event has been sitting in a deque since its
-          // batch was claimed, and that queueing delay is the point.
-          record_claim(tel, worker_index, owned->ready_ns, "event",
-                       owned->index);
-          process_item(*owned, worker_index);
         }
-      } catch (...) {
-        fail(std::current_exception());
+        sample_queue_depth(tel, scheduler, worker_index);
+        std::unique_ptr<Claimed> owned(item);
+        // Waits are measured from the claiming seek, not this worker's:
+        // a popped or stolen event has been sitting in a deque since its
+        // batch was claimed, and that queueing delay is the point.
+        record_claim(tel, worker_index, owned->ready_ns, "event", owned->index);
+        process_item(*owned, worker_index);
       }
-    };
-    run_workers(options.num_workers, worker);
-
-    // On an aborted run, unprocessed claims may still sit in the deques;
-    // the workers have joined, so draining them single-threaded is safe.
-    for (std::size_t w = 0; w < options.num_workers; ++w) {
-      Claimed* leftover = nullptr;
-      while (scheduler.pop(w, leftover)) delete leftover;
+    } catch (...) {
+      fail(std::current_exception());
     }
-  } else {
-    // Cursor-only path (the PR-1 scheduler, kept for A/B benching): claim
-    // and snapshot under one lock, then enumerate the batch.
-    auto worker = [&](std::size_t worker_index) {
-      try {
-        std::vector<Claimed> batch;
-        batch.reserve(chunk);
-        // relaxed: advisory stop flag, see fail().
-        while (!abort_flag.load(std::memory_order_relaxed)) {
-          batch.clear();
-          const std::uint64_t seek_ns =
-              tel != nullptr ? tel->tracer().now_ns() : 0;
-          std::uint64_t acquired_ns = 0;
-          std::uint64_t snapshot_done_ns = 0;
-          {
-            // The paper's atomic block: fetch the next event(s) in →p and
-            // snapshot the boundary frontier after each.
-            MutexLock guard(cursor_mutex);
-            acquired_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
-            while (cursor < order.size() && batch.size() < chunk) {
-              const std::size_t i = cursor++;
-              const EventId id = order[i];
-              running[id.tid] = id.index;
-              batch.push_back(Claimed{i, id, running, seek_ns});
-            }
-            snapshot_done_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
-          }
-          // Workers come back here once more on their way out; an empty
-          // claim is not a claim, so record nothing for it (recording
-          // would inflate claim counts relative to the offline driver).
-          if (batch.empty()) return;
-          if (tel != nullptr) {
-            tel->metrics().observe(tel->gbnd_ns, worker_index,
-                                   snapshot_done_ns - acquired_ns);
-            tel->tracer().record(worker_index, "gbnd_snapshot", "queue",
-                                 seek_ns, snapshot_done_ns - seek_ns,
-                                 "events", batch.size());
-          }
-          for (const Claimed& claimed : batch) {
-            // relaxed: advisory stop flag, see fail().
-            if (abort_flag.load(std::memory_order_relaxed)) return;
-            // Mirrors the steal path's per-pop recording: a batch item
-            // does not start until every batch-mate ahead of it finishes,
-            // and that serialization is exactly the wait the steal path
-            // removes.
-            record_claim(tel, worker_index, claimed.ready_ns, "event",
-                         claimed.index);
-            process_item(claimed, worker_index);
-          }
-        }
-      } catch (...) {
-        fail(std::current_exception());
-        MutexLock cursor_guard(cursor_mutex);
-        cursor = order.size();
-      }
-    };
-    run_workers(options.num_workers, worker);
+  };
+  run_workers(options.num_workers, worker);
+
+  // On an aborted run, unprocessed claims may still sit in the deques;
+  // the workers have joined, so draining them single-threaded is safe.
+  for (std::size_t w = 0; w < options.num_workers; ++w) {
+    Claimed* leftover = nullptr;
+    while (scheduler.pop(w, leftover)) delete leftover;
   }
 
   if (first_error) std::rethrow_exception(first_error);

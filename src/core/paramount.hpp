@@ -2,12 +2,14 @@
 // (Algorithm 1 of the paper).
 //
 // The driver fixes a linear extension →p, computes the interval I(e) of every
-// event, and lets worker threads pull intervals off a shared counter —
-// exactly the paper's ParaMountWorker, which fetches "the next event in the
-// total order →p". Each interval is enumerated with a *bounded* sequential
-// subroutine (Algorithm 2); because the intervals partition the lattice
-// (Theorem 2), every consistent state is delivered to the visitor exactly
-// once, and total work is that of the sequential subroutine (work-optimal).
+// event, and hands the intervals to worker threads. Each interval is
+// enumerated with a *bounded* sequential subroutine (Algorithm 2); because the
+// intervals partition the lattice (Theorem 2), every consistent state is
+// delivered to the visitor exactly once, and total work is that of the
+// sequential subroutine (work-optimal). Where the paper's ParaMountWorker
+// fetches "the next event in the total order →p" from one shared counter,
+// both drivers here distribute work through per-worker work-stealing deques
+// (util/work_stealing.hpp; DESIGN.md §5, substitution 7).
 #pragma once
 
 #include <cstdint>
@@ -25,18 +27,13 @@ struct ParamountOptions {
   EnumAlgorithm subroutine = EnumAlgorithm::kLexical;
   TopoPolicy topo_policy = TopoPolicy::kInterleave;
   std::uint64_t seed = 0;
-  // Events claimed per visit to the shared work queue. 1 reproduces the
-  // paper's Algorithm 1 exactly; larger chunks amortize queue contention at
-  // the cost of coarser load balancing (tail intervals are the big ones).
+  // Intervals per work item. The offline driver deals chunks of this many
+  // intervals round-robin into the workers' deques up front; the streaming
+  // driver claims this many events per visit to the cursor and parks them in
+  // the claimer's deque. Idle workers steal whole items from their siblings.
+  // Larger chunks amortize claims at the cost of coarser load balancing
+  // (tail intervals are the big ones).
   std::size_t chunk_size = 1;
-  // When true (default), work is distributed through per-worker
-  // work-stealing deques (util/work_stealing.hpp): the offline driver seeds
-  // each worker's deque with owner-local chunks, the streaming driver's
-  // cursor lock shrinks to the Gbnd-snapshot block and claimed batches land
-  // in the claimer's deque, and idle workers steal. When false, the drivers
-  // fall back to the shared fetch_add counter / cursor-only claiming
-  // (`--no-steal` in the CLI, kept for A/B benching).
-  bool steal = true;
   // Optional shared memory meter (thread-safe); lets B-Para reproduce the
   // bounded-memory behaviour of Table 1.
   MemoryMeter* meter = nullptr;
@@ -83,9 +80,10 @@ ParamountResult enumerate_paramount(const Poset& poset,
                                     const ParamountOptions& options,
                                     StateVisitor visit);
 
-// Streaming variant — the literal Algorithm 1: workers pull the next event
-// of →p from a shared cursor and compute Gbnd incrementally from a running
-// frontier inside the critical section (P.getBoundaryGlobalState()). No
+// Streaming variant — Algorithm 1's atomic block: workers pull the next
+// event of →p from a shared cursor and compute Gbnd incrementally from a
+// running frontier inside the critical section (P.getBoundaryGlobalState()).
+// Claimed events wait in the claimer's deque, where idle workers steal. No
 // interval table is materialized, so the total space is the poset plus the
 // order plus O(n) per worker — the complexity the paper states in §3.4.
 ParamountResult enumerate_paramount_streaming(

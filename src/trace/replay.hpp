@@ -1,6 +1,7 @@
 // Replay drivers: feed a .pmt trace (trace_reader.hpp) to the enumeration
-// engines. One implementation shared by paramount-trace, bench_scenarios,
-// and the tests, so "replay through mode X" means the same thing everywhere.
+// engines. One implementation shared by paramount-trace, perfbench's
+// pmbench, and the tests, so "replay through mode X" means the same thing
+// everywhere.
 //
 // The file order of a .pmt written by TraceFileSink or `paramount-trace gen`
 // is a valid →p (delivery/generation order respects happened-before), so:

@@ -2,6 +2,7 @@
 
 #include <deque>
 
+#include "poset/clock_engine.hpp"
 #include "poset/vector_clock.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -21,9 +22,7 @@ using trace::TraceEvent;
 class ScenarioBase : public ScenarioStream {
  public:
   explicit ScenarioBase(const ScenarioParams& params)
-      : params_(params),
-        rng_(params.seed),
-        engine_(ClockEngine::make(params.clock_backend, params.num_threads)) {
+      : params_(params), rng_(params.seed), engine_(params.num_threads) {
     PM_CHECK(params.num_threads > 0);
     PM_CHECK(params.num_threads <= trace::kMaxThreads);
   }
@@ -39,7 +38,7 @@ class ScenarioBase : public ScenarioStream {
     ev.tid = tid;
     ev.kind = kind;
     ev.object = object;
-    engine_->local_step(tid, &ev.clock);
+    engine_.local_step(tid, &ev.clock);
     ++emitted_;
     return ev;
   }
@@ -50,7 +49,7 @@ class ScenarioBase : public ScenarioStream {
     ev.tid = tid;
     ev.kind = kind;
     ev.object = object;
-    engine_->sync_step(tid, timeline, &ev.clock);
+    engine_.sync_step(tid, timeline, &ev.clock);
     ++emitted_;
     return ev;
   }
@@ -61,14 +60,14 @@ class ScenarioBase : public ScenarioStream {
     ev.tid = dst;
     ev.kind = kind;
     ev.object = object;
-    engine_->absorb_step(dst, src, &ev.clock);
+    engine_.absorb_step(dst, src, &ev.clock);
     ++emitted_;
     return ev;
   }
 
   ScenarioParams params_;
   Rng rng_;
-  std::unique_ptr<ClockEngine> engine_;
+  ClockEngine engine_;
   std::uint64_t emitted_ = 0;
 };
 
@@ -345,6 +344,16 @@ std::size_t split_wide_suffix(const std::string& name, std::string* base) {
   return 0;
 }
 
+std::unique_ptr<ScenarioStream> make_base_scenario(
+    const std::string& name, const ScenarioParams& params) {
+  if (name == "lock-convoy") return std::make_unique<LockConvoy>(params);
+  if (name == "barrier-phase") return std::make_unique<BarrierPhase>(params);
+  if (name == "fanin-queue") return std::make_unique<FaninQueue>(params);
+  if (name == "fork-join") return std::make_unique<ForkJoinTree>(params);
+  if (name == "hot-var") return std::make_unique<HotVar>(params);
+  return nullptr;
+}
+
 }  // namespace
 
 const std::vector<std::string>& wide_scenario_names() {
@@ -364,16 +373,12 @@ std::unique_ptr<ScenarioStream> make_scenario(const std::string& name,
                                               const ScenarioParams& params) {
   std::string base;
   if (const std::size_t width = split_wide_suffix(name, &base)) {
+    // One suffix only: "lock-convoy-64-128" names no scenario.
     ScenarioParams wide = params;
     wide.num_threads = width;
-    return make_scenario(base, wide);
+    return make_base_scenario(base, wide);
   }
-  if (name == "lock-convoy") return std::make_unique<LockConvoy>(params);
-  if (name == "barrier-phase") return std::make_unique<BarrierPhase>(params);
-  if (name == "fanin-queue") return std::make_unique<FaninQueue>(params);
-  if (name == "fork-join") return std::make_unique<ForkJoinTree>(params);
-  if (name == "hot-var") return std::make_unique<HotVar>(params);
-  return nullptr;
+  return make_base_scenario(name, params);
 }
 
 }  // namespace paramount

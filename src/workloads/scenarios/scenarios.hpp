@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "poset/clock_backend.hpp"
 #include "trace/format.hpp"
 
 namespace paramount {
@@ -35,10 +34,6 @@ struct ScenarioParams {
   std::size_t num_threads = 8;
   std::uint64_t num_events = 10000;
   std::uint64_t seed = 1;
-  // Clock representation rolling the stream (clock_backend.hpp). The emitted
-  // events — and therefore the .pmt bytes — are identical across backends;
-  // the corpus CI job cross-checks that with cmp.
-  ClockBackend clock_backend = ClockBackend::kFlat;
 };
 
 class ScenarioStream {
@@ -57,15 +52,15 @@ class ScenarioStream {
 const std::vector<std::string>& scenario_names();
 
 // Wide-trace corpus: every base scenario at 64/128/256 threads, named
-// "<base>-64" etc. These are the streams the clock backends are measured
-// on; note the all-to-all shapes (barrier-phase, fork-join) are generable
-// and replayable at these widths but not exhaustively enumerable (lattice
-// width grows as rounds^(threads-1)).
+// "<base>-64" etc. They exercise clocks wider than VectorClock's inline
+// buffer; note the all-to-all shapes (barrier-phase, fork-join) are
+// generable and replayable at these widths but not exhaustively enumerable
+// (lattice width grows as rounds^(threads-1)).
 const std::vector<std::string>& wide_scenario_names();
 
-// Creates the named scenario, or returns nullptr for an unknown name. Wide
-// variant names ("lock-convoy-256") override params.num_threads with the
-// suffix.
+// Creates the named scenario, or returns nullptr for an unknown name. A wide
+// variant name ("lock-convoy-256", a base name plus one width suffix)
+// overrides params.num_threads with the suffix.
 std::unique_ptr<ScenarioStream> make_scenario(const std::string& name,
                                               const ScenarioParams& params);
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "runtime/tracer.hpp"
+#include "workloads/scenarios/scenarios.hpp"
 
 namespace paramount {
 namespace {
@@ -142,6 +143,25 @@ TEST(FastTrack, ReportKeepsFirstWitnessPerVar) {
   ASSERT_EQ(findings.size(), 2u);
   EXPECT_EQ(findings[0].var, a.id());
   EXPECT_EQ(findings[1].var, b.id());
+}
+
+// The hot-var scenario's skewed traffic races on its hot variable; FastTrack
+// finds it straight from the scenario's access stream and clocks.
+TEST(FastTrack, HotVarScenarioRaces) {
+  ScenarioParams params;
+  params.num_threads = 8;
+  params.num_events = 4000;
+  params.seed = 42;
+  auto scenario = make_scenario("hot-var", params);
+  ASSERT_NE(scenario, nullptr);
+  FastTrackDetector detector(params.num_threads);
+  trace::TraceEvent ev;
+  while (scenario->next(&ev)) {
+    for (const trace::TraceAccess& a : ev.accesses) {
+      detector.on_raw_access(ev.tid, a.var, a.is_write, ev.clock);
+    }
+  }
+  EXPECT_FALSE(detector.report().findings().empty());
 }
 
 }  // namespace

@@ -610,28 +610,21 @@ TEST(DriverTelemetry, StreamingRecordsQueueWaitAndGbnd) {
 
 // Workers that find the cursor already exhausted on their way out must not
 // record anything: with more workers than events, claims still equals the
-// event count exactly, on both scheduler paths.
+// event count exactly.
 TEST(DriverTelemetry, StreamingEmptyClaimsAreNotCounted) {
   PosetBuilder builder(1);
   for (int i = 0; i < 3; ++i) builder.add_event(0);
   const Poset poset = std::move(builder).build();
   const auto order = topological_sort(poset, TopoPolicy::kInterleave);
-  for (const bool steal : {false, true}) {
-    Telemetry telemetry(8);
-    ParamountOptions options;
-    options.num_workers = 8;
-    options.steal = steal;
-    options.telemetry = &telemetry;
-    enumerate_paramount_streaming(poset, order, options,
-                                  [](const Frontier&) {});
-    if constexpr (obs::kTelemetryEnabled) {
-      const MetricsSnapshot snap = telemetry.snapshot();
-      EXPECT_EQ(snap.find_counter("paramount.claims")->total, order.size())
-          << "steal=" << steal;
-      EXPECT_LE(snap.find_histogram("paramount.gbnd_ns")->count,
-                order.size())
-          << "steal=" << steal;
-    }
+  Telemetry telemetry(8);
+  ParamountOptions options;
+  options.num_workers = 8;
+  options.telemetry = &telemetry;
+  enumerate_paramount_streaming(poset, order, options, [](const Frontier&) {});
+  if constexpr (obs::kTelemetryEnabled) {
+    const MetricsSnapshot snap = telemetry.snapshot();
+    EXPECT_EQ(snap.find_counter("paramount.claims")->total, order.size());
+    EXPECT_LE(snap.find_histogram("paramount.gbnd_ns")->count, order.size());
   }
 }
 

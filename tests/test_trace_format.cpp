@@ -179,6 +179,26 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, RoundTrip,
                                            "fanin-queue", "fork-join",
                                            "hot-var"));
 
+// A wide variant is a base name plus exactly one width suffix, and the
+// suffix sets the thread count; any other name makes no scenario.
+TEST(Scenarios, WideVariantRegistry) {
+  EXPECT_EQ(wide_scenario_names().size(), 3 * scenario_names().size());
+  ScenarioParams params;
+  params.num_events = 10;
+  for (const std::string& name : wide_scenario_names()) {
+    auto scenario = make_scenario(name, params);
+    ASSERT_NE(scenario, nullptr) << name;
+    const auto dash = name.find_last_of('-');
+    EXPECT_EQ(scenario->num_threads(),
+              static_cast<std::size_t>(std::stoul(name.substr(dash + 1))))
+        << name;
+  }
+  for (const char* name :
+       {"lock-convoy-999", "lock-convoy-64-128", "hot-var-256-64-64"}) {
+    EXPECT_EQ(make_scenario(name, params), nullptr) << name;
+  }
+}
+
 TEST(TraceSeek, FooterIndexMatchesSequentialScan) {
   ScenarioParams params;
   params.num_threads = 4;

@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "poset/clock_engine.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -107,6 +108,52 @@ TEST(VectorClock, Algorithm3ChainsHandOffs) {
   calculate_vector_clock(0, t0, lock);  // t0 acquires
   const VectorClock after_t1 = calculate_vector_clock(1, t1, lock);
   EXPECT_EQ(after_t1, (VectorClock{1, 1}));  // t1 saw t0's event
+}
+
+// ClockEngine against a reference written here over plain vectors: tick,
+// componentwise max, and the timeline adopting the result. Widths 16 and 17
+// straddle VectorClock's inline buffer, and timelines come into use in
+// random order, each starting from zero.
+TEST(ClockEngine, MatchesPlainVectorReference) {
+  using Plain = std::vector<std::uint32_t>;
+  const auto join = [](Plain& into, const Plain& from) {
+    for (std::size_t i = 0; i < into.size(); ++i) {
+      into[i] = std::max(into[i], from[i]);
+    }
+  };
+  for (const std::size_t n : {3u, 16u, 17u, 64u}) {
+    ClockEngine engine(n);
+    std::vector<Plain> threads(n, Plain(n, 0));
+    std::vector<Plain> timelines;
+    Rng rng(99 + n);
+    VectorClock got;
+    for (int op = 0; op < 2000; ++op) {
+      const auto tid = static_cast<ThreadId>(rng.next_below(n));
+      Plain& mine = threads[tid];
+      const std::size_t kind = rng.next_below(3);
+      if (kind == 0) {
+        engine.local_step(tid, &got);
+        mine[tid] += 1;
+      } else if (kind == 1) {
+        const std::size_t timeline = rng.next_below(8);
+        engine.sync_step(tid, timeline, &got);
+        if (timeline >= timelines.size()) {
+          timelines.resize(timeline + 1, Plain(n, 0));
+        }
+        mine[tid] += 1;
+        join(mine, timelines[timeline]);
+        timelines[timeline] = mine;
+      } else {
+        auto src = static_cast<ThreadId>(rng.next_below(n));
+        if (src == tid) src = static_cast<ThreadId>((src + 1) % n);
+        engine.absorb_step(tid, src, &got);
+        mine[tid] += 1;
+        join(mine, threads[src]);
+      }
+      ASSERT_EQ(Plain(got.data(), got.data() + got.size()), mine)
+          << "n=" << n << " op " << op;
+    }
+  }
 }
 
 // Regression: join/leq on size-mismatched clocks used to read out of bounds

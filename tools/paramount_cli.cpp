@@ -171,7 +171,6 @@ int run_count(const Poset& poset, const CliFlags& flags) {
       flags.get_int_in_range("workers", 1, 1 << 14));
   options.chunk_size = static_cast<std::size_t>(
       flags.get_int_in_range("chunk", 1, std::int64_t{1} << 30));
-  options.steal = flags.get_bool("steal");
   options.subroutine = parse_algorithm(flags.get_string("algorithm"));
   options.topo_policy = parse_policy(flags.get_string("order"));
   const bool streaming = flags.get_bool("streaming");
@@ -196,12 +195,10 @@ int run_count(const Poset& poset, const CliFlags& flags) {
   std::printf("consistent global states: %s\n",
               format_count(result.states).c_str());
   std::printf(
-      "algorithm: ParaMount(%s, %zu workers, %s order%s, chunk %zu, %s), "
-      "%s\n",
+      "algorithm: ParaMount(%s, %zu workers, %s order%s, chunk %zu), %s\n",
       to_string(options.subroutine), options.num_workers,
       to_string(options.topo_policy), streaming ? ", streaming" : "",
-      options.chunk_size, options.steal ? "steal" : "no-steal",
-      format_seconds(elapsed).c_str());
+      options.chunk_size, format_seconds(elapsed).c_str());
 
   if constexpr (obs::kTelemetryEnabled) {
     print_telemetry_summary(telemetry, elapsed);
@@ -224,13 +221,6 @@ int run_online(const CliFlags& flags) {
   sp.sync_probability = flags.get_double("sync-prob");
   sp.seed = static_cast<std::uint64_t>(flags.get_int_in_range(
       "seed", 0, std::numeric_limits<std::int64_t>::max()));
-  const std::string backend_name = flags.get_string("clock-backend");
-  if (!parse_clock_backend(backend_name, &sp.clock_backend)) {
-    std::fprintf(stderr,
-                 "error: unknown --clock-backend '%s' (flat | tree | epoch)\n",
-                 backend_name.c_str());
-    return 2;
-  }
   const auto total_events = static_cast<std::uint64_t>(
       flags.get_int_in_range("stream-events", 1, std::int64_t{1} << 40));
 
@@ -259,10 +249,9 @@ int run_online(const CliFlags& flags) {
   options.telemetry = &telemetry;
 
   std::printf("online stream: %zu threads, %zu locks, %s events, "
-              "sync-prob %.2f, clock-backend %s, %s\n",
+              "sync-prob %.2f, %s\n",
               sp.num_threads, sp.num_locks,
               format_count(total_events).c_str(), sp.sync_probability,
-              clock_backend_name(sp.clock_backend),
               wp.enabled()
                   ? ("window GC on (gc-every " + std::to_string(wp.gc_every) +
                      ", window-bytes " + std::to_string(wp.window_bytes) + ")")
@@ -418,9 +407,6 @@ int main(int argc, char** argv) {
                    "interleave | thread-major | random");
   flags.add_int("workers", 4, "ParaMount workers for count mode");
   flags.add_int("chunk", 1, "count mode: intervals claimed per queue visit");
-  flags.add_bool("steal", true,
-                 "count mode: work-stealing scheduler (--no-steal = "
-                 "PR-1 shared counter/cursor, for A/B benching)");
   flags.add_bool("streaming", false,
                  "count mode: use the streaming driver (real queue waits)");
   flags.add_string("metrics-json", "",
@@ -449,9 +435,6 @@ int main(int argc, char** argv) {
                    "(e.g. 64M; empty = no byte trigger)");
   flags.add_int("rss-budget-mb", 0,
                 "online mode: exit 1 if peak RSS exceeds this (0 = off)");
-  flags.add_string("clock-backend", "flat",
-                   "online mode: clock representation rolling the stream "
-                   "(flat | tree | epoch); state counts are identical");
   if (!flags.parse(argc, argv)) return 0;
 
   const std::string mode = flags.get_string("mode");

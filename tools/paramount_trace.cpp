@@ -110,9 +110,6 @@ int run_gen(int argc, char** argv) {
   flags.add_int("threads", 8, "scenario threads");
   flags.add_int("events", 20000, "events to generate");
   flags.add_int("seed", 42, "scenario seed");
-  flags.add_string("clock-backend", "flat",
-                   "clock representation rolling the stream (flat | tree | "
-                   "epoch); the .pmt bytes are identical across backends");
   flags.add_string("out", "", "output .pmt path (single scenario)");
   flags.add_string("out-dir", "",
                    "output directory (required for --scenario=all; files "
@@ -127,13 +124,6 @@ int run_gen(int argc, char** argv) {
       flags.get_int_in_range("events", 1, std::int64_t{1} << 40));
   params.seed = static_cast<std::uint64_t>(flags.get_int_in_range(
       "seed", 0, std::numeric_limits<std::int64_t>::max()));
-  const std::string backend_name = flags.get_string("clock-backend");
-  if (!parse_clock_backend(backend_name, &params.clock_backend)) {
-    std::fprintf(stderr,
-                 "error: unknown --clock-backend '%s' (flat | tree | epoch)\n",
-                 backend_name.c_str());
-    return 2;
-  }
   trace::TraceWriter::Options options;
   options.events_per_chunk = static_cast<std::uint32_t>(
       flags.get_int_in_range("events-per-chunk", 1, 1 << 22));
