@@ -49,7 +49,8 @@ int main(int argc, char** argv) {
   std::fputs(table.render().c_str(), stdout);
   std::printf(
       "\nExpected: identical state counts (Theorem 2 holds for any bounded\n"
-      "subroutine); the lexical subroutine wins on both time and memory —\n"
-      "BFS/DFS pay for per-interval visited sets.\n");
+      "subroutine); the lexical subroutine wins on time, and its working\n"
+      "set is fixed (inline up to 16 threads) while BFS/DFS pay for\n"
+      "per-interval visited sets that grow with the widest interval.\n");
   return 0;
 }

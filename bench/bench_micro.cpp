@@ -1,7 +1,7 @@
 // Micro benchmarks (google-benchmark) for the hot primitives underneath the
-// enumeration stack: vector-clock operations, the lexical successor step,
-// BFS level expansion, interval computation, topological sorting, the
-// concurrent containers, and the telemetry hot path.
+// enumeration stack: vector-clock operations, bounded lexical enumeration of
+// interval boxes, BFS level expansion, interval computation, topological
+// sorting, the concurrent containers, and the telemetry hot path.
 //
 // Telemetry overhead acceptance: compare BM_ParamountDriver against
 // BM_ParamountDriverTelemetry in a default build, or rebuild with
@@ -16,10 +16,12 @@
 #include "enumeration/lexical_enumerator.hpp"
 #include "obs/telemetry.hpp"
 #include "poset/lattice.hpp"
+#include "poset/poset_builder.hpp"
 #include "poset/topo_sort.hpp"
 #include "util/stable_vector.hpp"
 #include "workloads/event_stream.hpp"
 #include "workloads/random_poset.hpp"
+#include "workloads/scenarios/scenarios.hpp"
 
 namespace paramount {
 namespace {
@@ -58,18 +60,35 @@ void BM_VectorClockLeq(benchmark::State& state) {
 }
 BENCHMARK(BM_VectorClockLeq)->Arg(4)->Arg(10)->Arg(32);
 
-void BM_LexicalSuccessor(benchmark::State& state) {
-  const Poset poset = bench_poset(10, 48);
-  const Frontier lo = poset.empty_frontier();
-  const Frontier hi = poset.full_frontier();
-  Frontier cursor = lo;
-  for (auto _ : state) {
-    if (!lexical_successor(poset, lo, hi, cursor)) cursor = lo;
-    benchmark::DoNotOptimize(cursor);
+// The shape ParaMount runs: every interval box of a 6-thread hot-var stream
+// (perfbench's offline-hotvar draws its segments from the same scenario),
+// in the stream's own →p order, with a no-op visitor.
+void BM_LexicalIntervalBoxes(benchmark::State& state) {
+  std::unique_ptr<ScenarioStream> stream =
+      make_scenario("hot-var", ScenarioParams{6, 200, 1});
+  PosetBuilder builder(6);
+  std::vector<EventId> order;
+  trace::TraceEvent ev;
+  while (stream->next(&ev)) {
+    order.push_back(
+        builder.add_event_with_clock(ev.tid, ev.kind, ev.object, ev.clock));
   }
-  state.SetItemsProcessed(state.iterations());
+  const Poset poset = std::move(builder).build();
+  const std::vector<Interval> intervals = compute_intervals(poset, order);
+  std::uint64_t states = 0;
+  for (auto _ : state) {
+    states = 0;
+    for (const Interval& iv : intervals) {
+      states += enumerate_lexical(poset, iv.gmin, iv.gbnd,
+                                  [](const Frontier&) {})
+                    .states;
+    }
+    benchmark::DoNotOptimize(states);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(states) *
+                          state.iterations());
 }
-BENCHMARK(BM_LexicalSuccessor);
+BENCHMARK(BM_LexicalIntervalBoxes)->Unit(benchmark::kMillisecond);
 
 void BM_LexicalFullEnumeration(benchmark::State& state) {
   const Poset poset = bench_poset(8, static_cast<std::size_t>(state.range(0)));

@@ -85,7 +85,9 @@ ParamountResult enumerate_paramount(const Poset& poset,
 // running frontier inside the critical section (P.getBoundaryGlobalState()).
 // Claimed events wait in the claimer's deque, where idle workers steal. No
 // interval table is materialized, so the total space is the poset plus the
-// order plus O(n) per worker — the complexity the paper states in §3.4.
+// order plus one subroutine working set per worker. The paper states O(n)
+// per worker in §3.4; the lexical subroutine's closure stack makes it O(n²)
+// words (DESIGN.md §5, substitution 8).
 ParamountResult enumerate_paramount_streaming(
     const Poset& poset, const std::vector<EventId>& order,
     const ParamountOptions& options, StateVisitor visit);

@@ -34,7 +34,7 @@ struct EnumStats {
 // the subroutine.
 enum class EnumAlgorithm {
   kBfs,      // Cooper-Marzullo breadth-first [6], dedup'd to exactly-once
-  kLexical,  // Ganter/Garg lexical order [11,12], stateless
+  kLexical,  // Ganter/Garg lexical order [11,12], O(n²) closure rows
   kDfs,      // depth-first with a global visited set (extra oracle)
 };
 
