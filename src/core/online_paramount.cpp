@@ -125,6 +125,8 @@ void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins,
     visit_(poset_, ins.id, ins.gmin);
     ++states;
   } else {
+    // The lambda is compiled into the subroutine; visit_ remains one
+    // std::function call per state.
     states += enumerate_box(options_.subroutine, poset_, ins.gmin, ins.gbnd,
                             [&](const Frontier& state) {
                               visit_(poset_, ins.id, state);

@@ -13,14 +13,6 @@
 
 namespace paramount {
 
-ParamountResult enumerate_paramount(const Poset& poset,
-                                    const ParamountOptions& options,
-                                    StateVisitor visit) {
-  const std::vector<Interval> intervals =
-      compute_intervals(poset, options.topo_policy, options.seed);
-  return enumerate_paramount(poset, intervals, options, visit);
-}
-
 namespace {
 
 // Per-interval instrumentation shared by the offline drivers: an "interval"
@@ -95,20 +87,22 @@ void run_workers(std::size_t num_workers, const Worker& worker) {
 
 }  // namespace
 
-ParamountResult enumerate_paramount(const Poset& poset,
-                                    const std::vector<Interval>& intervals,
-                                    const ParamountOptions& options,
-                                    StateVisitor visit) {
+namespace detail {
+
+ParamountResult run_paramount(const Poset& poset,
+                              const std::vector<Interval>& intervals,
+                              const ParamountOptions& options,
+                              BoxEnumerator enumerate) {
   PM_CHECK(options.num_workers > 0);
   obs::Telemetry* const tel = options.telemetry;
   PM_CHECK_MSG(tel == nullptr || tel->num_shards() >= options.num_workers,
                "telemetry needs one shard per ParaMount worker");
   ParamountResult result;
+  const Frontier empty = poset.empty_frontier();
 
   if (intervals.empty()) {
     // An empty poset has exactly one consistent state: the empty frontier.
-    visit(poset.empty_frontier());
-    result.states = 1;
+    result.states = enumerate(empty, empty).states;
     return result;
   }
   if (options.collect_interval_stats) {
@@ -129,13 +123,8 @@ ParamountResult enumerate_paramount(const Poset& poset,
     std::uint64_t states = 0;
     // The empty state {0,…,0} belongs to no interval; the paper assigns it
     // to the first event of →p (Figure 6a).
-    if (i == 0) {
-      visit(poset.empty_frontier());
-      ++states;
-    }
-    const EnumStats stats = enumerate_box(options.subroutine, poset, iv.gmin,
-                                          iv.gbnd, visit, options.meter);
-    states += stats.states;
+    if (i == 0) states += enumerate(empty, empty).states;
+    states += enumerate(iv.gmin, iv.gbnd).states;
     // relaxed: monotone counter; the final load happens after the workers
     // join, which orders every contribution.
     total_states.fetch_add(states, std::memory_order_relaxed);
@@ -213,9 +202,10 @@ ParamountResult enumerate_paramount(const Poset& poset,
   return result;
 }
 
-ParamountResult enumerate_paramount_streaming(
-    const Poset& poset, const std::vector<EventId>& order,
-    const ParamountOptions& options, StateVisitor visit) {
+ParamountResult run_paramount_streaming(const Poset& poset,
+                                        const std::vector<EventId>& order,
+                                        const ParamountOptions& options,
+                                        BoxEnumerator enumerate) {
   PM_CHECK(options.num_workers > 0);
   PM_CHECK_MSG(is_linear_extension(poset, order),
                "streaming ParaMount requires a linear extension");
@@ -223,10 +213,10 @@ ParamountResult enumerate_paramount_streaming(
   PM_CHECK_MSG(tel == nullptr || tel->num_shards() >= options.num_workers,
                "telemetry needs one shard per ParaMount worker");
   ParamountResult result;
+  const Frontier empty = poset.empty_frontier();
 
   if (order.empty()) {
-    visit(poset.empty_frontier());
-    result.states = 1;
+    result.states = enumerate(empty, empty).states;
     return result;
   }
   if (options.collect_interval_stats) {
@@ -236,7 +226,7 @@ ParamountResult enumerate_paramount_streaming(
   std::atomic<std::uint64_t> total_states{0};
   Mutex cursor_mutex;
   std::size_t cursor = 0;
-  Frontier running = poset.empty_frontier();  // guarded by cursor_mutex
+  Frontier running = empty;  // guarded by cursor_mutex
   std::atomic<bool> abort_flag{false};
   Mutex error_mutex;
   std::exception_ptr first_error;
@@ -257,13 +247,8 @@ ParamountResult enumerate_paramount_streaming(
     WallTimer timer;
     const std::uint64_t start_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
     std::uint64_t states = 0;
-    if (claimed.index == 0) {
-      visit(poset.empty_frontier());
-      ++states;
-    }
-    const EnumStats stats = enumerate_box(options.subroutine, poset, gmin,
-                                          claimed.gbnd, visit, options.meter);
-    states += stats.states;
+    if (claimed.index == 0) states += enumerate(empty, empty).states;
+    states += enumerate(gmin, claimed.gbnd).states;
     // relaxed: monotone counter, read after the joins; see the offline driver.
     total_states.fetch_add(states, std::memory_order_relaxed);
     record_interval(tel, worker_index, start_ns, states);
@@ -371,4 +356,5 @@ ParamountResult enumerate_paramount_streaming(
   return result;
 }
 
+}  // namespace detail
 }  // namespace paramount

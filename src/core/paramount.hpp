@@ -19,6 +19,7 @@
 #include "enumeration/dispatch.hpp"
 #include "obs/telemetry.hpp"
 #include "poset/topo_sort.hpp"
+#include "util/function_ref.hpp"
 
 namespace paramount {
 
@@ -65,20 +66,68 @@ struct ParamountResult {
   std::vector<IntervalStat> interval_stats;  // empty unless requested
 };
 
-// Enumerates every consistent global state of `poset` exactly once, calling
-// `visit` from up to `num_workers` threads concurrently. The visitor must be
-// thread-safe. Throws MemoryBudgetExceeded if the meter's budget is crossed
-// by any worker.
-ParamountResult enumerate_paramount(const Poset& poset,
-                                    const ParamountOptions& options,
-                                    StateVisitor visit);
+namespace detail {
 
-// Variant over a precomputed interval partition (the benches reuse one
-// partition across worker-count sweeps so the →p order is held fixed).
+// Enumerates one box [lo, hi] with the caller's visitor and returns its
+// stats: the one type-erased call the drivers make per interval. The empty
+// state goes through it too, as the box [∅, ∅], which holds that state alone.
+using BoxEnumerator =
+    FunctionRef<EnumStats(const Frontier& lo, const Frontier& hi)>;
+
+// The driver cores (paramount.cpp): scheduling, stealing, telemetry and error
+// handling, with every box enumerated through `enumerate`.
+ParamountResult run_paramount(const Poset& poset,
+                              const std::vector<Interval>& intervals,
+                              const ParamountOptions& options,
+                              BoxEnumerator enumerate);
+ParamountResult run_paramount_streaming(const Poset& poset,
+                                        const std::vector<EventId>& order,
+                                        const ParamountOptions& options,
+                                        BoxEnumerator enumerate);
+
+// Runs options.subroutine over a box with `visit`, charging options.meter.
+// The visitor is compiled into the subroutine and invoked in place.
+template <typename Visit>
+auto box_enumerator(const Poset& poset, const ParamountOptions& options,
+                    Visit& visit) {
+  return [&poset, &options, &visit](const Frontier& lo, const Frontier& hi) {
+    return enumerate_box(options.subroutine, poset, lo, hi, visit,
+                         options.meter);
+  };
+}
+
+}  // namespace detail
+
+// The entry points below enumerate every consistent global state of `poset`
+// exactly once, calling `visit` from up to `num_workers` threads
+// concurrently, so the visitor must be thread-safe. They take any callable
+// invocable as visit(const Frontier&) — a lambda, mutable or not, or a
+// std::function — by forwarding reference and never copy it. The visitor is
+// compiled into the enumeration subroutine, so a state costs no indirect
+// call; the drivers erase only "enumerate this box", once per interval. They
+// rethrow the first exception any worker hit: MemoryBudgetExceeded if the
+// meter's budget was crossed, or whatever the visitor threw.
+
+// Over a precomputed interval partition (the benches reuse one partition
+// across worker-count sweeps so the →p order is held fixed).
+template <typename Visit>
 ParamountResult enumerate_paramount(const Poset& poset,
                                     const std::vector<Interval>& intervals,
                                     const ParamountOptions& options,
-                                    StateVisitor visit);
+                                    Visit&& visit) {
+  return detail::run_paramount(poset, intervals, options,
+                               detail::box_enumerator(poset, options, visit));
+}
+
+// Over the interval partition of options.topo_policy and options.seed.
+template <typename Visit>
+ParamountResult enumerate_paramount(const Poset& poset,
+                                    const ParamountOptions& options,
+                                    Visit&& visit) {
+  return enumerate_paramount(
+      poset, compute_intervals(poset, options.topo_policy, options.seed),
+      options, visit);
+}
 
 // Streaming variant — Algorithm 1's atomic block: workers pull the next
 // event of →p from a shared cursor and compute Gbnd incrementally from a
@@ -88,8 +137,13 @@ ParamountResult enumerate_paramount(const Poset& poset,
 // order plus one subroutine working set per worker. The paper states O(n)
 // per worker in §3.4; the lexical subroutine's closure stack makes it O(n²)
 // words (DESIGN.md §5, substitution 8).
-ParamountResult enumerate_paramount_streaming(
-    const Poset& poset, const std::vector<EventId>& order,
-    const ParamountOptions& options, StateVisitor visit);
+template <typename Visit>
+ParamountResult enumerate_paramount_streaming(const Poset& poset,
+                                              const std::vector<EventId>& order,
+                                              const ParamountOptions& options,
+                                              Visit&& visit) {
+  return detail::run_paramount_streaming(
+      poset, order, options, detail::box_enumerator(poset, options, visit));
+}
 
 }  // namespace paramount

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "enumeration/enumerator.hpp"
@@ -38,10 +39,11 @@ inline std::size_t frontier_store_bytes(std::size_t num_threads) {
 // breadth-first (rank) order. Preconditions: lo and hi are consistent and
 // lo ≤ hi. Throws MemoryBudgetExceeded if `meter` has a budget and the level
 // sets outgrow it.
-template <typename PosetT>
-EnumStats enumerate_bfs(const PosetT& poset, const Frontier& lo,
-                        const Frontier& hi, StateVisitor visit,
-                        MemoryMeter* meter = nullptr) {
+template <typename PosetT, typename Visit>
+[[gnu::noinline]] EnumStats enumerate_bfs(const PosetT& poset,
+                                          const Frontier& lo,
+                                          const Frontier& hi, Visit&& visit,
+                                          MemoryMeter* meter = nullptr) {
   PM_CHECK_MSG(lo.leq(hi), "enumerate_bfs: lo must be <= hi");
   PM_DCHECK(poset.is_consistent(lo));
   PM_DCHECK(poset.is_consistent(hi));
@@ -96,11 +98,11 @@ EnumStats enumerate_bfs(const PosetT& poset, const Frontier& lo,
 }
 
 // Full-poset convenience (offline Poset only: needs full_frontier()).
-template <typename PosetT>
-EnumStats enumerate_bfs(const PosetT& poset, StateVisitor visit,
+template <typename PosetT, typename Visit>
+EnumStats enumerate_bfs(const PosetT& poset, Visit&& visit,
                         MemoryMeter* meter = nullptr) {
   return enumerate_bfs(poset, poset.empty_frontier(), poset.full_frontier(),
-                       visit, meter);
+                       std::forward<Visit>(visit), meter);
 }
 
 }  // namespace paramount

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "enumeration/bfs_enumerator.hpp"
@@ -18,10 +19,11 @@ namespace paramount {
 
 // Enumerates every consistent state G with lo ≤ G ≤ hi exactly once in
 // depth-first order. Preconditions: lo and hi are consistent and lo ≤ hi.
-template <typename PosetT>
-EnumStats enumerate_dfs(const PosetT& poset, const Frontier& lo,
-                        const Frontier& hi, StateVisitor visit,
-                        MemoryMeter* meter = nullptr) {
+template <typename PosetT, typename Visit>
+[[gnu::noinline]] EnumStats enumerate_dfs(const PosetT& poset,
+                                          const Frontier& lo,
+                                          const Frontier& hi, Visit&& visit,
+                                          MemoryMeter* meter = nullptr) {
   PM_CHECK_MSG(lo.leq(hi), "enumerate_dfs: lo must be <= hi");
   PM_DCHECK(poset.is_consistent(lo));
   PM_DCHECK(poset.is_consistent(hi));
@@ -71,11 +73,11 @@ EnumStats enumerate_dfs(const PosetT& poset, const Frontier& lo,
 }
 
 // Full-poset convenience (offline Poset only: needs full_frontier()).
-template <typename PosetT>
-EnumStats enumerate_dfs(const PosetT& poset, StateVisitor visit,
+template <typename PosetT, typename Visit>
+EnumStats enumerate_dfs(const PosetT& poset, Visit&& visit,
                         MemoryMeter* meter = nullptr) {
   return enumerate_dfs(poset, poset.empty_frontier(), poset.full_frontier(),
-                       visit, meter);
+                       std::forward<Visit>(visit), meter);
 }
 
 }  // namespace paramount

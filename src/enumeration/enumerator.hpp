@@ -5,19 +5,23 @@
 // visited exactly once. Full-poset enumeration is the special case
 // lo = {0,…,0}, hi = full frontier. ParaMount's bounded subroutines (§3.2)
 // call the same entry points with lo = Gmin(e), hi = Gbnd(e).
+//
+// The visitor is a template parameter of every enumerator: any callable
+// invocable as visit(const Frontier&), taken by forwarding reference and
+// invoked in place, never copied (mutable lambdas and std::function work).
+// A caller's lambda is thus compiled into the per-state loop; the frontier
+// reference is only valid during the call. Each kernel instantiation stays
+// out of line (noinline) so it keeps its code-placement pin and does not
+// bloat its callers. ParaMount's drivers erase the visitor once per interval
+// instead (core/paramount.hpp).
 #pragma once
 
 #include <cstdint>
 
 #include "poset/poset.hpp"
-#include "util/function_ref.hpp"
 #include "util/mem_meter.hpp"
 
 namespace paramount {
-
-// Visitor invoked once per enumerated state. The frontier reference is only
-// valid during the call.
-using StateVisitor = FunctionRef<void(const Frontier&)>;
 
 struct EnumStats {
   std::uint64_t states = 0;        // states visited

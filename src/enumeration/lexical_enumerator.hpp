@@ -43,6 +43,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <utility>
 
 #include "enumeration/enumerator.hpp"
 #include "util/inlined_vector.hpp"
@@ -52,7 +54,10 @@ namespace paramount {
 // Both kernels below start on a 64-byte boundary. Where they land matters:
 // the same instructions ran 8-12% slower at offset 48 mod 64 than at 0 or
 // 32 (4-vCPU Xeon, GCC 12.2), and edits to unrelated code can move them
-// there. The pin keeps code placement out of every A/B comparison.
+// there. The pin keeps code placement out of every A/B comparison. It holds
+// only for an out-of-line copy, so enumerate_lexical is also noinline: each
+// visitor type gets its own pinned instantiation with the visitor compiled
+// into its loops, rather than being inlined, unpinned, into its caller.
 
 // Computes, in place, the lexical successor of `state` within the box
 // [lo, hi]: the lex-least consistent state strictly greater than `state`.
@@ -121,13 +126,12 @@ struct LexicalClosure {
 };
 
 // Enumerates every consistent state G with lo ≤ G ≤ hi exactly once in
-// lexical order. Preconditions: lo and hi are consistent and lo ≤ hi.
-template <typename PosetT>
-[[gnu::aligned(64)]] EnumStats enumerate_lexical(const PosetT& poset,
-                                                 const Frontier& lo,
-                                                 const Frontier& hi,
-                                                 StateVisitor visit,
-                                                 MemoryMeter* meter = nullptr) {
+// lexical order, calling visit(G) for each. Preconditions: lo and hi are
+// consistent and lo ≤ hi.
+template <typename PosetT, typename Visit>
+[[gnu::noinline, gnu::aligned(64)]] EnumStats enumerate_lexical(
+    const PosetT& poset, const Frontier& lo, const Frontier& hi,
+    Visit&& visit, MemoryMeter* meter = nullptr) {
   PM_CHECK_MSG(lo.leq(hi), "enumerate_lexical: lo must be <= hi");
   PM_DCHECK(poset.is_consistent(lo));
   PM_DCHECK(poset.is_consistent(hi));
@@ -136,9 +140,11 @@ template <typename PosetT>
   Frontier state = lo;
   LexicalClosure closure(lo);
   // The working set: the current frontier, the lo/hi bounds and the closure
-  // stack.
-  const std::uint64_t working_bytes = 3 * sizeof(Frontier) + closure.bytes();
-  if (meter != nullptr) meter->charge(working_bytes);
+  // stack. The charge is released on every exit, a throwing visitor's too.
+  std::optional<ScopedCharge> charge;
+  if (meter != nullptr) {
+    charge.emplace(*meter, 3 * sizeof(Frontier) + closure.bytes());
+  }
   // The always-on corruption check lives *outside* the per-state loops (the
   // lint's hot-loop-check rule): a missing successor can only mean the box
   // invariant broke, and that is just as detectable after the loops exit.
@@ -197,19 +203,17 @@ template <typename PosetT>
   PM_CHECK_MSG(reached_hi,
                "hi is the lex-greatest in-box state; successors must chain "
                "from lo to hi");
-  if (meter != nullptr) {
-    meter->release(working_bytes);
-    stats.peak_bytes = meter->peak_bytes();
-  }
+  if (meter != nullptr) stats.peak_bytes = meter->peak_bytes();
   return stats;
 }
 
 // Full-poset convenience (offline Poset only: needs full_frontier()).
-template <typename PosetT>
-EnumStats enumerate_lexical(const PosetT& poset, StateVisitor visit,
+template <typename PosetT, typename Visit>
+EnumStats enumerate_lexical(const PosetT& poset, Visit&& visit,
                             MemoryMeter* meter = nullptr) {
   return enumerate_lexical(poset, poset.empty_frontier(),
-                           poset.full_frontier(), visit, meter);
+                           poset.full_frontier(), std::forward<Visit>(visit),
+                           meter);
 }
 
 }  // namespace paramount

@@ -1,10 +1,13 @@
 // FunctionRef<Sig>: non-owning, trivially copyable callable reference.
 //
-// The enumerators invoke a visitor once per global state — up to hundreds of
-// millions of calls per run — so the type-erased callable must be as cheap as
-// an indirect call with no allocation (std::function may allocate and is
-// slower to invoke). The referenced callable must outlive the FunctionRef;
-// all uses in this codebase pass stack lambdas downward.
+// Type erasure for callables that cross a non-template boundary, at the
+// cost of one indirect call and no allocation (std::function may allocate
+// and is slower to invoke). The enumerators never erase their visitor: it
+// is a template parameter, compiled into the per-state loop. ParaMount's
+// offline drivers erase "enumerate this box" once per interval
+// (core/paramount.hpp), and the predicate detectors take their predicates
+// this way. The referenced callable must outlive the FunctionRef; all uses
+// in this codebase pass stack lambdas downward.
 #pragma once
 
 #include <type_traits>

@@ -4,6 +4,9 @@
 // behaviour, and the visit order and clock-read cost of the lexical run loop.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+
 #include "core/interval.hpp"
 #include "enumeration/bfs_enumerator.hpp"
 #include "enumeration/dfs_enumerator.hpp"
@@ -21,6 +24,7 @@ using testing::all_distinct;
 using testing::as_set;
 using testing::collect_all;
 using testing::collect_box;
+using testing::counting_visitor;
 using testing::key_of;
 using testing::make_antichain;
 using testing::make_chain;
@@ -237,6 +241,24 @@ TEST(Enumerators, LexicalUsesConstantMemory) {
   EXPECT_EQ(narrow.peak_bytes, wide.peak_bytes);
 }
 
+// A visitor that throws must not leak the working set it was charged for.
+TEST(Enumerators, ThrowingVisitorReleasesTheMeter) {
+  const Poset poset = make_random(3, 12, 0.3, 4);
+  for (const auto algorithm : kAll) {
+    MemoryMeter meter;
+    std::uint64_t visits = 0;
+    const auto throw_at_third = [&](const Frontier&) {
+      if (++visits == 3) throw std::runtime_error("visitor failed");
+    };
+    EXPECT_THROW(enumerate_all(algorithm, poset, throw_at_third, &meter),
+                 std::runtime_error)
+        << to_string(algorithm);
+    EXPECT_EQ(visits, 3u) << to_string(algorithm);
+    EXPECT_GT(meter.peak_bytes(), 0u) << to_string(algorithm);
+    EXPECT_EQ(meter.current_bytes(), 0u) << to_string(algorithm);
+  }
+}
+
 TEST(Enumerators, BfsPeakMemoryTracksLatticeWidth) {
   MemoryMeter narrow_meter, wide_meter;
   enumerate_bfs(make_chain(64), [](const Frontier&) {}, &narrow_meter);
@@ -252,6 +274,45 @@ TEST(Enumerators, StatsCountMatchesOracle) {
     const EnumStats stats =
         enumerate_all(algorithm, poset, [](const Frontier&) {});
     EXPECT_EQ(stats.states, expected) << to_string(algorithm);
+  }
+}
+
+// ---- the visitor surface ----
+
+// Every interval box of a random poset, through enumerate_box with each
+// algorithm: a mutable lambda passed as an lvalue and a std::function visit
+// exactly the plain lambda's sequence.
+TEST(EnumeratorVisitors, MutableLambdaAndStdFunctionMatchPlainLambda) {
+  const Poset poset = make_random(4, 24, 0.4, 9);
+  const std::vector<Interval> intervals =
+      compute_intervals(poset, TopoPolicy::kInterleave);
+  for (const auto algorithm : kAll) {
+    std::vector<Key> expected;
+    for (const Interval& iv : intervals) {
+      const std::vector<Key> box =
+          collect_box(algorithm, poset, iv.gmin, iv.gbnd);
+      expected.insert(expected.end(), box.begin(), box.end());
+    }
+    ASSERT_GT(expected.size(), intervals.size()) << to_string(algorithm);
+
+    std::vector<Key> seen;
+    auto counting = counting_visitor(seen);
+    std::uint64_t states = 0;
+    for (const Interval& iv : intervals) {
+      states +=
+          enumerate_box(algorithm, poset, iv.gmin, iv.gbnd, counting).states;
+    }
+    EXPECT_EQ(counting(), states) << to_string(algorithm);
+    EXPECT_EQ(seen, expected) << to_string(algorithm);
+
+    std::vector<Key> via_function;
+    std::function<void(const Frontier&)> function = [&](const Frontier& f) {
+      via_function.push_back(key_of(f));
+    };
+    for (const Interval& iv : intervals) {
+      enumerate_box(algorithm, poset, iv.gmin, iv.gbnd, function);
+    }
+    EXPECT_EQ(via_function, expected) << to_string(algorithm);
   }
 }
 

@@ -45,6 +45,18 @@ inline std::vector<Key> collect_all(EnumAlgorithm algorithm,
                      poset.full_frontier());
 }
 
+// A mutable lambda that owns its count: called with a state it records the
+// state and counts it, called with nothing it returns the count. Only the
+// object the caller holds is read afterwards, so a count equal to the states
+// visited shows the enumerator invoked it in place rather than a copy.
+inline auto counting_visitor(std::vector<Key>& seen) {
+  return [&seen, count = std::uint64_t{0}](const auto&... state) mutable {
+    (seen.push_back(key_of(state)), ...);
+    count += sizeof...(state);
+    return count;
+  };
+}
+
 // True iff the sequence has no duplicate entries.
 inline bool all_distinct(std::vector<Key> keys) {
   std::sort(keys.begin(), keys.end());

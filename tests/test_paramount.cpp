@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "core/schedule_sim.hpp"
 #include "enumeration/bfs_enumerator.hpp"
@@ -23,6 +25,7 @@ namespace {
 
 using testing::all_distinct;
 using testing::as_set;
+using testing::counting_visitor;
 using testing::key_of;
 using testing::make_antichain;
 using testing::make_chain;
@@ -505,6 +508,27 @@ TEST(Paramount, MemoryBudgetPropagatesAsOom) {
       MemoryBudgetExceeded);
 }
 
+// A visitor that throws mid-run must not leave the workers' working sets
+// charged to the shared meter.
+TEST(Paramount, ThrowingVisitorReleasesTheSharedMeter) {
+  const Poset poset = make_random(3, 12, 0.3, 4);
+  MemoryMeter meter;
+  ParamountOptions options;
+  options.num_workers = 2;
+  options.meter = &meter;
+  std::atomic<std::uint64_t> visits{0};
+  EXPECT_THROW(enumerate_paramount(poset, options,
+                                   [&](const Frontier&) {
+                                     if (++visits == 3) {
+                                       throw std::runtime_error("visitor");
+                                     }
+                                   }),
+               std::runtime_error);
+  EXPECT_GE(visits.load(), 3u);
+  EXPECT_GT(meter.peak_bytes(), 0u);
+  EXPECT_EQ(meter.current_bytes(), 0u);
+}
+
 TEST(Paramount, PartitioningShrinksBfsPeakMemory) {
   // The Table-1 effect: bounded BFS over many small intervals needs far less
   // level memory than one BFS over the whole lattice. On a connected random
@@ -527,6 +551,54 @@ TEST(Paramount, PartitioningShrinksBfsPeakMemory) {
   options.meter = &para_anti;
   enumerate_paramount(antichain, options, [](const Frontier&) {});
   EXPECT_LT(para_anti.peak_bytes(), full_anti.peak_bytes());
+}
+
+// ---- the visitor surface ----
+
+// Runs the offline or the streaming driver at one worker, forwarding the
+// visitor exactly as the caller passed it.
+template <typename Visit>
+ParamountResult run_driver(bool streaming, const Poset& poset,
+                           const std::vector<EventId>& order, Visit&& visit) {
+  const ParamountOptions options;  // one worker: a fixed visit order
+  return streaming ? enumerate_paramount_streaming(
+                         poset, order, options, std::forward<Visit>(visit))
+                   : enumerate_paramount(poset, options,
+                                         std::forward<Visit>(visit));
+}
+
+// Both drivers take a mutable lambda as an lvalue and invoke it in place —
+// its own count, read afterwards, equals `states` — and a std::function;
+// both visit exactly the plain lambda's sequence.
+TEST(ParamountVisitors, MutableLambdaAndStdFunctionMatchPlainLambda) {
+  const Poset poset = make_random(4, 24, 0.4, 9);
+  const std::vector<EventId> order =
+      topological_sort(poset, TopoPolicy::kInterleave);
+  for (const bool streaming : {false, true}) {
+    const char* const driver = streaming ? "streaming" : "offline";
+    std::vector<Key> expected;
+    const ParamountResult plain =
+        run_driver(streaming, poset, order,
+                   [&](const Frontier& f) { expected.push_back(key_of(f)); });
+    EXPECT_EQ(plain.states, count_ideals(poset).value()) << driver;
+    ASSERT_EQ(expected.size(), plain.states) << driver;
+
+    std::vector<Key> seen;
+    auto counting = counting_visitor(seen);
+    const ParamountResult mutable_result =
+        run_driver(streaming, poset, order, counting);
+    EXPECT_EQ(counting(), mutable_result.states) << driver;
+    EXPECT_EQ(seen, expected) << driver;
+
+    std::vector<Key> via_function;
+    std::function<void(const Frontier&)> function = [&](const Frontier& f) {
+      via_function.push_back(key_of(f));
+    };
+    EXPECT_EQ(run_driver(streaming, poset, order, function).states,
+              plain.states)
+        << driver;
+    EXPECT_EQ(via_function, expected) << driver;
+  }
 }
 
 // ---- schedule simulator ----

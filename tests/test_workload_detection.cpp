@@ -11,9 +11,12 @@
 // single false positive is a soundness bug.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "poset/lattice.hpp"
 #include "test_helpers.hpp"
 #include "workloads/harness.hpp"
+#include "workloads/scenarios/scenarios.hpp"
 
 namespace paramount {
 namespace {
@@ -100,6 +103,120 @@ std::set<VarId> racy_vars(const RaceReport& report) {
   return vars;
 }
 
+// ---- the race-set oracle, from the definition ----
+//
+// A variable is racy iff two collection events on different threads are
+// concurrent (neither clock is componentwise <= the other) and hold a
+// conflicting access pair: the same variable, at least one write, neither
+// an initialization write. This is exact for the detectors: Gmin(e) ⊔
+// Gmin(f) is a consistent state with both events on its frontier. The
+// oracle compares every pair of collection events, O(E²), so it suits small
+// inputs only. It shares no code with check_races, accesses_conflict,
+// VectorClock::leq or RaceReport: it copies each clock into a plain vector,
+// compares clocks itself and restates the conflict rule.
+struct OracleAccess {
+  VarId var;
+  bool is_write;
+  bool is_init;
+};
+
+struct OracleEvent {
+  ThreadId tid;
+  std::vector<std::uint32_t> clock;
+  std::vector<OracleAccess> accesses;
+};
+
+bool clock_le(const std::vector<std::uint32_t>& a,
+              const std::vector<std::uint32_t>& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i] > b[i]) return false;
+  }
+  return true;
+}
+
+std::set<VarId> oracle_racy_vars(const std::vector<OracleEvent>& events) {
+  std::set<VarId> racy;
+  for (std::size_t x = 0; x < events.size(); ++x) {
+    for (std::size_t y = x + 1; y < events.size(); ++y) {
+      const OracleEvent& e = events[x];
+      const OracleEvent& f = events[y];
+      if (e.tid == f.tid || clock_le(e.clock, f.clock) ||
+          clock_le(f.clock, e.clock)) {
+        continue;
+      }
+      for (const OracleAccess& a : e.accesses) {
+        for (const OracleAccess& b : f.accesses) {
+          if (a.var == b.var && (a.is_write || b.is_write) && !a.is_init &&
+              !b.is_init) {
+            racy.insert(a.var);
+          }
+        }
+      }
+    }
+  }
+  return racy;
+}
+
+std::vector<std::uint32_t> plain_clock(const VectorClock& clock) {
+  std::vector<std::uint32_t> out(clock.size());
+  for (std::size_t i = 0; i < clock.size(); ++i) out[i] = clock[i];
+  return out;
+}
+
+// The collection events of a recorded poset, with their access sets.
+std::vector<OracleEvent> oracle_events(const Poset& poset,
+                                       const AccessTable& table) {
+  std::vector<OracleEvent> events;
+  for (ThreadId t = 0; t < poset.num_threads(); ++t) {
+    for (EventIndex i = 1; i <= poset.num_events(t); ++i) {
+      const Event& e = poset.event(t, i);
+      if (e.kind != OpKind::kCollection) continue;
+      OracleEvent ev{t, plain_clock(e.vc), {}};
+      for (const Access& a : table.get(t, e.object)) {
+        ev.accesses.push_back({a.var, a.is_write, a.is_init});
+      }
+      events.push_back(std::move(ev));
+    }
+  }
+  return events;
+}
+
+// Feeds the events of `poset` in the →p order `order` to an inline and a
+// pooled detector, runs the offline BFS detector over the whole lattice, and
+// expects all three racy-variable sets to equal the oracle's. Both online
+// detectors must also count every consistent state and release every pin.
+void expect_detectors_match_oracle(const Poset& poset,
+                                   const std::vector<EventId>& order,
+                                   const AccessTable& table,
+                                   const std::set<VarId>& oracle) {
+  const std::size_t threads = poset.num_threads();
+  OnlineRaceDetector inline_detector(threads, {});
+  OnlineRaceDetector::Options pooled_options;
+  pooled_options.async_workers = 3;
+  pooled_options.window_policy.gc_every = 64;
+  OnlineRaceDetector pooled_detector(threads, std::move(pooled_options));
+  for (OnlineRaceDetector* detector : {&inline_detector, &pooled_detector}) {
+    detector->attach(table);
+    for (const EventId id : order) {
+      const Event& e = poset.event(id);
+      detector->on_event(id.tid, e.kind, e.object, e.vc);
+    }
+    detector->drain();
+  }
+  RaceReport offline_report;
+  EXPECT_FALSE(
+      detect_races_offline_bfs(poset, table, offline_report).out_of_memory);
+  const auto ideals = count_ideals(poset);
+  ASSERT_TRUE(ideals.has_value());
+  EXPECT_EQ(inline_detector.states_enumerated(), *ideals);
+  EXPECT_EQ(pooled_detector.states_enumerated(), *ideals);
+  EXPECT_EQ(racy_vars(inline_detector.report()), oracle);
+  EXPECT_EQ(racy_vars(pooled_detector.report()), oracle);
+  EXPECT_EQ(racy_vars(offline_report), oracle);
+  EXPECT_EQ(inline_detector.poset().outstanding_pins(), 0u);
+  EXPECT_EQ(pooled_detector.poset().outstanding_pins(), 0u);
+}
+
 // One fixed recording per program, replayed through an inline and a pooled
 // detector. These programs mix single-state intervals (which the pooled
 // driver runs on the submitting thread) with multi-state ones (which it
@@ -110,28 +227,10 @@ TEST_P(RecordedProgram, PooledDetectorMatchesInline) {
   const TracedProgramSpec& spec = traced_program(GetParam());
   const RecordedTrace trace = record_program_scheduled(
       spec, kScale, /*record_sync_events=*/false, Policy::kChunked, 1);
-  const std::size_t threads = trace.poset.num_threads();
-  OnlineRaceDetector inline_detector(threads, {});
-  OnlineRaceDetector::Options pooled_options;
-  pooled_options.async_workers = 3;
-  pooled_options.window_policy.gc_every = 64;
-  OnlineRaceDetector pooled_detector(threads, std::move(pooled_options));
-  for (OnlineRaceDetector* detector : {&inline_detector, &pooled_detector}) {
-    detector->attach(trace.runtime->access_table());
-    for (const EventId id : trace.order) {
-      const Event& e = trace.poset.event(id);
-      detector->on_event(id.tid, e.kind, e.object, e.vc);
-    }
-    detector->drain();
-  }
-  const auto ideals = count_ideals(trace.poset);
-  ASSERT_TRUE(ideals.has_value());
-  EXPECT_EQ(inline_detector.states_enumerated(), *ideals);
-  EXPECT_EQ(pooled_detector.states_enumerated(), *ideals);
-  EXPECT_EQ(racy_vars(pooled_detector.report()),
-            racy_vars(inline_detector.report()));
-  EXPECT_EQ(inline_detector.poset().outstanding_pins(), 0u);
-  EXPECT_EQ(pooled_detector.poset().outstanding_pins(), 0u);
+  const AccessTable& table = trace.runtime->access_table();
+  expect_detectors_match_oracle(
+      trace.poset, trace.order, table,
+      oracle_racy_vars(oracle_events(trace.poset, table)));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPrograms, RecordedProgram,
@@ -140,6 +239,57 @@ INSTANTIATE_TEST_SUITE_P(AllPrograms, RecordedProgram,
                                            "arraylist2", "sor", "elevator",
                                            "tsp", "raytracer", "hedc",
                                            "moldyn", "montecarlo"));
+
+// Small hot-var streams: skewed traffic on one hot variable plus 63 cold
+// ones, with initialization writes. The oracle reads the stream's own clocks
+// and access lists; the detectors read the poset and an AccessTable built
+// from them.
+class HotVarStream
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t,
+                                                 std::uint64_t>> {};
+
+TEST_P(HotVarStream, DetectorsMatchRaceOracle) {
+  const auto [threads, events, seed] = GetParam();
+  std::unique_ptr<ScenarioStream> stream =
+      make_scenario("hot-var", ScenarioParams{threads, events, seed});
+  ASSERT_NE(stream, nullptr);
+  PosetBuilder builder(threads);
+  AccessTable table(threads);
+  std::vector<EventId> order;
+  std::vector<OracleEvent> oracle_input;
+  trace::TraceEvent ev;
+  while (stream->next(&ev)) {
+    std::uint32_t object = ev.object;
+    if (ev.kind == OpKind::kCollection) {
+      AccessSet set;
+      OracleEvent oracle_event{ev.tid, plain_clock(ev.clock), {}};
+      for (const trace::TraceAccess& a : ev.accesses) {
+        set.merge(a.var, a.is_write, a.is_init);
+        oracle_event.accesses.push_back({a.var, a.is_write, a.is_init});
+      }
+      object = table.append(ev.tid, std::move(set));
+      oracle_input.push_back(std::move(oracle_event));
+    }
+    order.push_back(
+        builder.add_event_with_clock(ev.tid, ev.kind, object, ev.clock));
+  }
+  const Poset poset = std::move(builder).build();
+  const std::set<VarId> oracle = oracle_racy_vars(oracle_input);
+  EXPECT_FALSE(oracle.empty()) << "the hot variable never raced";
+  expect_detectors_match_oracle(poset, order, table, oracle);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Small, HotVarStream,
+    ::testing::Values(std::make_tuple(3u, 60u, 1u),
+                      std::make_tuple(4u, 60u, 7u),
+                      std::make_tuple(4u, 80u, 42u),
+                      std::make_tuple(6u, 48u, 3u)),
+    [](const auto& info) {
+      return "t" + std::to_string(std::get<0>(info.param)) + "_e" +
+             std::to_string(std::get<1>(info.param)) + "_s" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 TEST(Table2Nuance, FastTrackReportsBenignInitOnCorrectSet) {
   // The paper's set(correct) row: FastTrack reports the initialization
