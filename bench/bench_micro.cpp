@@ -160,7 +160,7 @@ void BM_StableVectorReleasePrefix(benchmark::State& state) {
   // Append-and-release in a steady-state window: the cost the sliding-window
   // GC pays per event once a long run reaches its resident plateau.
   for (auto _ : state) {
-    StableVector<std::uint64_t, 64, 256> v;
+    StableVector<std::uint64_t, 2048> v;  // 256-row segments
     for (std::uint64_t i = 0; i < 16384; ++i) {
       v.push_back(i);
       if ((i & 1023) == 1023) v.release_prefix(i - 512);

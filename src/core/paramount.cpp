@@ -266,8 +266,8 @@ ParamountResult run_paramount_streaming(const Poset& poset,
   };
 
   // The paper's atomic block (advance the cursor, snapshot the running Gbnd
-  // frontier) is the only code under the cursor lock; claimed batches go
-  // into the claimer's own deque, so a worker revisits the lock once per
+  // frontier) runs under the cursor lock, which also queues the claimed
+  // batch in the claimer's own deque; a worker revisits the lock once per
   // `chunk` events and idle workers pull from their siblings instead of
   // convoying on the mutex.
   WorkStealingScheduler<Claimed*> scheduler(options.num_workers, options.seed);
@@ -275,6 +275,7 @@ ParamountResult run_paramount_streaming(const Poset& poset,
     try {
       std::vector<Claimed*> batch;
       batch.reserve(chunk);
+      bool cursor_exhausted = false;
       // relaxed: advisory stop flag, see fail().
       while (!abort_flag.load(std::memory_order_relaxed)) {
         const std::uint64_t seek_ns =
@@ -305,11 +306,22 @@ ParamountResult run_paramount_streaming(const Poset& poset,
                 batch.push_back(new Claimed{i, id, running, seek_ns});
               }
               snapshot_done_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
+              // Queue the batch tail before the lock drops, so a sibling
+              // that finds the cursor exhausted can no longer miss it.
+              for (std::size_t k = 1; k < batch.size(); ++k) {
+                scheduler.push(worker_index, batch[k]);
+              }
             }
-            // Cursor exhausted after a failed sweep: retire. The only
-            // remaining items sit in deques whose owners drain them; zero
-            // this worker's gauge so the exit doesn't leave a stale depth.
             if (batch.empty()) {
+              // Cursor exhausted: every claimed tail is queued by now, and
+              // nothing is pushed any more. Sweep once more before retiring
+              // — the failed sweep above may predate the last claimer's
+              // pushes — so no tail is left to its claimer alone. Zero
+              // this worker's gauge so the exit doesn't leave a stale depth.
+              if (!cursor_exhausted) {
+                cursor_exhausted = true;
+                continue;
+              }
               sample_queue_depth(tel, scheduler, worker_index);
               return;
             }
@@ -321,9 +333,6 @@ ParamountResult run_paramount_streaming(const Poset& poset,
                                    "events", batch.size());
             }
             item = batch.front();
-            for (std::size_t k = 1; k < batch.size(); ++k) {
-              scheduler.push(worker_index, batch[k]);
-            }
           }
         }
         sample_queue_depth(tel, scheduler, worker_index);

@@ -16,6 +16,8 @@
 // keep the most recent window of activity. Either way the lost span is
 // counted in dropped() — and mirrored into a metrics counter when
 // set_drop_counter() is wired — so a truncated trace never looks complete.
+// A capacity of 0 turns recording off: record() keeps nothing and counts
+// nothing as dropped (daemon sessions, which export only metrics).
 #pragma once
 
 #include <chrono>
@@ -83,6 +85,7 @@ class SpanTracer {
     PM_DCHECK(shard < shards_.size());
     ShardBuffer& buf = shards_[shard];
     if (buf.events.size() >= capacity_) {
+      if (capacity_ == 0) return;  // recording off: nothing is lost
       ++buf.dropped;
       if (drop_metrics_ != nullptr) drop_metrics_->add(drop_metric_, shard);
       if (policy_ == OverflowPolicy::kRingNewest) {

@@ -14,7 +14,13 @@
 // components, its kind and its object. insert() copies the clock into the
 // row once; vc() returns a ClockView into the row and event() an EventView,
 // so no read copies a clock and heap_bytes() counts every byte the events
-// hold, clocks included.
+// hold, clocks included. Rows sit in segments of at most kSegmentBytes
+// (16 KiB) whatever n is: 32 events per segment at 64 threads, 512 at 6.
+// collect() frees every segment below the watermark, so a windowed poset
+// keeps about one segment per thread beyond its live events. A thread's
+// storage addresses 2^18 segments of live events at a time (2–4 GiB of
+// rows); has_room() says whether the next insert on a thread still fits,
+// which an unwindowed poset fed by untrusted input must check.
 //
 // Sliding-window reclamation. Events strictly below the global watermark
 //   w[j] = min( min over in-flight intervals I of Gmin(I)[j],
@@ -224,6 +230,16 @@ class OnlinePoset {
   void insert(ThreadId tid, OpKind kind, std::uint32_t object,
               const VectorClock& clock, bool pin, Inserted* out)
       PM_EXCLUDES(insert_mutex_);
+
+  // False when the next insert() on `tid` would overflow the thread's row
+  // directory (see "Storage") and abort. Only collect() frees room, so a
+  // caller that alone inserts on `tid` may check this before the insert;
+  // the service session and the online trace replay turn it into a typed
+  // error.
+  bool has_room(ThreadId tid) const {
+    PM_DCHECK(tid < threads_.size());
+    return !threads_[tid].rows.full();
+  }
 
   // Bytes held by the event storage (rows and directory), for the memory
   // benches and the byte high-water GC trigger.

@@ -85,6 +85,12 @@ class AccessTable {
 
   std::size_t count(ThreadId tid) const { return per_thread_[tid].sets.size(); }
 
+  // False when the next append() on `tid` would overflow its storage and
+  // abort: the table is never released, so it holds 2^18 segments of sets
+  // per thread (StableVector's full()). The service session checks this
+  // before appending a collection taken from the wire.
+  bool has_room(ThreadId tid) const { return !per_thread_[tid].sets.full(); }
+
  private:
   struct PerThread {
     StableVector<AccessSet> sets;

@@ -58,6 +58,7 @@ const char* to_string(ErrorCode code) {
     case ErrorCode::kSessionLimit: return "session-limit";
     case ErrorCode::kShuttingDown: return "shutting-down";
     case ErrorCode::kBadStream: return "bad-stream";
+    case ErrorCode::kStorageFull: return "storage-full";
   }
   return "?";
 }

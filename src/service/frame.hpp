@@ -81,6 +81,7 @@ enum class ErrorCode : std::uint16_t {
   kSessionLimit = 11,    // server at --max-sessions
   kShuttingDown = 12,    // event received after Shutdown began draining
   kBadStream = 13,       // frame on a stream this session does not own
+  kStorageFull = 14,     // a thread's event or access storage is full
 };
 
 const char* to_string(ErrorCode code);

@@ -128,8 +128,10 @@ SessionCore::Disposition SessionCore::handle_hello(const HelloBody& body) {
   num_threads_ = body.num_threads;
   windowed_ = body.gc_every > 0 || body.window_bytes > 0;
   event_cost_ = event_cost_bytes(num_threads_);
-  telemetry_ = std::make_unique<obs::Telemetry>(num_threads_ +
-                                                body.async_workers);
+  // Spans off: a session exports only the metrics snapshot (Stats), and
+  // span buffers would keep up to 3 MiB per shard for the session's life.
+  telemetry_ = std::make_unique<obs::Telemetry>(
+      num_threads_ + body.async_workers, /*trace_capacity_per_shard=*/0);
   access_table_ = std::make_unique<AccessTable>(num_threads_);
   gate_ = gate_provider_ ? gate_provider_(body)
                          : std::make_shared<SubmitGate>(
@@ -192,6 +194,16 @@ SessionCore::Disposition SessionCore::handle_event(const EventBody& body) {
   if (!body.accesses.empty() && body.kind != OpKind::kCollection) {
     send_error(ErrorCode::kBadEvent,
                "accesses are only valid on collection events");
+    return close();
+  }
+  // Storage that is never released (an unwindowed poset, the access table)
+  // fills after 2^18 segments per thread; refuse the event rather than let
+  // the append abort. This thread alone inserts, so the room holds.
+  if (!detector_->poset().has_room(tid) ||
+      (body.kind == OpKind::kCollection && !access_table_->has_room(tid))) {
+    send_error(ErrorCode::kStorageFull,
+               "thread " + std::to_string(tid) +
+                   " has no room for another event");
     return close();
   }
   // The event is fully validated but nothing is committed yet: commit now

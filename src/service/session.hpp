@@ -3,13 +3,14 @@
 //
 // States: AwaitHello → Streaming → Closed. Every input byte is untrusted:
 // decode errors and semantic violations (bad tid, clock regression,
-// references to unpublished events) are answered with a typed Error frame
-// and a clean close — the validation here is deliberately at least as strong
-// as OnlinePoset::insert()'s PM_CHECKs, so no byte stream can reach an
-// abort. Whatever way a session ends (Shutdown handshake, plain EOF, a
-// protocol error, or the peer dying mid-frame), finish() drains in-flight
-// intervals and runs a final collect(), so every EnumGuard pin is released
-// and the final counts are exact.
+// references to unpublished events, an event no storage has room for) are
+// answered with a typed Error frame and a clean close — the validation here
+// is deliberately at least as strong as OnlinePoset::insert()'s PM_CHECKs,
+// so no byte stream can reach an abort. Whatever way a session ends
+// (Shutdown handshake, plain EOF, a protocol error, or the peer dying
+// mid-frame), finish() drains in-flight intervals and runs a final
+// collect(), so every EnumGuard pin is released and the final counts are
+// exact.
 //
 // The logic lives in SessionCore, which is transport-free: it consumes
 // decoded payloads and emits reply frames through a send callback, so the
@@ -139,6 +140,9 @@ class SessionCore {
   void finish();
 
   const Result& result() const { return result_; }
+
+  // The session's metrics and (empty) span tracer; null before Hello.
+  const obs::Telemetry* telemetry() const { return telemetry_.get(); }
 
  private:
   enum class State { kAwaitHello, kStreaming, kClosed };

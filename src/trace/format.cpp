@@ -15,6 +15,7 @@ const char* to_string(TraceErrorCode code) {
     case TraceErrorCode::kBadEvent: return "bad-event";
     case TraceErrorCode::kBadThread: return "bad-thread";
     case TraceErrorCode::kClockRegression: return "clock-regression";
+    case TraceErrorCode::kStorageFull: return "storage-full";
   }
   return "unknown";
 }

@@ -124,6 +124,7 @@ enum class TraceErrorCode : std::uint8_t {
   kBadEvent = 9,      // undecodable or out-of-range event record
   kBadThread = 10,    // record names a thread >= num_threads
   kClockRegression = 11,  // clock fails the ClockValidator invariants
+  kStorageFull = 12,  // a thread's online-poset storage is full
 };
 
 const char* to_string(TraceErrorCode code);

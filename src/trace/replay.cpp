@@ -1,5 +1,6 @@
 #include "trace/replay.hpp"
 
+#include <string>
 #include <utility>
 
 #include "poset/poset_builder.hpp"
@@ -61,6 +62,12 @@ bool replay_count_online(const TraceReader& reader,
     const TraceCursor::Status status = cursor.next(&event, error);
     if (status == TraceCursor::Status::kError) return false;
     if (status == TraceCursor::Status::kEnd) break;
+    if (!driver.poset().has_room(event.tid)) {
+      *error = TraceError{TraceErrorCode::kStorageFull,
+                          "thread " + std::to_string(event.tid) +
+                              " has no room for another event"};
+      return false;
+    }
     driver.submit(event.tid, event.kind, event.object,
                   std::move(event.clock));
   }

@@ -12,7 +12,8 @@
 // counts — the oracle-differential the tests and CI hold the format to.
 //
 // Every function returns false with a typed *error if the trace is
-// defective; a hostile file can fail a replay but never abort it.
+// defective, or if an online replay would overflow a thread's poset
+// storage; a hostile file can fail a replay but never abort it.
 #pragma once
 
 #include <cstdint>

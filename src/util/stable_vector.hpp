@@ -14,27 +14,35 @@
 // stores one event per row: its n clock components, then its kind and
 // object, so one size increment publishes an event together with its clock.
 //
-// Long-lived monitored runs additionally need the *front* of the sequence to
-// be reclaimable: once the sliding-window watermark (see OnlinePoset) has
-// passed an index, its slot will never be read again and its memory should
-// return to the allocator. Two consequences for the layout:
-//   * segment capacity is capped at MaxSegment rows — purely geometric
-//     growth would leave the newest segment O(n) large, so resident memory
-//     could never drop below half the total event count no matter how much
-//     prefix is released;
-//   * release_prefix(n) frees every segment that lies entirely below n
-//     (segment granularity: a partially covered segment stays resident).
+// Layout. Segments are sized in bytes, not rows. A full segment holds R
+// rows, the largest power of two whose rows fit in SegmentBytes (at least
+// one row): R = 32 (8.25 KiB) for a 64-thread OnlinePoset row of 264 B,
+// R = 512 (16 KiB) for a 6-thread row of 32 B. The first R rows are split
+// into a ramp of segments of R/8, R/8, R/4 and R/2 rows, so a vector that
+// only ever holds a few rows stays small; every later segment holds R rows
+// and starts at a multiple of R. Long-lived monitored runs need the *front*
+// of the sequence to be reclaimable: once the sliding-window watermark (see
+// OnlinePoset) has passed an index, its row will never be read again.
+// release_prefix(n) frees every segment that lies entirely below n, so a
+// vector whose live window is w rows keeps about w + R rows resident,
+// whatever its row width and however many rows it has seen.
 //
-// Layout: segment s < kGeomSegments holds Base * 2^s rows (the classic
-// geometric ramp keeps small vectors small); every later segment holds
-// MaxSegment rows and is addressed through a two-level directory
-// (kTopSlots leaf blocks of kLeafSegments segment pointers each), so the
-// directory never relocates and capacity is ~kTopSlots * kLeafSegments *
-// MaxSegment rows per vector.
+// Directory. The ramp segments sit in a small inline array. The full
+// segments' pointers sit in leaf blocks of kLeafSegments entries that the
+// writer allocates on demand, and a ring of kTopSlots top-level slots
+// points at the leaves; a reader resolves a row with two dependent loads
+// (top slot, then leaf entry). release_prefix also frees each leaf whose
+// segments are all released, which hands its top slot back to the writer
+// for the block kTopSlots blocks later. The directory therefore bounds only
+// the *live* rows: a windowed vector has no lifetime cap. A vector that is
+// never released holds at most kTopSlots * kLeafSegments (2^18) full
+// segments, 2–4 GiB of rows at the default cap; full() reports when the
+// next append would need more, so callers fed by untrusted input can reject
+// it with a typed error instead of reaching push_row()'s abort.
 //
 // Concurrency contract:
-//   * exactly one thread may call push_back() or push_row() at a time
-//     (external mutual exclusion — the paper's "atomic block" — is the
+//   * exactly one thread may call push_back(), push_row() or full() at a
+//     time (external mutual exclusion — the paper's "atomic block" — is the
 //     caller's job);
 //   * release_prefix() must be serialized with the appends by the caller
 //     (OnlinePoset runs both under its insertion mutex), and the caller
@@ -45,34 +53,34 @@
 //     an observed size() and is at or above the released prefix.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstddef>
-#include <memory>
+#include <utility>
 
 #include "util/check.hpp"
 
 namespace paramount {
 
-template <typename T, std::size_t Base = 64, std::size_t MaxSegment = 4096>
+// Byte cap of one StableVector segment (see "Layout" above).
+inline constexpr std::size_t kSegmentBytes = 16 * 1024;
+
+template <typename T, std::size_t SegmentBytes = kSegmentBytes>
 class StableVector {
-  static_assert(Base > 0 && (Base & (Base - 1)) == 0,
-                "Base must be a power of two");
-  static_assert((MaxSegment & (MaxSegment - 1)) == 0 && MaxSegment >= Base,
-                "MaxSegment must be a power of two >= Base");
-  static constexpr std::size_t kBaseLog = std::bit_width(Base) - 1;
-  static constexpr std::size_t kMaxSegLog = std::bit_width(MaxSegment) - 1;
-  // Geometric segments Base, 2*Base, …, MaxSegment; everything after is a
-  // flat run of MaxSegment-sized segments.
-  static constexpr std::size_t kGeomSegments = kMaxSegLog - kBaseLog + 1;
-  static constexpr std::size_t kGeomCover = 2 * MaxSegment - Base;
-  static constexpr std::size_t kLeafSegments = 512;
+  static constexpr std::size_t kRampSegments = 4;  // b, b, 2b, 4b
+  static constexpr std::size_t kLeafLog = 9;
+  static constexpr std::size_t kLeafSegments = std::size_t{1} << kLeafLog;
+  static constexpr std::size_t kLeafMask = kLeafSegments - 1;
+  static constexpr std::size_t kLeafBytes =
+      kLeafSegments * sizeof(std::atomic<T*>);
   static constexpr std::size_t kTopSlots = 512;
 
  public:
-  explicit StableVector(std::size_t width = 1) : width_(width) {
-    PM_CHECK(width > 0);
-  }
+  explicit StableVector(std::size_t width = 1)
+      : width_(width),
+        row_log_(rows_log(width)),
+        base_log_(row_log_ - std::min(row_log_, kRampSegments - 1)) {}
 
   StableVector(const StableVector&) = delete;
   StableVector& operator=(const StableVector&) = delete;
@@ -80,9 +88,9 @@ class StableVector {
   ~StableVector() {
     // relaxed: destruction is single-threaded by contract; whoever destroys
     // the vector already synchronized with the writer and all readers.
-    for (auto& seg : geom_) delete[] seg.load(std::memory_order_relaxed);
-    for (auto& leaf_slot : leaves_) {
-      std::atomic<T*>* leaf = leaf_slot.load(std::memory_order_relaxed);
+    for (auto& seg : ramp_) delete[] seg.load(std::memory_order_relaxed);
+    for (auto& top : top_) {
+      std::atomic<T*>* leaf = top.load(std::memory_order_relaxed);
       if (leaf == nullptr) continue;
       for (std::size_t i = 0; i < kLeafSegments; ++i) {
         delete[] leaf[i].load(std::memory_order_relaxed);
@@ -92,12 +100,15 @@ class StableVector {
   }
 
   // Number of elements visible to the calling thread. Acquire order pairs
-  // with the release in push_back so observed elements are fully written.
+  // with the release in push_row so observed elements are fully written.
   std::size_t size() const { return size_.load(std::memory_order_acquire); }
 
   bool empty() const { return size() == 0; }
 
   std::size_t width() const { return width_; }
+
+  // Rows per full segment (a power of two fixed by the width; see "Layout").
+  std::size_t segment_rows() const { return std::size_t{1} << row_log_; }
 
   // The first element of row i; the row's other elements follow it.
   const T* row(std::size_t i) const { return slot(i); }
@@ -115,57 +126,82 @@ class StableVector {
   }
 
   // Appends one row, written in place by fill(T* row) before the row is
-  // published, and returns its index. Single writer only.
+  // published, and returns its index. Single writer only; aborts when
+  // full().
   template <typename Fill>
   std::size_t push_row(Fill&& fill) {
-    // relaxed: size_ and the segment pointers are only written by this (the
-    // single writer) thread, which always sees its own prior stores.
+    // relaxed: size_ is only written by this (the single writer) thread,
+    // which always sees its own prior stores.
     const std::size_t i = size_.load(std::memory_order_relaxed);
-    const std::size_t s = segment_of(i);
-    std::atomic<T*>& entry = segment_entry(s, /*allocate_leaf=*/true);
-    if (entry.load(std::memory_order_relaxed) == nullptr) {
-      // Release so a reader that races to this segment through a published
-      // size sees initialized storage.
-      const std::size_t elems = segment_capacity(s) * width_;
-      entry.store(new T[elems], std::memory_order_release);
-      // relaxed: byte accounting only, see heap_bytes().
-      live_bytes_.fetch_add(elems * sizeof(T), std::memory_order_relaxed);
-    }
-    fill(slot(i));
+    if (tail_room_ == 0) open_segment(i);
+    fill(tail_);
+    tail_ += width_;
+    --tail_room_;
     size_.store(i + 1, std::memory_order_release);
     return i;
   }
 
-  // Frees every segment that lies entirely below index `n`. The caller must
-  // serialize this with the appends and guarantee no reader will touch
-  // indices below `n` again (see the concurrency contract above). Only whole
-  // segments are reclaimed, so released() may lag `n` by up to one segment.
+  // True when the next push_row() would abort: it opens a leaf block whose
+  // top-level slot still holds a block that is not wholly released. Between
+  // two appends only release_prefix() changes the answer, and only from
+  // true to false, so the writer may test this before an append.
+  bool full() const {
+    // relaxed: size_ is written only by the calling writer thread; a top
+    // slot read stale by a racing releaser can only still be non-null,
+    // which reports the room it is freeing one call late.
+    const std::size_t s = size_.load(std::memory_order_relaxed) >> row_log_;
+    if (tail_room_ != 0 || s == 0) return false;
+    const std::size_t f = s - 1;
+    return (f & kLeafMask) == 0 &&
+           top_[top_index(f)].load(std::memory_order_relaxed) != nullptr;
+  }
+
+  // Frees every segment that lies entirely below index `n`, and every leaf
+  // block whose segments are all freed. The caller must serialize this with
+  // the appends and guarantee no reader will touch indices below `n` again
+  // (see the concurrency contract above). Only whole segments are
+  // reclaimed, so released() may lag `n` by up to one segment.
   void release_prefix(std::size_t n) {
     // relaxed: the releaser is serialized with the writer by contract, so
-    // these loads observe values the caller already synchronized on; the
-    // byte counter is accounting only.
+    // it observes a size the caller already synchronized on.
     const std::size_t published = size_.load(std::memory_order_relaxed);
     if (n > published) n = published;
-    while (true) {
-      const std::size_t s = next_release_;
-      if (segment_start(s) + segment_capacity(s) > n) break;
-      std::atomic<T*>& entry = segment_entry(s, /*allocate_leaf=*/false);
-      T* seg = entry.load(std::memory_order_relaxed);
-      if (seg != nullptr) {
-        entry.store(nullptr, std::memory_order_release);
-        delete[] seg;
-        // relaxed: byte accounting only, see heap_bytes().
-        live_bytes_.fetch_sub(segment_capacity(s) * width_ * sizeof(T),
-                              std::memory_order_relaxed);
+    while (released_ + rows_at(released_) <= n) {
+      // relaxed: the directory is written only by the writer and this
+      // releaser, which the caller serializes; no reader touches a released
+      // segment or leaf again, and the byte counter is accounting only.
+      const std::size_t rows = rows_at(released_);
+      live_bytes_.fetch_sub(rows * width_ * sizeof(T),
+                            std::memory_order_relaxed);
+      const std::size_t s = released_ >> row_log_;
+      if (s == 0) {
+        // relaxed: as above.
+        std::atomic<T*>& entry = ramp_[ramp_index(released_)];
+        delete[] entry.load(std::memory_order_relaxed);
+        entry.store(nullptr, std::memory_order_relaxed);
+      } else {
+        const std::size_t f = s - 1;
+        std::atomic<std::atomic<T*>*>& top = top_[top_index(f)];
+        std::atomic<T*>* leaf = top.load(std::memory_order_relaxed);
+        delete[] leaf[f & kLeafMask].load(std::memory_order_relaxed);
+        leaf[f & kLeafMask].store(nullptr, std::memory_order_relaxed);
+        if ((f & kLeafMask) == kLeafMask) {
+          // The block's last segment: its leaf goes too, and the writer may
+          // reuse the top slot.
+          // relaxed: serialized with the writer, as above.
+          top.store(nullptr, std::memory_order_relaxed);
+          delete[] leaf;
+          live_bytes_.fetch_sub(kLeafBytes, std::memory_order_relaxed);
+        }
       }
-      ++next_release_;
+      released_ += rows;
     }
   }
 
   // Elements whose storage has been returned to the allocator (a lower bound
   // on every release_prefix(n) argument so far, rounded down to a segment
   // boundary). Indices below this must never be accessed again.
-  std::size_t released() const { return segment_start(next_release_); }
+  std::size_t released() const { return released_; }
 
   // Heap bytes currently owned (live segments + directory leaves). A relaxed
   // counter: callable concurrently with the writer and the releaser.
@@ -176,60 +212,91 @@ class StableVector {
   }
 
  private:
-  static std::size_t segment_of(std::size_t i) {
-    if (i < kGeomCover) return std::bit_width(i + Base) - 1 - kBaseLog;
-    return kGeomSegments + ((i - kGeomCover) >> kMaxSegLog);
+  static std::size_t rows_log(std::size_t width) {
+    PM_CHECK(width > 0);
+    const std::size_t rows = SegmentBytes / (width * sizeof(T));
+    return rows <= 1 ? 0 : std::bit_width(rows) - 1;
   }
-  static std::size_t segment_start(std::size_t s) {
-    if (s < kGeomSegments) return Base * ((std::size_t{1} << s) - 1);
-    return kGeomCover + ((s - kGeomSegments) << kMaxSegLog);
+  static std::size_t top_index(std::size_t f) {
+    return (f >> kLeafLog) % kTopSlots;
   }
-  static std::size_t segment_capacity(std::size_t s) {
-    return s < kGeomSegments ? (Base << s) : MaxSegment;
+  // The ramp splits rows [0, R) into segments of b, b, 2b and 4b rows
+  // (b = R/8, or fewer segments when R < 8): row i < R lies in ramp
+  // segment k = bit_width(i / b), which starts at ramp_start(k).
+  std::size_t ramp_index(std::size_t i) const {
+    return std::bit_width(i >> base_log_);
+  }
+  std::size_t ramp_start(std::size_t k) const {
+    return ((std::size_t{1} << k) >> 1) << base_log_;
+  }
+  // Rows of the segment that starts at row i.
+  std::size_t rows_at(std::size_t i) const {
+    if ((i >> row_log_) != 0) return std::size_t{1} << row_log_;
+    const std::size_t k = ramp_index(i);
+    return std::size_t{1} << (base_log_ + (k == 0 ? 0 : k - 1));
   }
 
-  // Directory entry for segment ordinal s. For flat segments the leaf block
-  // is allocated on demand by the writer; readers and the releaser only ever
-  // visit leaves that already exist.
-  std::atomic<T*>& segment_entry(std::size_t s, bool allocate_leaf) {
-    if (s < kGeomSegments) return geom_[s];
-    const std::size_t flat = s - kGeomSegments;
-    const std::size_t top = flat / kLeafSegments;
-    PM_CHECK_MSG(top < kTopSlots, "StableVector capacity exhausted");
-    std::atomic<T*>* leaf = leaves_[top].load(std::memory_order_acquire);
-    if (leaf == nullptr) {
-      PM_CHECK(allocate_leaf);  // single writer allocates in index order
+  // Allocates the segment that starts at row i (and, for the first segment
+  // of a block, its leaf) and makes it the writer's tail.
+  void open_segment(std::size_t i) {
+    tail_room_ = rows_at(i);
+    tail_ = new T[tail_room_ * width_];
+    // relaxed: byte accounting only, see heap_bytes().
+    live_bytes_.fetch_add(tail_room_ * width_ * sizeof(T),
+                          std::memory_order_relaxed);
+    // Release stores, so a reader that reaches this segment through a
+    // published size sees an initialized directory.
+    const std::size_t s = i >> row_log_;
+    if (s == 0) {
+      ramp_[ramp_index(i)].store(tail_, std::memory_order_release);
+      return;
+    }
+    const std::size_t f = s - 1;
+    std::atomic<std::atomic<T*>*>& top = top_[top_index(f)];
+    // relaxed: the directory is written only by the writer and the
+    // releaser, which the caller serializes.
+    std::atomic<T*>* leaf = top.load(std::memory_order_relaxed);
+    if ((f & kLeafMask) == 0) {
+      PM_CHECK_MSG(leaf == nullptr,
+                   "StableVector directory full: no top slot released");
       leaf = new std::atomic<T*>[kLeafSegments]();
       // relaxed: byte accounting only, see heap_bytes().
-      live_bytes_.fetch_add(kLeafSegments * sizeof(std::atomic<T*>),
-                            std::memory_order_relaxed);
-      leaves_[top].store(leaf, std::memory_order_release);
+      live_bytes_.fetch_add(kLeafBytes, std::memory_order_relaxed);
+      top.store(leaf, std::memory_order_release);
     }
-    return leaf[flat % kLeafSegments];
+    leaf[f & kLeafMask].store(tail_, std::memory_order_release);
   }
 
   T* slot(std::size_t i) const {
-    const std::size_t s = segment_of(i);
+    const std::size_t s = i >> row_log_;
     T* seg;
-    if (s < kGeomSegments) {
-      seg = geom_[s].load(std::memory_order_acquire);
-    } else {
-      const std::size_t flat = s - kGeomSegments;
-      std::atomic<T*>* leaf =
-          leaves_[flat / kLeafSegments].load(std::memory_order_acquire);
+    std::size_t offset;
+    if (s != 0) [[likely]] {
+      const std::size_t f = s - 1;
+      const std::atomic<T*>* leaf =
+          top_[top_index(f)].load(std::memory_order_acquire);
       PM_DCHECK(leaf != nullptr);
-      seg = leaf[flat % kLeafSegments].load(std::memory_order_acquire);
+      seg = leaf[f & kLeafMask].load(std::memory_order_acquire);
+      offset = i & ((std::size_t{1} << row_log_) - 1);
+    } else {
+      const std::size_t k = ramp_index(i);
+      seg = ramp_[k].load(std::memory_order_acquire);
+      offset = i - ramp_start(k);
     }
     PM_DCHECK(seg != nullptr);  // fires on access below the released prefix
-    return seg + (i - segment_start(s)) * width_;
+    return seg + offset * width_;
   }
 
-  std::atomic<T*> geom_[kGeomSegments] = {};
-  std::atomic<std::atomic<T*>*> leaves_[kTopSlots] = {};
+  std::atomic<T*> ramp_[kRampSegments] = {};
+  std::atomic<std::atomic<T*>*> top_[kTopSlots] = {};
   std::atomic<std::size_t> size_{0};
   std::atomic<std::size_t> live_bytes_{0};
-  std::size_t next_release_ = 0;  // serialized with the appends by the caller
+  T* tail_ = nullptr;          // writer only: where the next row goes
+  std::size_t tail_room_ = 0;  // writer only: rows left in the tail segment
+  std::size_t released_ = 0;   // serialized with the appends by the caller
   const std::size_t width_;
+  const std::size_t row_log_;   // log2 of R, a full segment's rows
+  const std::size_t base_log_;  // log2 of b, the first segment's rows
 };
 
 }  // namespace paramount

@@ -256,8 +256,11 @@ TEST(OnlinePoset, HeapBytesCountEveryClockRow) {
   for (const std::size_t width : {6u, 64u}) {
     const RoundRobinChain chain{width};
     OnlinePoset poset(width);
-    // Enough events per thread to fill more than the first 64-row segment.
-    const std::uint64_t events = 200 * width;
+    // Enough events per thread to fill two segments, so collect() can free
+    // at least one whole segment per thread.
+    const std::size_t segment_rows =
+        StableVector<EventIndex>(width + 2).segment_rows();
+    const std::uint64_t events = (2 * segment_rows + 8) * width;
     for (std::uint64_t k = 0; k < events; ++k) {
       poset.insert(chain.tid(k), chain.kind(k), chain.object(k),
                    chain.clock(k));

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <list>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -318,10 +319,14 @@ INSTANTIATE_TEST_SUITE_P(
 // from worker 0's deque; its siblings reach that deque once their own run
 // dry. Streaming, a batch's head is always run by the worker that claimed
 // the batch from the cursor, so another batch event run by a different
-// thread was stolen. To make sure one is, the first spawned worker to visit
-// a head (the anchor) waits there until another thread has visited the
-// rest of its batch. The names date from when the parameter switched to a
-// shared-counter scheduler, since deleted (DESIGN.md §5, substitution 7).
+// thread was stolen. To make sure one is, a spawned worker that visits a
+// head (an anchor) waits there until another thread has visited the rest
+// of its batch. Up to num_workers - 2 anchors wait at once, so one spawned
+// worker stays free to steal: with a single anchor, the caller could steal
+// its tail and be descheduled before visiting it, while the free workers
+// ran the rest of the chain without a steal and nothing ever threw. The
+// names date from when the parameter switched to a shared-counter
+// scheduler, since deleted (DESIGN.md §5, substitution 7).
 class ParamountThrow : public ::testing::TestWithParam<bool> {};
 
 struct ThrowRendezvous {
@@ -367,10 +372,12 @@ TEST_P(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
     std::uint64_t throw_at = kThrowAt;
     // Per chunk or batch: the thread that first visited its head.
     std::vector<std::thread::id> head_runner(kEvents / chunk + 1);
-    bool anchor_waiting = false;
-    std::size_t anchor_batch = 0;
-    std::thread::id anchor;
-    bool anchor_released = false;
+    struct Anchor {
+      std::size_t batch;
+      std::thread::id thread;
+      bool released;
+    };
+    std::list<Anchor> anchors;  // the waiting anchors
 
     auto stolen = [&](std::size_t i, std::thread::id self) {
       if (!streaming) return (i / chunk) % options.num_workers == 0;
@@ -385,9 +392,11 @@ TEST_P(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
       const bool first_head_visit =
           i % chunk == 0 && head_runner[i / chunk] == std::thread::id();
       if (first_head_visit) head_runner[i / chunk] = self;
-      if (anchor_waiting && i / chunk == anchor_batch && self != anchor) {
-        anchor_released = true;
-        rendezvous.cv.notify_all();
+      for (Anchor& a : anchors) {
+        if (a.batch == i / chunk && a.thread != self) {
+          a.released = true;
+          rendezvous.cv.notify_all();
+        }
       }
       const bool throws = throw_stolen ? stolen(i, self) : k >= kThrowAt;
       if (!rendezvous.armed && !is_caller && throws) {
@@ -398,26 +407,24 @@ TEST_P(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
         throw std::runtime_error("visitor boom");
       }
       if (throw_stolen && streaming && !is_caller && first_head_visit &&
-          !anchor_waiting && !rendezvous.armed && !rendezvous.stuck &&
-          i + 1 < kEvents) {
+          anchors.size() + 2 < options.num_workers && !rendezvous.armed &&
+          !rendezvous.stuck && i + 1 < kEvents) {
         // The rest of the batch already sits in this worker's deque. The
         // caller parks after one visit, so once it has taken one anchor's
-        // batch, only a spawned worker can take the next one.
-        anchor_waiting = true;
-        anchor_batch = i / chunk;
-        anchor = self;
-        anchor_released = false;
-        while (!rendezvous.armed && !anchor_released) {
+        // batch, only a spawned worker can take another.
+        Anchor& anchor = anchors.emplace_back(Anchor{i / chunk, self, false});
+        while (!rendezvous.armed && !anchor.released) {
           if (!rendezvous.cv.wait_for(rendezvous.mutex,
                                       std::chrono::seconds(30)) &&
-              !rendezvous.armed && !anchor_released) {
+              !rendezvous.armed && !anchor.released) {
             ADD_FAILURE() << "no other thread took the anchor's batch "
                              "in 30 s";
             rendezvous.stuck = true;
+            rendezvous.cv.notify_all();
             break;
           }
         }
-        anchor_waiting = false;
+        anchors.remove_if([&](const Anchor& a) { return a.thread == self; });
       }
       while ((is_caller || rendezvous.armed) && !rendezvous.observed &&
              !rendezvous.stuck) {

@@ -99,23 +99,31 @@ class ServiceTest : public ::testing::Test {
   std::unique_ptr<ParamountServer> server_;
 };
 
+// The next synthetic event, delta-encoded against its thread's previous
+// clock in `prev`, which it advances.
+EventBody next_event_body(SyntheticEventStream& stream,
+                          std::vector<VectorClock>& prev) {
+  const SyntheticEventStream::StreamEvent ev = stream.next();
+  EventBody body;
+  body.tid = ev.tid;
+  body.kind = ev.kind;
+  body.object = ev.object;
+  for (std::size_t j = 0; j < ev.clock.size(); ++j) {
+    if (ev.clock[j] != prev[ev.tid][j]) {
+      body.delta.push_back({static_cast<std::uint32_t>(j), ev.clock[j]});
+    }
+  }
+  prev[ev.tid] = ev.clock;
+  return body;
+}
+
 // Sends `total` synthetic events (delta-encoded) over an established
 // session; returns the stream parameters' expected clocks via `prev`.
 void stream_events(FrameChannel& channel, SyntheticEventStream& stream,
                    std::vector<VectorClock>& prev, std::uint64_t total) {
   for (std::uint64_t i = 0; i < total; ++i) {
-    const SyntheticEventStream::StreamEvent ev = stream.next();
-    EventBody body;
-    body.tid = ev.tid;
-    body.kind = ev.kind;
-    body.object = ev.object;
-    for (std::size_t j = 0; j < ev.clock.size(); ++j) {
-      if (ev.clock[j] != prev[ev.tid][j]) {
-        body.delta.push_back({static_cast<std::uint32_t>(j), ev.clock[j]});
-      }
-    }
-    prev[ev.tid] = ev.clock;
-    ASSERT_TRUE(channel.write_frame(encode_event(body)));
+    ASSERT_TRUE(
+        channel.write_frame(encode_event(next_event_body(stream, prev))));
   }
 }
 
@@ -359,6 +367,68 @@ TEST_F(ServiceTest, PollReturnsTelemetrySnapshot) {
   const DecodedFrame goodbye = read_frame(channel);
   ASSERT_EQ(goodbye.op, Op::kGoodbye);
   EXPECT_EQ(goodbye.counts.events, 300u);
+}
+
+// A daemon session exports only the metrics snapshot (Stats), so it records
+// no spans: span buffers would keep up to 3 MiB per shard that window GC
+// never frees. Every metric still reaches Stats, and no span counts as
+// dropped. Driven through the transport-free SessionCore.
+TEST(SessionCore, StreamedSessionRecordsNoSpansButEveryMetric) {
+  std::vector<DecodedFrame> replies;
+  SessionCore core(1, {}, SessionCore::GateMode::kNotify,
+                   [&](std::span<const std::uint8_t> payload) {
+                     DecodedFrame frame;
+                     EXPECT_FALSE(decode_frame(payload, &frame).has_value());
+                     replies.push_back(std::move(frame));
+                     return true;
+                   });
+  HelloBody h;
+  h.num_threads = 4;
+  h.async_workers = 2;
+  h.gc_every = 64;
+  ASSERT_EQ(core.on_payload(encode_hello(h)),
+            SessionCore::Disposition::kContinue);
+
+  SyntheticEventStream::Params params;
+  params.num_threads = 4;
+  params.num_locks = 2;
+  params.sync_probability = 0.8;
+  SyntheticEventStream stream(params);
+  std::vector<VectorClock> prev(4, VectorClock(4));
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_EQ(core.on_payload(encode_event(next_event_body(stream, prev))),
+              SessionCore::Disposition::kContinue);
+  }
+  ASSERT_EQ(core.on_payload(encode_drain()),
+            SessionCore::Disposition::kContinue);
+  ASSERT_EQ(core.on_payload(encode_poll()),
+            SessionCore::Disposition::kContinue);
+  ASSERT_EQ(replies.back().op, Op::kStats);
+  EXPECT_EQ(replies.back().stats.counts.events, 2000u);
+  EXPECT_GT(replies.back().stats.counts.states, 2000u);
+
+  const obs::Telemetry& tel = *core.telemetry();
+  EXPECT_EQ(tel.tracer().recorded(), 0u);
+  EXPECT_EQ(tel.tracer().dropped(), 0u);
+  const obs::MetricsSnapshot snapshot = tel.snapshot();
+  EXPECT_EQ(snapshot.find_counter("tracer.spans_dropped")->total, 0u);
+  if constexpr (obs::kTelemetryEnabled) {
+    EXPECT_GT(snapshot.find_counter("paramount.states")->total, 0u);
+    EXPECT_GT(snapshot.find_histogram("paramount.gbnd_ns")->count, 0u);
+  }
+
+  // Every well-known instrument is in the Stats JSON.
+  const std::string& json = replies.back().stats.metrics_json;
+  const obs::MetricsSnapshot names = obs::Telemetry(1).snapshot();
+  std::vector<std::string> expected;
+  for (const auto& c : names.counters) expected.push_back(c.name);
+  for (const auto& g : names.gauges) expected.push_back(g.name);
+  for (const auto& hist : names.histograms) expected.push_back(hist.name);
+  EXPECT_GE(expected.size(), 16u);
+  for (const std::string& name : expected) {
+    EXPECT_NE(json.find('"' + name + '"'), std::string::npos) << name;
+  }
+  core.finish();
 }
 
 // ---- protocol robustness: never abort, never leak a pin ----

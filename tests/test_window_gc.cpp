@@ -247,6 +247,34 @@ TEST(WindowGc, StreamingHeapStaysBoundedAcross100kInserts) {
   EXPECT_LT(gc_run.final_poset_bytes * 6, ref_run.final_poset_bytes);
 }
 
+// Segments are sized in bytes, so a wide windowed poset keeps a few
+// segments per thread resident rather than a few hundred rows: on a
+// 64-thread lock convoy (264-byte rows) each thread's window is a few dozen
+// events.
+TEST(WindowGc, WideConvoyKeepsAFewSegmentsPerThread) {
+  SyntheticEventStream::Params params;
+  params.num_threads = 64;
+  params.num_locks = 1;
+  params.sync_probability = 1.0;
+  params.seed = 5;
+  OnlineParamount::Options options;
+  options.async_workers = 3;
+  options.window_policy.gc_every = 4096;
+  const StreamRun run =
+      run_stream(params, 64000, options, /*max_in_flight=*/256);
+
+  const std::size_t row_bytes = (params.num_threads + 2) * sizeof(EventIndex);
+  const std::size_t segment_bytes =
+      StableVector<EventIndex>(params.num_threads + 2).segment_rows() *
+      row_bytes;
+  const std::size_t leaf_bytes = 512 * sizeof(std::atomic<EventIndex*>);
+  std::cout << "peak per thread=" << run.peak_poset_bytes / params.num_threads
+            << " segment=" << segment_bytes << "\n";
+  EXPECT_LE(run.peak_poset_bytes,
+            params.num_threads * (5 * segment_bytes + leaf_bytes));
+  EXPECT_GT(run.states.size(), 64000u);
+}
+
 // collect() hammered from a dedicated thread while producers insert and
 // pooled workers enumerate: pins must keep every in-flight box resident
 // (TSan covers the ordering, the state count covers the semantics).
@@ -263,6 +291,12 @@ TEST(WindowGc, ConcurrentCollectEnumerateStress) {
   OnlineParamount::Options options;
   options.async_workers = 2;
   options.window_policy.gc_every = 128;
+  // Queued intervals pin the watermark: with no bound on the backlog, a pool
+  // that falls behind the producers pins it for the whole run and the
+  // concurrent collects reclaim nothing. The bound makes them reclaim.
+  constexpr std::size_t kMaxInFlight = 64;
+  SubmitGate gate(kMaxInFlight);
+  options.interval_done = [&gate](EventId) { gate.release(1); };
   std::atomic<std::uint64_t> states{0};
   OnlineParamount driver(
       params.num_threads, options,
@@ -290,6 +324,7 @@ TEST(WindowGc, ConcurrentCollectEnumerateStress) {
         if (produced == total_events) return;
         ++produced;
         SyntheticEventStream::StreamEvent ev = stream.next();
+        gate.acquire(1);
         driver.submit(ev.tid, ev.kind, ev.object, std::move(ev.clock));
       }
     });
