@@ -6,7 +6,6 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -492,20 +491,6 @@ bool FrameChannel::discard_input(std::size_t* discarded) {
     return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
   }
   return false;
-}
-
-void FrameChannel::close_lingering() {
-  shutdown_write();
-  const auto deadline = std::chrono::steady_clock::now() + kLingerTimeout;
-  std::size_t discarded = 0;
-  while (discard_input(&discarded)) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (left.count() <= 0) break;
-    pollfd pfd = {fd_.get(), POLLIN, 0};
-    if (::poll(&pfd, 1, static_cast<int>(left.count())) == 0) break;
-  }
-  fd_.reset();
 }
 
 }  // namespace paramount::service

@@ -4,14 +4,14 @@
 //
 // This directory is the only place in the tree allowed to touch raw socket
 // send/recv (tools/lint/paramount_lint.py rule `raw-socket`); everything
-// above it — sessions, server, tools, tests — speaks frames through
+// above it — sessions, the server, tools, tests — speaks frames through
 // FrameChannel, so the partial-read/partial-write/EINTR/SIGPIPE handling
 // lives in exactly one spot.
 //
 // Wire framing (protocol v2): every frame is an 8-byte little-endian header
 // — u32 payload length, u32 stream id — followed by the payload. Stream ids
-// let many logical enumeration sessions share one connection (the epoll
-// front end demultiplexes on them); single-session users leave the id 0.
+// let many logical enumeration sessions share one connection (EpollServer
+// demultiplexes on them); single-session users leave the id 0.
 #pragma once
 
 #include <chrono>
@@ -212,10 +212,6 @@ class FrameChannel {
   // Returns true while a linger should go on: false once the peer's EOF
   // arrived, the socket failed, or *discarded reached kLingerDiscardCap.
   bool discard_input(std::size_t* discarded);
-
-  // Blocking lingering close: half-closes, discards input until the peer's
-  // EOF, kLingerDiscardCap or kLingerTimeout, then closes the fd.
-  void close_lingering();
 
   int fd() const { return fd_.get(); }
 

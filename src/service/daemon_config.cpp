@@ -9,10 +9,6 @@ void register_daemon_flags(CliFlags& flags) {
   flags.add_string("listen", "paramountd.sock",
                    "endpoint to listen on: a Unix-domain socket path, "
                    "unix:PATH, or tcp:HOST:PORT");
-  flags.add_string("front-end", "epoll",
-                   "connection handling: 'epoll' (one event loop, sessions "
-                   "multiplexed by stream id) or 'threads' (one OS thread "
-                   "per connection)");
   flags.add_int("max-sessions", 1024,
                 "concurrent client sessions; further session attempts get a "
                 "session-limit error frame");
@@ -21,10 +17,10 @@ void register_daemon_flags(CliFlags& flags) {
                    "reading a session's socket while this much interval work "
                    "is in flight (e.g. 4M; empty = unbounded)");
   flags.add_string("tenant-budget", "",
-                   "shared submit budget per Hello tenant id (epoll front "
-                   "end): sessions of one tenant share a quota, so a "
-                   "flooding tenant stalls only its own streams (e.g. 16M; "
-                   "empty = per-session budgets)");
+                   "shared submit budget per Hello tenant id: sessions of "
+                   "one tenant share a quota, so a flooding tenant stalls "
+                   "only its own streams (e.g. 16M; empty = per-session "
+                   "budgets)");
   flags.add_int("eviction-alert", 0,
                 "flag eviction_alert in Stats replies once a session's "
                 "window_evictions reaches this (0 = off)");
@@ -53,26 +49,8 @@ DaemonConfig resolve_daemon_config(const CliFlags& flags) {
     std::fprintf(stderr, "error: --listen: %s\n", error.c_str());
     std::exit(2);
   }
-  const std::string front_end = flags.get_string("front-end");
-  if (front_end == "epoll") {
-    config.front_end = FrontEnd::kEpoll;
-  } else if (front_end == "threads") {
-    config.front_end = FrontEnd::kThreads;
-  } else {
-    std::fprintf(stderr,
-                 "error: --front-end must be 'epoll' or 'threads', got '%s'\n",
-                 front_end.c_str());
-    std::exit(2);
-  }
-  if (config.front_end == FrontEnd::kThreads &&
-      config.endpoint.kind != Endpoint::Kind::kUnix) {
-    std::fprintf(stderr,
-                 "error: --front-end=threads only listens on Unix-domain "
-                 "sockets; use the epoll front end for tcp: endpoints\n");
-    std::exit(2);
-  }
-  // The epoll front end holds ~one fd plus a SessionCore per session, so
-  // the ceiling is fd-table-scale, not thread-scale.
+  // The server holds ~one fd plus a SessionCore per session, so the
+  // ceiling is fd-table-scale, not thread-scale.
   config.max_sessions = static_cast<std::uint32_t>(
       flags.get_int_in_range("max-sessions", 1, 1 << 20));
   config.submit_budget_bytes = parse_budget_flag(flags, "submit-budget");

@@ -19,11 +19,6 @@ bool make_nonblocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-bool is_stream_fatal(ReadStatus status) {
-  return status == ReadStatus::kTruncated || status == ReadStatus::kOversized ||
-         status == ReadStatus::kError;
-}
-
 }  // namespace
 
 bool EpollServer::start(std::string* error, ListenUnixError* why) {
@@ -192,19 +187,17 @@ bool EpollServer::dispatch_frame(const std::shared_ptr<Connection>& conn,
   } else {
     core = open_stream(conn, conn_id, stream_id);
     if (core == nullptr) {
-      // Rejected; the typed Error already went out. A connection that
-      // keeps opening streams past the session limit is hostile or broken:
-      // once its rejected set hits the cap, close it (after the buffered
-      // Error frames drain) instead of tracking ids without bound.
-      if (conn->rejected_streams.size() >= kMaxRejectedStreams) {
-        if (conn->channel.has_pending_write()) {
-          conn->close_after_flush = true;
-        } else {
-          teardown(conn_id, ReadStatus::kEof);
-        }
-        return false;
+      // Rejected; the typed Error already went out. On stream 0 the refused
+      // session was the connection's only one, so the connection ends with
+      // it. A connection that keeps opening streams past the session limit
+      // is hostile or broken: once its rejected set hits the cap, close it
+      // instead of tracking ids without bound.
+      if (stream_id != 0 &&
+          conn->rejected_streams.size() < kMaxRejectedStreams) {
+        return true;
       }
-      return true;
+      close_when_flushed(conn_id, *conn);
+      return false;
     }
   }
   switch (core->on_payload(payload)) {
@@ -216,20 +209,20 @@ bool EpollServer::dispatch_frame(const std::shared_ptr<Connection>& conn,
       return true;
     case SessionCore::Disposition::kClose:
       finish_stream(*conn, stream_id);
-      if (stream_id == 0) {
-        // Plain single-session connection: mirror the thread front end and
-        // close the transport once the session ends — after any buffered
-        // reply (Goodbye/Error under a full socket) drains.
-        if (conn->channel.has_pending_write()) {
-          conn->close_after_flush = true;
-          return false;
-        }
-        teardown(conn_id, ReadStatus::kEof);
-        return false;
-      }
-      return true;
+      if (stream_id != 0) return true;
+      // Plain single-session connection: the session's end closes it.
+      close_when_flushed(conn_id, *conn);
+      return false;
   }
   return true;
+}
+
+void EpollServer::close_when_flushed(std::uint64_t conn_id, Connection& conn) {
+  if (conn.channel.has_pending_write()) {
+    conn.close_after_flush = true;
+  } else {
+    teardown(conn_id, ReadStatus::kEof);
+  }
 }
 
 SessionCore* EpollServer::open_stream(const std::shared_ptr<Connection>& conn,
@@ -252,13 +245,12 @@ SessionCore* EpollServer::open_stream(const std::shared_ptr<Connection>& conn,
     return nullptr;
   }
   SessionCore::Limits limits;
-  limits.submit_budget_bytes = options_.submit_budget_bytes;
   limits.eviction_alert_threshold = options_.eviction_alert_threshold;
   // The send callback holds a raw Connection pointer: the core is owned by
   // conn->streams, so it can never outlive the connection it writes to.
   Connection* raw_conn = conn.get();
   auto core = std::make_unique<SessionCore>(
-      next_session_id_++, limits, SessionCore::GateMode::kNotify,
+      next_session_id_++, limits,
       [raw_conn, stream_id](std::span<const std::uint8_t> reply) {
         return raw_conn->channel.write_frame(reply, stream_id);
       });
@@ -320,15 +312,22 @@ void EpollServer::teardown(std::uint64_t conn_id, ReadStatus why) {
   const auto it = connections_.find(conn_id);
   if (it == connections_.end()) return;
   std::shared_ptr<Connection> conn = it->second;
-  // Sessions on a torn stream get the same typed farewell the blocking
-  // loop sent inline; EOF/orderly closes finish silently. Either way each
-  // core drains its detector and releases every pin in finish().
+  // Each session on the connection gets the typed farewell for `why`
+  // (truncated/oversized frames; EOF and socket errors finish silently),
+  // drains its detector and releases every pin. A connection with no
+  // session answers an unreadable frame itself, on stream 0.
+  if (conn->streams.empty()) {
+    if (const std::optional<ErrorBody> error = transport_error(why)) {
+      conn->channel.write_frame(encode_error(error->code, error->message));
+      MutexLock lock(stats_mutex_);
+      ++stats_.protocol_errors;
+    }
+  }
   std::vector<std::uint32_t> stream_ids;
   stream_ids.reserve(conn->streams.size());
   for (const auto& [sid, core] : conn->streams) stream_ids.push_back(sid);
   for (const std::uint32_t sid : stream_ids) {
-    SessionCore& core = *conn->streams.at(sid);
-    if (is_stream_fatal(why)) core.on_transport_status(why);
+    conn->streams.at(sid)->on_transport_status(why);
     finish_stream(*conn, sid);
   }
   // Best-effort: push out whatever reply bytes are still buffered (the

@@ -1,12 +1,9 @@
-// EpollServer: the multiplexed event-loop front end for paramountd.
-//
-// Where ParamountServer burns one OS thread per connection (fine for a
-// handful of probes, hopeless at 10k sessions), this front end runs every
-// connection on ONE reactor thread: non-blocking FrameChannels, sessions as
-// readiness-driven SessionCore state machines, interval work still handed
-// to each detector's work-stealing pool. The v2 frame header's stream id
-// lets one connection carry many logical sessions — a fleet-wide collector
-// can multiplex thousands of enumeration streams over a few sockets.
+// EpollServer: paramountd's front end. One reactor thread runs every
+// connection: non-blocking FrameChannels, sessions as readiness-driven
+// SessionCore state machines, interval work still handed to each
+// detector's work-stealing pool. The v2 frame header's stream id lets one
+// connection carry many logical sessions — a fleet-wide collector can
+// multiplex thousands of enumeration streams over a few sockets.
 //
 // Listener: Unix path or TCP ("tcp:HOST:PORT"), same wire protocol either
 // way — the oracle-differential tests run bit-identical over both.
@@ -24,11 +21,21 @@
 // posts its connection's next read, and a gate-blocked connection resumes
 // its buffered frames as soon as the gate admits it.
 //
-// Close semantics per stream: a session on stream 0 (the plain
-// one-session-per-connection client) closes the connection when it ends,
-// exactly like the thread front end; sessions on nonzero streams come and
-// go while the connection stays up. Buffered replies (Goodbye under a full
-// socket) are flushed via EPOLLOUT before the close happens.
+// Close semantics per stream: stream 0 is the plain
+// one-session-per-connection client, so its session's end closes the
+// connection — a Goodbye, an Error, or a session-limit refusal alike.
+// Sessions on nonzero streams come and go while the connection stays up.
+// A frame the connection cannot read (truncated, or an oversized length
+// prefix) ends every session on it with a typed Error; with no session
+// open, the Error goes out on stream 0. Buffered replies are flushed via
+// EPOLLOUT before the close happens, and the close itself lingers (see
+// kLingerTimeout) so the peer reads them before EOF.
+//
+// The aggregated ServerStats are how the tests prove the teardown
+// invariants: leaked_pins sums every finished session's final
+// outstanding_pins (must be 0 — an EnumGuard that survives its session
+// would pin the watermark forever), and last_session carries the final
+// exact counts for differential comparison against the offline oracle.
 #pragma once
 
 #include <chrono>
@@ -38,15 +45,35 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "service/channel.hpp"
 #include "service/event_loop.hpp"
-#include "service/server.hpp"  // ServerStats
 #include "service/session.hpp"
 #include "util/submit_gate.hpp"
 #include "util/sync.hpp"
 
 namespace paramount::service {
+
+struct ServerStats {
+  std::uint64_t connections_accepted = 0;  // accept() successes (fewer than
+                                           // sessions when a connection
+                                           // multiplexes streams)
+  std::uint64_t sessions_accepted = 0;
+  std::uint64_t sessions_completed = 0;
+  // Admission refusals over --max-sessions. Deliberately NOT counted as
+  // protocol_errors: the client spoke the protocol correctly and the server
+  // turned it away — conflating the two made "protocol_errors: 0" useless
+  // as a client-correctness check whenever the limiter engaged.
+  std::uint64_t sessions_rejected = 0;
+  std::uint64_t clean_shutdowns = 0;     // ended via Shutdown/Goodbye
+  std::uint64_t protocol_errors = 0;     // Error frames sent, refusals aside
+  std::uint64_t frames = 0;              // well-formed frames handled
+  std::uint64_t leaked_pins = 0;         // sum of final outstanding_pins
+  std::uint64_t submit_stalls = 0;       // backpressure engagements, summed
+  CountsBody last_session;               // final counts of the last session
+  std::vector<VarId> last_racy_vars;     // last session's race-report vars
+};
 
 class EpollServer {
  public:
@@ -67,8 +94,9 @@ class EpollServer {
   EpollServer(const EpollServer&) = delete;
   EpollServer& operator=(const EpollServer&) = delete;
 
-  // Binds, starts the reactor thread. Returns false with *error (and *why
-  // for the Unix live-listener refusal) on failure.
+  // Binds, starts the reactor thread. Returns false with *error on failure;
+  // *why carries the typed listen_unix reason (kLiveListener when another
+  // daemon already owns the Unix socket — paramountd exits 3 on it).
   bool start(std::string* error, ListenUnixError* why = nullptr);
 
   // Idempotent: stops the loop, finishes every live session (draining
@@ -80,6 +108,9 @@ class EpollServer {
 
   ServerStats stats() const;
 
+  // Blocks until at least `n` sessions have completed (or the timeout
+  // expires; returns false then). The tests' sanctioned alternative to
+  // sleep-polling the stats.
   bool wait_sessions_completed(std::uint64_t n,
                                std::chrono::milliseconds timeout) const;
 
@@ -97,7 +128,7 @@ class EpollServer {
     // disarmed until retry_pending() wins admission.
     bool blocked = false;
     std::uint32_t blocked_stream = 0;
-    bool close_after_flush = false;  // stream-0 session ended; drain then close
+    bool close_after_flush = false;  // connection ending; drain then close
     // The interest set registered with the loop (update_interest skips the
     // epoll_ctl when it would not change).
     std::uint32_t interest = EventLoop::kReadable;
@@ -141,6 +172,9 @@ class EpollServer {
                       std::span<const std::uint8_t> payload);
   SessionCore* open_stream(const std::shared_ptr<Connection>& conn,
                            std::uint64_t conn_id, std::uint32_t stream_id);
+  // Tears the connection down once its buffered replies are written: now,
+  // or after EPOLLOUT drains them.
+  void close_when_flushed(std::uint64_t conn_id, Connection& conn);
   void finish_stream(Connection& conn, std::uint32_t stream_id);
   void finish_session(SessionCore& core);
   void update_interest(std::uint64_t conn_id, Connection& conn);

@@ -95,7 +95,7 @@ struct HelloBody {
   std::uint64_t gc_every = 0;       // sliding-window GC cadence (0 = off)
   std::uint64_t window_bytes = 0;   // byte-budget GC trigger (0 = off)
   // Sessions with the same tenant id share one submit-budget quota when the
-  // server runs with a per-tenant budget (epoll front end): one tenant's
+  // server runs with a per-tenant budget (--tenant-budget): one tenant's
   // event flood stalls that tenant's own streams, not the whole daemon.
   std::uint32_t tenant_id = 0;
 

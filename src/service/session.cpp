@@ -41,28 +41,31 @@ SessionCore::Disposition SessionCore::on_payload(
   return handle_frame(tls_frame);
 }
 
-SessionCore::Disposition SessionCore::on_transport_status(ReadStatus status) {
-  if (state_ == State::kClosed) return Disposition::kClose;
+std::optional<ErrorBody> transport_error(ReadStatus status) {
   switch (status) {
-    case ReadStatus::kEof:
-      // Orderly close without Shutdown: finish silently (not "clean" — the
-      // handshake was skipped, but nothing was malformed either).
-      break;
     case ReadStatus::kTruncated:
-      send_error(ErrorCode::kTruncatedFrame, "stream ended mid-frame");
-      break;
+      return ErrorBody{ErrorCode::kTruncatedFrame, "stream ended mid-frame"};
     case ReadStatus::kOversized:
-      // Framing is lost (the payload was never read); close after the
-      // error frame.
-      send_error(ErrorCode::kOversizedFrame,
-                 "length prefix above " + std::to_string(kMaxFramePayload) +
-                     " bytes");
-      break;
+      // Framing is lost (the payload was never read); the connection closes
+      // after the error frame.
+      return ErrorBody{ErrorCode::kOversizedFrame,
+                       "length prefix above " +
+                           std::to_string(kMaxFramePayload) + " bytes"};
+    case ReadStatus::kFrame:
+    case ReadStatus::kEof:  // orderly close: nothing was malformed
+    case ReadStatus::kWouldBlock:
     case ReadStatus::kError:
       break;
-    case ReadStatus::kFrame:
-    case ReadStatus::kWouldBlock:
-      return Disposition::kContinue;  // not a failure; nothing to do
+  }
+  return std::nullopt;
+}
+
+SessionCore::Disposition SessionCore::on_transport_status(ReadStatus status) {
+  if (state_ == State::kClosed) return Disposition::kClose;
+  // An EOF without Shutdown finishes silently (not "clean" — the handshake
+  // was skipped, but nothing was malformed either).
+  if (const std::optional<ErrorBody> error = transport_error(status)) {
+    send_error(error->code, error->message);
   }
   return close();
 }
@@ -134,8 +137,7 @@ SessionCore::Disposition SessionCore::handle_hello(const HelloBody& body) {
       num_threads_ + body.async_workers, /*trace_capacity_per_shard=*/0);
   access_table_ = std::make_unique<AccessTable>(num_threads_);
   gate_ = gate_provider_ ? gate_provider_(body)
-                         : std::make_shared<SubmitGate>(
-                               limits_.submit_budget_bytes);
+                         : std::make_shared<SubmitGate>(0);
   OnlineRaceDetector::Options options;
   options.async_workers = body.async_workers;
   options.telemetry = telemetry_.get();
@@ -222,12 +224,6 @@ bool SessionCore::admit() {
   // thread finishes the interval returns the charge via interval_done (a
   // pooled worker, or this thread before commit_event() returns when the
   // interval holds a single state).
-  if (gate_mode_ == GateMode::kBlocking) {
-    // Block here (the session thread stops reading its socket; the kernel
-    // buffer pushes back on the client).
-    gate_->acquire(event_cost_);
-    return true;
-  }
   if (gate_->acquire_or_notify(event_cost_, gate_ready_, this)) return true;
   // The owner stops reading this session until the gate's release fires
   // gate_ready_ and retry_pending() wins admission.
@@ -344,38 +340,7 @@ void SessionCore::finish() {
     for (const RaceFinding& f : detector_->report().findings()) {
       result_.racy_vars.push_back(f.var);
     }
-    if (gate_mode_ == GateMode::kBlocking) {
-      result_.submit_stalls = gate_->stalls();
-    }
   }
-}
-
-Session::Session(FrameChannel channel, std::uint64_t session_id,
-                 Limits limits)
-    : channel_(std::move(channel)),
-      core_(session_id, limits, SessionCore::GateMode::kBlocking,
-            // The send callback captures `this`; Session is neither copied
-            // nor moved after construction, so the pointer stays valid.
-            [this](std::span<const std::uint8_t> payload) {
-              return channel_.write_frame(payload);
-            }) {}
-
-Session::Result Session::run() {
-  std::span<const std::uint8_t> payload;
-  while (!core_.closed()) {
-    const ReadStatus status = channel_.read_frame(&payload);
-    if (status != ReadStatus::kFrame) {
-      core_.on_transport_status(status);
-      break;
-    }
-    core_.on_payload(payload);  // kBlocking mode: never kBlocked
-  }
-  core_.finish();
-  // Whatever ended the session, half-close so the client reads EOF right
-  // after the last reply, Goodbye or a typed Error (the thread server owns
-  // the socket; the core only knows frames).
-  channel_.shutdown_write();
-  return core_.result();
 }
 
 }  // namespace paramount::service

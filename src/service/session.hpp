@@ -12,20 +12,15 @@
 // collect(), so every EnumGuard pin is released and the final counts are
 // exact.
 //
-// The logic lives in SessionCore, which is transport-free: it consumes
-// decoded payloads and emits reply frames through a send callback, so the
-// same state machine drives both front ends —
-//   * the thread-per-connection server wraps it in Session, whose run()
-//     loop owns a blocking FrameChannel (GateMode::kBlocking: submit
-//     backpressure blocks the session thread, which stops reading the
-//     socket and lets the kernel push back on the client);
-//   * the epoll front end drives one SessionCore per multiplexed stream
-//     (GateMode::kNotify: a full submit budget returns kBlocked with the
-//     event stashed; the gate's release wakes the loop, which calls
-//     retry_pending() and resumes reading that connection).
+// SessionCore is transport-free: it consumes decoded payloads and emits
+// reply frames through a send callback. EpollServer drives one SessionCore
+// per multiplexed stream. Submit backpressure never blocks: a full submit
+// budget returns kBlocked with the event stashed, the gate's release wakes
+// the reactor, which calls retry_pending() and resumes reading that
+// connection.
 //
-// Whichever front end, a single thread feeds any given SessionCore, so the
-// core owns all program-thread telemetry shards (0..num_threads-1); pooled
+// A single thread (the reactor) feeds any given SessionCore, so the core
+// owns all program-thread telemetry shards (0..num_threads-1); pooled
 // enumeration workers write the shards above — the single-writer-per-shard
 // contract holds with one Telemetry per session.
 #pragma once
@@ -50,12 +45,15 @@ namespace paramount::service {
 // of what one queued interval holds resident (event + clock + task).
 std::size_t event_cost_bytes(std::size_t num_threads);
 
+// The typed Error a failed frame read is answered with: truncated and
+// oversized frames get one; EOF and socket errors end without a reply.
+std::optional<ErrorBody> transport_error(ReadStatus status);
+
 class SessionCore {
  public:
   struct Limits {
     std::uint32_t max_threads = 512;    // Hello::num_threads ceiling
     std::uint32_t max_workers = 64;     // Hello::async_workers ceiling
-    std::size_t submit_budget_bytes = 0;  // SubmitGate budget (0 = unbounded)
     // Stats replies flag eviction_alert once window_evictions reaches this
     // (0 = alerting off); the daemon's --eviction-alert flag.
     std::uint64_t eviction_alert_threshold = 0;
@@ -79,27 +77,18 @@ class SessionCore {
                 // session and call retry_pending() after on_gate_ready fires
   };
 
-  // How submit backpressure is exercised.
-  enum class GateMode {
-    kBlocking,  // gate->acquire() blocks the calling thread (thread server)
-    kNotify,    // gate->acquire_or_notify(); kBlocked + callback (epoll)
-  };
-
   // Emits one reply frame; returns false when the transport is dead (the
   // core then treats the session as closed). The callback owns framing —
   // the core never sees a socket.
   using SendFn = std::function<bool(std::span<const std::uint8_t>)>;
 
-  // Supplies the submit gate once Hello arrives (epoll front end: sessions
-  // of the same tenant share one gate). Null → the core builds a private
-  // gate from limits.submit_budget_bytes.
+  // Supplies the submit gate once Hello arrives (sessions of the same
+  // tenant may share one gate). Null → an unbounded private gate.
   using GateProvider =
       std::function<std::shared_ptr<SubmitGate>(const HelloBody&)>;
 
-  SessionCore(std::uint64_t session_id, Limits limits, GateMode gate_mode,
-              SendFn send)
-      : session_id_(session_id), limits_(limits), gate_mode_(gate_mode),
-        send_(std::move(send)) {}
+  SessionCore(std::uint64_t session_id, Limits limits, SendFn send)
+      : session_id_(session_id), limits_(limits), send_(std::move(send)) {}
 
   SessionCore(const SessionCore&) = delete;
   SessionCore& operator=(const SessionCore&) = delete;
@@ -109,8 +98,7 @@ class SessionCore {
     gate_provider_ = std::move(provider);
   }
   // Invoked (from SubmitGate::release, any thread) when budget may have
-  // freed after a kBlocked; the owner schedules retry_pending(). kNotify
-  // mode only.
+  // freed after a kBlocked; the owner schedules retry_pending().
   void set_gate_ready(std::function<void()> on_ready) {
     gate_ready_ = std::move(on_ready);
   }
@@ -121,18 +109,15 @@ class SessionCore {
   // throws, never aborts on malformed input.
   Disposition on_payload(std::span<const std::uint8_t> payload);
 
-  // Maps a transport-level read failure to the protocol reaction the
-  // blocking loop used inline (typed Error for truncated/oversized, silent
-  // close otherwise). kFrame/kWouldBlock are not transport failures.
+  // Ends the session on a failed frame read: the transport_error() reply,
+  // if any, then close. Call only with a status that ends the connection
+  // (not kFrame or kWouldBlock).
   Disposition on_transport_status(ReadStatus status);
 
   // Re-attempts the stashed event after a kBlocked. Returns kBlocked again
   // if the budget is still full (the gate callback re-queues), kContinue
   // once submitted.
   Disposition retry_pending();
-  bool has_pending_event() const { return pending_.has_value(); }
-
-  bool closed() const { return state_ == State::kClosed; }
 
   // Drains the detector, runs a final collect(), and seals result().
   // Idempotent; called automatically when the protocol closes the session,
@@ -147,9 +132,9 @@ class SessionCore {
  private:
   enum class State { kAwaitHello, kStreaming, kClosed };
 
-  // A validated event waiting on submit budget (kNotify mode), copied out
-  // of the frame scratch: clock already reconstructed and checked, but
-  // nothing committed — retry is idempotent.
+  // A validated event waiting on submit budget, copied out of the frame
+  // scratch: clock already reconstructed and checked, but nothing
+  // committed — retry is idempotent.
   struct PendingEvent {
     EventBody body;
     VectorClock clock;
@@ -163,8 +148,8 @@ class SessionCore {
   Disposition handle_drain();
   Disposition handle_shutdown();
 
-  // Charges one event against the gate; false (a stall, counted) when
-  // kNotify mode must wait for gate_ready_.
+  // Charges one event against the gate; false (a stall, counted) when the
+  // event must wait for gate_ready_.
   bool admit();
   // The post-admission half: access-table append, clock commit, on_event.
   void commit_event(const EventBody& body, const VectorClock& clock);
@@ -178,7 +163,6 @@ class SessionCore {
 
   const std::uint64_t session_id_;
   const Limits limits_;
-  const GateMode gate_mode_;
   SendFn send_;
   GateProvider gate_provider_;
   std::function<void()> gate_ready_;
@@ -200,32 +184,6 @@ class SessionCore {
   std::unique_ptr<ClockValidator> validator_;
   std::uint64_t events_accepted_ = 0;
   std::optional<PendingEvent> pending_;
-};
-
-// The thread-per-connection wrapper: owns a blocking FrameChannel and runs
-// a SessionCore to completion on the calling thread. Stream ids on a
-// dedicated connection are ignored on input and echoed as 0 — one
-// connection is one session here; multiplexing belongs to the epoll front
-// end.
-class Session {
- public:
-  using Limits = SessionCore::Limits;
-  using Result = SessionCore::Result;
-
-  Session(FrameChannel channel, std::uint64_t session_id, Limits limits);
-
-  // Runs the session to completion on the calling thread. Never throws,
-  // never aborts on malformed input; returns once the connection is done,
-  // its write side half-closed, and every pin released.
-  Result run();
-
-  // Closes the connection after run() without resetting it (see
-  // FrameChannel::close_lingering). Blocks for at most kLingerTimeout.
-  void close_lingering() { channel_.close_lingering(); }
-
- private:
-  FrameChannel channel_;
-  SessionCore core_;
 };
 
 }  // namespace paramount::service

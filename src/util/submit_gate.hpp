@@ -1,27 +1,23 @@
 // Byte-budget admission gate for producer → worker-pool handoffs.
 //
-// The PR-3 follow-on: the sliding-window GC bounds the *poset*, but in
-// pooled online mode the submit queue itself can become the resident-memory
-// driver — a client streaming events faster than the enumeration workers
-// retire them grows the ThreadPool's task queues without bound. The gate
-// charges a byte cost per submission and blocks the producer once the
-// in-flight total would exceed the budget, so the service codec simply stops
-// reading its socket and the *client* absorbs the backlog instead of the
-// server ballooning.
+// The sliding-window GC bounds the *poset*, but in pooled online mode the
+// submit queue itself can become the resident-memory driver — a client
+// streaming events faster than the enumeration workers retire them grows
+// the ThreadPool's task queues without bound. The gate charges a byte cost
+// per submission and refuses admission once the in-flight total would
+// exceed the budget, so paramountd's reactor stops reading that connection
+// and the *client* absorbs the backlog instead of the server ballooning.
 //
 // Admission rule: a request is admitted when it fits the budget, or when
 // nothing is in flight (an oversized single item must still make progress —
 // the classic bounded-queue passage rule, so budget < item size degrades to
 // serial execution rather than deadlock). Budget 0 disables the gate.
 //
-// Two waiting disciplines share one budget:
-//   * acquire() blocks the calling thread (the thread-per-connection
-//     session's socket pump);
-//   * acquire_or_notify() never blocks — when admission fails it queues a
-//     one-shot callback fired on a later release(), the epoll front end's
-//     "pause this connection's reads, resume when quota frees" hook.
-// One gate may be shared by many sessions (per-tenant quotas): released
-// budget wakes both blocked acquirers and queued notifiers, FIFO-first.
+// The gate never blocks: when admission fails, acquire_or_notify() queues a
+// one-shot callback fired on a later release() — the reactor's "pause this
+// connection's reads, resume when quota frees" hook. One gate may be shared
+// by many sessions (per-tenant quotas); released budget wakes queued
+// notifiers FIFO-first.
 //
 // A queued notifier only ever RE-ATTEMPTS admission — it may not win, and
 // (when its session died between queueing and firing) it may not even try.
@@ -34,7 +30,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <utility>
@@ -52,42 +47,15 @@ class SubmitGate {
   SubmitGate(const SubmitGate&) = delete;
   SubmitGate& operator=(const SubmitGate&) = delete;
 
-  std::size_t budget_bytes() const { return budget_; }
-
-  // Blocks until `bytes` fits the budget (or the gate is idle), then charges
-  // it. Every acquire must be paired with exactly one release of the same
-  // size once the work retires.
-  void acquire(std::size_t bytes) {
-    if (budget_ == 0) return;
-    MutexLock lock(mutex_);
-    bool stalled = false;
-    while (in_flight_ != 0 && in_flight_ + bytes > budget_) {
-      stalled = true;
-      cv_.wait(mutex_);
-    }
-    if (stalled) ++stalls_;
-    in_flight_ += bytes;
-  }
-
-  // Non-blocking variant: charges and returns true iff admission would not
-  // have blocked.
-  bool try_acquire(std::size_t bytes) {
-    if (budget_ == 0) return true;
-    MutexLock lock(mutex_);
-    if (in_flight_ != 0 && in_flight_ + bytes > budget_) return false;
-    in_flight_ += bytes;
-    return true;
-  }
-
-  // Non-blocking with wake-up: charges and returns true if `bytes` is
-  // admissible now; otherwise queues `notify` (FIFO) to be invoked exactly
-  // once after a release() frees enough budget for it, counts the stall,
-  // and returns false WITHOUT charging. The callback re-attempts admission
-  // itself (capacity may have been taken again by the time it runs); it is
-  // invoked outside the gate lock and must not re-enter the gate
-  // synchronously in a way that blocks. `owner` tags the queued waiter for
-  // cancel() — pass the session (or any stable address) that would
-  // re-attempt, so its teardown can retract the registration.
+  // Charges and returns true if `bytes` is admissible now; otherwise queues
+  // `notify` (FIFO) to be invoked exactly once after a release() frees
+  // enough budget for it, and returns false WITHOUT charging. Every charge
+  // must be paired with exactly one release of the same size once the work
+  // retires. The callback re-attempts admission itself (capacity may have
+  // been taken again by the time it runs); it is invoked outside the gate
+  // lock. `owner` tags the queued waiter for cancel() — pass the session
+  // (or any stable address) that would re-attempt, so its teardown can
+  // retract the registration.
   bool acquire_or_notify(std::size_t bytes, std::function<void()> notify,
                          const void* owner = nullptr) {
     if (budget_ == 0) return true;
@@ -96,7 +64,6 @@ class SubmitGate {
       in_flight_ += bytes;
       return true;
     }
-    ++stalls_;
     waiters_.push_back({bytes, std::move(notify), owner});
     return false;
   }
@@ -117,14 +84,13 @@ class SubmitGate {
     }
   }
 
-  // Returns budget charged by a completed submission and wakes waiters:
-  // blocked acquire()s via the condition variable, queued notifiers by
-  // popping every FIFO-prefix entry that now fits (stop at the first that
-  // does not — head-of-line order keeps one big waiter from starving).
-  // Cascading over the whole fitting prefix (not just the head) is what
-  // makes a wake handed to a waiter that never re-acquires — a session
-  // torn down with its registration still queued — harmless: the waiters
-  // behind it were woken too, and when the last charge retires the
+  // Returns budget charged by a completed submission and wakes queued
+  // notifiers by popping every FIFO-prefix entry that now fits (stop at the
+  // first that does not — head-of-line order keeps one big waiter from
+  // starving). Cascading over the whole fitting prefix (not just the head)
+  // is what makes a wake handed to a waiter that never re-acquires — a
+  // session torn down with its registration still queued — harmless: the
+  // waiters behind it were woken too, and when the last charge retires the
   // in_flight_ == 0 arm drains the entire queue.
   void release(std::size_t bytes) {
     if (budget_ == 0) return;
@@ -140,7 +106,6 @@ class SubmitGate {
         waiters_.pop_front();
       }
     }
-    cv_.notify_all();
     for (std::function<void()>& fn : ready) fn();
   }
 
@@ -148,14 +113,6 @@ class SubmitGate {
     if (budget_ == 0) return 0;
     MutexLock lock(mutex_);
     return in_flight_;
-  }
-
-  // Number of acquire() calls that had to wait at least once — the
-  // backpressure-engaged signal the service surfaces in its stats.
-  std::uint64_t stalls() const {
-    if (budget_ == 0) return 0;
-    MutexLock lock(mutex_);
-    return stalls_;
   }
 
  private:
@@ -167,9 +124,7 @@ class SubmitGate {
 
   const std::size_t budget_;  // immutable after construction; 0 = unbounded
   mutable Mutex mutex_;
-  CondVar cv_;
   std::size_t in_flight_ PM_GUARDED_BY(mutex_) = 0;
-  std::uint64_t stalls_ PM_GUARDED_BY(mutex_) = 0;
   std::deque<Waiter> waiters_ PM_GUARDED_BY(mutex_);
 };
 

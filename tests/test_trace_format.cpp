@@ -31,8 +31,8 @@
 #include "runtime/recording_sink.hpp"
 #include "runtime/trace_file_sink.hpp"
 #include "runtime/tracer.hpp"
+#include "service/epoll_server.hpp"
 #include "service/frame.hpp"
-#include "service/server.hpp"
 #include "trace/crc32.hpp"
 #include "trace/replay.hpp"
 #include "trace/trace_reader.hpp"
@@ -659,14 +659,15 @@ TEST(TraceHostile, MissingFileIsIoError) {
 // `paramount-client --trace-file` and returns the Goodbye state count.
 std::uint64_t service_states(const TraceReader& reader) {
   using namespace paramount::service;
-  ParamountServer::Options server_options;
-  server_options.socket_path = unique_path("svc") + ".sock";
-  ParamountServer server(std::move(server_options));
+  const std::string socket_path = unique_path("svc") + ".sock";
+  EpollServer::Options server_options;
+  server_options.endpoint.path = socket_path;
+  EpollServer server(std::move(server_options));
   std::string start_error;
   EXPECT_TRUE(server.start(&start_error)) << start_error;
 
   std::string error;
-  FrameChannel channel(connect_unix(server.socket_path(), &error));
+  FrameChannel channel(connect_unix(socket_path, &error));
   EXPECT_GE(channel.fd(), 0) << error;
 
   auto read_reply = [&](Op op) {

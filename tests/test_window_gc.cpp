@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <iostream>
+#include <semaphore>
 #include <thread>
 #include <vector>
 
@@ -13,7 +15,6 @@
 #include "poset/online_poset.hpp"
 #include "runtime/access.hpp"
 #include "test_helpers.hpp"
-#include "util/submit_gate.hpp"
 #include "util/sync.hpp"
 #include "workloads/event_stream.hpp"
 
@@ -28,7 +29,8 @@ using testing::Key;
 // Drives `total_events` of a deterministic synthetic stream through an
 // OnlineParamount with the given options; returns every visited state. A
 // nonzero `max_in_flight` makes the producer wait while that many intervals
-// are still queued or running (the service's SubmitGate backpressure).
+// are still queued or running, as paramountd's submit budget bounds a
+// session's queued work.
 struct StreamRun {
   std::vector<Key> states;
   std::size_t peak_poset_bytes = 0;
@@ -41,9 +43,9 @@ StreamRun run_stream(SyntheticEventStream::Params params,
                      std::size_t max_in_flight = 0) {
   StreamRun run;
   Mutex mutex;
-  SubmitGate gate(max_in_flight);
+  std::counting_semaphore<> slots(static_cast<std::ptrdiff_t>(max_in_flight));
   if (max_in_flight > 0) {
-    options.interval_done = [&gate](EventId) { gate.release(1); };
+    options.interval_done = [&slots](EventId) { slots.release(); };
   }
   OnlineParamount driver(
       params.num_threads, options,
@@ -54,7 +56,7 @@ StreamRun run_stream(SyntheticEventStream::Params params,
   SyntheticEventStream stream(params);
   for (std::uint64_t i = 0; i < total_events; ++i) {
     SyntheticEventStream::StreamEvent ev = stream.next();
-    if (max_in_flight > 0) gate.acquire(1);
+    if (max_in_flight > 0) slots.acquire();
     driver.submit(ev.tid, ev.kind, ev.object, std::move(ev.clock));
     if ((i & 255) == 0) {
       run.peak_poset_bytes =
@@ -294,9 +296,9 @@ TEST(WindowGc, ConcurrentCollectEnumerateStress) {
   // Queued intervals pin the watermark: with no bound on the backlog, a pool
   // that falls behind the producers pins it for the whole run and the
   // concurrent collects reclaim nothing. The bound makes them reclaim.
-  constexpr std::size_t kMaxInFlight = 64;
-  SubmitGate gate(kMaxInFlight);
-  options.interval_done = [&gate](EventId) { gate.release(1); };
+  constexpr std::ptrdiff_t kMaxInFlight = 64;
+  std::counting_semaphore<> slots(kMaxInFlight);
+  options.interval_done = [&slots](EventId) { slots.release(); };
   std::atomic<std::uint64_t> states{0};
   OnlineParamount driver(
       params.num_threads, options,
@@ -324,7 +326,7 @@ TEST(WindowGc, ConcurrentCollectEnumerateStress) {
         if (produced == total_events) return;
         ++produced;
         SyntheticEventStream::StreamEvent ev = stream.next();
-        gate.acquire(1);
+        slots.acquire();
         driver.submit(ev.tid, ev.kind, ev.object, std::move(ev.clock));
       }
     });

@@ -9,9 +9,9 @@
 // exclusive. With --streams=N (synthetic only) the client multiplexes N
 // independent sessions over ONE connection using the v2 frame header's
 // stream ids (ids 1..N, seeds seed..seed+N-1, events interleaved
-// round-robin) — the client-side half of the epoll front end's
-// many-sessions-per-socket design. --streams=1 uses stream id 0 and is
-// byte-compatible with the thread front end.
+// round-robin) — the client-side half of the daemon's
+// many-sessions-per-socket design. --streams=1 uses stream id 0: one
+// session per connection, which the session's end closes.
 //
 // Output is `key: value` lines so shell checks can grep exact fields.
 // Exit codes: 0 success, 1 protocol/transport failure or oracle mismatch,
@@ -211,8 +211,8 @@ int main(int argc, char** argv) {
   if (channel.fd() < 0) die(error);
 
   // One logical session per stream. --streams=1 keeps the original wire
-  // shape (everything on stream id 0); N>1 uses ids 1..N so the epoll
-  // front end demultiplexes them into independent sessions.
+  // shape (everything on stream id 0); N>1 uses ids 1..N so the server
+  // demultiplexes them into independent sessions.
   struct ClientStream {
     std::uint32_t wire_id = 0;
     SyntheticEventStream::Params params;

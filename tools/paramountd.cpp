@@ -1,18 +1,15 @@
 // paramountd: trace-driven service mode. Listens on a Unix-domain socket or
 // a TCP endpoint, runs one online ParaMount session per client session
 // (window GC and pooled enumeration per the client's Hello), and answers
-// Poll frames with live telemetry. Two front ends share the wire protocol:
-// the default epoll event loop multiplexes every connection — and, via the
-// v2 frame header's stream ids, many sessions per connection — onto one
-// reactor thread; --front-end=threads keeps the original
-// thread-per-connection server. See README "Service mode" for the protocol
-// and tools/paramount_client.cpp for a replay client.
+// Poll frames with live telemetry. One epoll reactor thread (EpollServer)
+// serves every connection and, via the v2 frame header's stream ids, many
+// sessions per connection. See README "Service mode" for the protocol and
+// tools/paramount_client.cpp for a replay client.
 #include <csignal>
 #include <cstdio>
 
 #include "service/daemon_config.hpp"
 #include "service/epoll_server.hpp"
-#include "service/server.hpp"
 #include "util/cli.hpp"
 
 using namespace paramount;
@@ -37,9 +34,10 @@ void print_stats(const ServerStats& stats) {
               static_cast<unsigned long long>(stats.leaked_pins));
 }
 
-std::string endpoint_label(const Endpoint& endpoint) {
+// The bound endpoint: a TCP port of 0 resolves to the one the kernel chose.
+std::string endpoint_label(const Endpoint& endpoint, const EpollServer& server) {
   if (endpoint.kind == Endpoint::Kind::kTcp) {
-    return "tcp:" + endpoint.host + ":" + std::to_string(endpoint.port);
+    return "tcp:" + endpoint.host + ":" + std::to_string(server.tcp_port());
   }
   return endpoint.path;
 }
@@ -63,64 +61,32 @@ int main(int argc, char** argv) {
   sigaddset(&signals, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &signals, nullptr);
 
-  ServerStats stats;
+  EpollServer::Options options;
+  options.endpoint = config.endpoint;
+  options.max_sessions = config.max_sessions;
+  options.submit_budget_bytes = config.submit_budget_bytes;
+  options.tenant_budget_bytes = config.tenant_budget_bytes;
+  options.eviction_alert_threshold = config.eviction_alert_threshold;
+  EpollServer server(std::move(options));
   std::string error;
-  if (config.front_end == FrontEnd::kThreads) {
-    ParamountServer::Options options;
-    options.socket_path = config.endpoint.path;
-    options.max_sessions = config.max_sessions;
-    options.submit_budget_bytes = config.submit_budget_bytes;
-    options.eviction_alert_threshold = config.eviction_alert_threshold;
-    ParamountServer server(std::move(options));
-    ListenUnixError why = ListenUnixError::kNone;
-    if (!server.start(&error, &why)) {
-      std::fprintf(stderr, "paramountd: %s\n", error.c_str());
-      // Same typed-refusal contract as the epoll front end: exit 3 when a
-      // live daemon already owns the socket instead of stealing it.
-      return why == ListenUnixError::kLiveListener ? 3 : 1;
-    }
-    std::printf("paramountd: listening on %s (front-end threads, "
-                "max-sessions %u, submit-budget %zu bytes)\n",
-                config.endpoint.path.c_str(), config.max_sessions,
-                config.submit_budget_bytes);
-    std::fflush(stdout);
-    int sig = 0;
-    sigwait(&signals, &sig);
-    std::printf("paramountd: signal %d, draining\n", sig);
-    server.stop();
-    stats = server.stats();
-  } else {
-    EpollServer::Options options;
-    options.endpoint = config.endpoint;
-    options.max_sessions = config.max_sessions;
-    options.submit_budget_bytes = config.submit_budget_bytes;
-    options.tenant_budget_bytes = config.tenant_budget_bytes;
-    options.eviction_alert_threshold = config.eviction_alert_threshold;
-    EpollServer server(std::move(options));
-    ListenUnixError why = ListenUnixError::kNone;
-    if (!server.start(&error, &why)) {
-      std::fprintf(stderr, "paramountd: %s\n", error.c_str());
-      // The typed refusal a second daemon instance gets instead of
-      // stealing a live daemon's socket.
-      return why == ListenUnixError::kLiveListener ? 3 : 1;
-    }
-    std::string label = endpoint_label(config.endpoint);
-    if (config.endpoint.kind == Endpoint::Kind::kTcp &&
-        config.endpoint.port == 0) {
-      label = "tcp:" + config.endpoint.host + ":" +
-              std::to_string(server.tcp_port());
-    }
-    std::printf("paramountd: listening on %s (front-end epoll, max-sessions "
-                "%u, submit-budget %zu bytes, tenant-budget %zu bytes)\n",
-                label.c_str(), config.max_sessions,
-                config.submit_budget_bytes, config.tenant_budget_bytes);
-    std::fflush(stdout);
-    int sig = 0;
-    sigwait(&signals, &sig);
-    std::printf("paramountd: signal %d, draining\n", sig);
-    server.stop();
-    stats = server.stats();
+  ListenUnixError why = ListenUnixError::kNone;
+  if (!server.start(&error, &why)) {
+    std::fprintf(stderr, "paramountd: %s\n", error.c_str());
+    // The typed refusal a second daemon instance gets instead of stealing a
+    // live daemon's socket.
+    return why == ListenUnixError::kLiveListener ? 3 : 1;
   }
+  std::printf("paramountd: listening on %s (max-sessions %u, submit-budget "
+              "%zu bytes, tenant-budget %zu bytes)\n",
+              endpoint_label(config.endpoint, server).c_str(),
+              config.max_sessions, config.submit_budget_bytes,
+              config.tenant_budget_bytes);
+  std::fflush(stdout);
+  int sig = 0;
+  sigwait(&signals, &sig);
+  std::printf("paramountd: signal %d, draining\n", sig);
+  server.stop();
+  const ServerStats stats = server.stats();
 
   print_stats(stats);
   return stats.leaked_pins == 0 ? 0 : 1;
