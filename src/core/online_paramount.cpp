@@ -1,6 +1,43 @@
 #include "core/online_paramount.hpp"
 
+#include <deque>
+
 namespace paramount {
+
+namespace {
+
+// The Inserted scratch of submit(), one per nesting depth on a thread: a
+// visitor running inside submit() may submit to another driver, and that
+// inner insert must not overwrite the Inserted the outer interval is still
+// enumerating. A deque keeps outer slots in place while a deeper one is
+// added, and each slot, once used, is reused with no allocation.
+struct SubmitScratch {
+  std::deque<OnlinePoset::Inserted> slots;
+  std::size_t depth = 0;
+};
+
+thread_local SubmitScratch submit_scratch;
+
+// Claims the calling thread's slot at the current depth for one submit().
+class ScratchSlot {
+ public:
+  ScratchSlot() {
+    if (submit_scratch.slots.size() == submit_scratch.depth) {
+      submit_scratch.slots.emplace_back();
+    }
+    ins_ = &submit_scratch.slots[submit_scratch.depth++];
+  }
+  ~ScratchSlot() { --submit_scratch.depth; }
+  ScratchSlot(const ScratchSlot&) = delete;
+  ScratchSlot& operator=(const ScratchSlot&) = delete;
+
+  OnlinePoset::Inserted& get() const { return *ins_; }
+
+ private:
+  OnlinePoset::Inserted* ins_ = nullptr;
+};
+
+}  // namespace
 
 OnlineParamount::OnlineParamount(std::size_t num_threads, Options options,
                                  IntervalStateVisitor visit)
@@ -28,10 +65,12 @@ EventId OnlineParamount::submit(ThreadId tid, OpKind kind,
   obs::Telemetry* const tel = options_.telemetry;
   const std::uint64_t insert_ns =
       tel != nullptr ? tel->tracer().now_ns() : 0;
-  // Reused by every submit on this thread: insert() copy-assigns Gmin and
-  // Gbnd into its buffers, which stop allocating after the first event.
-  // Only its contents between this insert and the hand-off below matter.
-  thread_local OnlinePoset::Inserted ins;
+  // Reused by every submit at this depth on this thread: insert()
+  // copy-assigns Gmin and Gbnd into its buffers, which stop allocating
+  // after the first event. Only its contents between this insert and the
+  // hand-off below matter.
+  const ScratchSlot slot;
+  OnlinePoset::Inserted& ins = slot.get();
   // With a window policy the interval's Gmin is pinned atomically with the
   // insert; the pin travels to enumerate_interval via ins.pin_slot and is
   // released when the enumeration finishes.
@@ -52,15 +91,13 @@ EventId OnlineParamount::submit(ThreadId tid, OpKind kind,
   // less than the hand-off (a task allocation, two queue locks and a wake on
   // another CPU), so only multi-state boxes go to the pool, each with its
   // own copy of the Inserted.
-  const bool one_state = ins.gmin == ins.gbnd;
-  if (pool_ != nullptr && !one_state) {
+  if (pool_ != nullptr && !ins.one_state) {
     pool_->submit([this, ins = ins] {
       enumerate_interval(
-          ins, /*one_state=*/false,
-          poset_.num_threads() + ThreadPool::current_worker_index());
+          ins, poset_.num_threads() + ThreadPool::current_worker_index());
     });
   } else {
-    enumerate_interval(ins, one_state, tid);
+    enumerate_interval(ins, tid);
   }
   maybe_collect();
   return id;
@@ -106,7 +143,7 @@ void OnlineParamount::maybe_collect() {
 }
 
 void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins,
-                                         bool one_state, std::size_t shard) {
+                                         std::size_t shard) {
   // Adopt the pin taken at insert time (inert without a window policy):
   // while this guard lives, collect() cannot advance the watermark past
   // ins.gmin, so every index inside [Gmin, Gbnd] stays resident.
@@ -120,7 +157,7 @@ void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins,
     visit_(poset_, ins.id, poset_.empty_frontier());
     ++states;
   }
-  if (one_state) {
+  if (ins.one_state) {
     // The box [Gmin, Gmin]: every subroutine would visit Gmin alone.
     visit_(poset_, ins.id, ins.gmin);
     ++states;

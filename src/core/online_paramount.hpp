@@ -22,8 +22,9 @@
 //
 // In both modes a single-state interval is visited directly — its one state
 // is Gmin — without running the enumeration subroutine, and submit() fills
-// a per-thread reused Inserted, so the path of such an event allocates
-// nothing once its thread has submitted one event.
+// a per-thread reused Inserted, one per nesting depth, so the path of such
+// an event allocates nothing once its thread has submitted one event at
+// that depth.
 #pragma once
 
 #include <atomic>
@@ -71,7 +72,9 @@ class OnlineParamount {
   // Visitor invoked once per enumerated global state, possibly from several
   // threads at once. `owner` is the event whose interval is being enumerated
   // (the predicate's "new event e"); `state` is only valid during the call.
-  // It must not call submit() (the calling thread's Inserted is in use).
+  // It may call submit() on another driver: each nesting depth of submit()
+  // on a thread fills its own Inserted. It must not call submit() on this
+  // driver.
   using IntervalStateVisitor =
       std::function<void(const OnlinePoset& poset, EventId owner,
                          const Frontier& state)>;
@@ -107,9 +110,9 @@ class OnlineParamount {
   }
 
  private:
-  // `one_state` is ins.gmin == ins.gbnd; `shard` is the telemetry shard of
-  // the calling thread (see Options::telemetry).
-  void enumerate_interval(const OnlinePoset::Inserted& ins, bool one_state,
+  // `shard` is the telemetry shard of the calling thread (see
+  // Options::telemetry).
+  void enumerate_interval(const OnlinePoset::Inserted& ins,
                           std::size_t shard);
   void maybe_collect();
 

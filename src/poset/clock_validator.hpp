@@ -58,16 +58,23 @@ class ClockValidator {
     if (tid >= published_.size()) return Verdict::kBadThread;
     PM_DCHECK(clock.size() == published_.size());
     if (clock[tid] != published_[tid] + 1) return Verdict::kWrongOwnComponent;
-    // Checks 3 and 4 merged into one scan (they used to be two full passes):
-    // per component, monotone over the thread's previous clock and bounded
-    // by what other threads have published.
-    const bool check_prev = has_prev_[tid] != 0;
-    const VectorClock& prev = prev_[tid];
-    for (ThreadId j = 0; j < published_.size(); ++j) {
-      if (check_prev && clock[j] < prev[j]) return Verdict::kRegression;
-      if (j != tid && clock[j] > published_[j]) return Verdict::kUnpublished;
+    // Checks 3 and 4 detected in one branch-free pass, which GCC
+    // vectorizes (integer flags: GCC 12 leaves the loop scalar with bools).
+    // The own component is always one above its published count, so a
+    // clean clock has exactly one component above. A thread with no
+    // previous clock compares against itself, which never regresses.
+    const std::size_t n = published_.size();
+    const EventIndex* const c = clock.data();
+    const EventIndex* const prev = has_prev_[tid] != 0 ? prev_[tid].data() : c;
+    const EventIndex* const published = published_.data();
+    unsigned above = 0;
+    unsigned regressed = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      above += static_cast<unsigned>(c[j] > published[j]);
+      regressed |= static_cast<unsigned>(c[j] < prev[j]);
     }
-    return Verdict::kOk;
+    if (above == 1 && regressed == 0) return Verdict::kOk;
+    return classify(tid, clock);
   }
 
   // Accepts a validated clock as the thread's newest event.
@@ -117,6 +124,18 @@ class ClockValidator {
   }
 
  private:
+  // Picks the verdict of a clock the detection pass flagged: checks 3 and 4
+  // in component order, so the first defective component decides.
+  Verdict classify(ThreadId tid, const VectorClock& clock) const {
+    const bool check_prev = has_prev_[tid] != 0;
+    const VectorClock& prev = prev_[tid];
+    for (ThreadId j = 0; j < published_.size(); ++j) {
+      if (check_prev && clock[j] < prev[j]) return Verdict::kRegression;
+      if (j != tid && clock[j] > published_[j]) return Verdict::kUnpublished;
+    }
+    return Verdict::kOk;
+  }
+
   std::vector<VectorClock> prev_;
   std::vector<EventIndex> published_;
   // Not vector<bool>: per-thread flags are written independently.

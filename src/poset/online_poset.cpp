@@ -19,7 +19,8 @@ OnlinePoset::OnlinePoset(std::size_t num_threads)
         // builds every element in place from its row width.
         const std::vector<std::size_t> widths(num_threads, num_threads + 2);
         return std::vector<PerThread>(widths.begin(), widths.end());
-      }()) {}
+      }()),
+      published_(num_threads, 0) {}
 
 Frontier OnlinePoset::published_frontier() const {
   Frontier f(num_threads());
@@ -39,28 +40,40 @@ void OnlinePoset::insert(ThreadId tid, OpKind kind, std::uint32_t object,
 
   MutexLock guard(insert_mutex_);
 
-  const EventId id{tid, num_events(tid) + 1};
+  EventIndex* const published = published_.data();
+  const EventId id{tid, published[tid] + 1};
   PM_CHECK_MSG(clock[tid] == id.index,
                "own clock component must equal the event's index");
-  // The clock may only reference already published events (Property 1 is
-  // achieved by insertion order — §4.2).
-  for (ThreadId j = 0; j < n; ++j) {
-    if (j == tid) continue;
-    PM_CHECK_MSG(clock[j] <= num_events(j),
-                 "clock references an event not yet inserted");
-  }
+  // Count the event first: published now holds Gbnd, and the one pass below
+  // treats the own component like every other.
+  published[tid] = id.index;
   // Per-thread clocks are monotone (e_t[i] happens-before e_t[i+1] and
   // clocks are transitively closed). The sliding-window watermark *relies*
   // on this to lower-bound future Gmins, so a violating trace must abort
-  // here rather than corrupt reclamation downstream.
-  if (id.index > 1) {
-    PM_CHECK_MSG(vc(tid, id.index - 1).leq(clock),
-                 "per-thread vector clocks must be componentwise monotone");
+  // here rather than corrupt reclamation downstream. The thread's last row
+  // is always live (the watermark never passes a thread's newest event); a
+  // first event compares against itself, which never regresses.
+  const EventIndex* const c = clock.data();
+  const EventIndex* const prev = id.index > 1 ? row(tid, id.index - 1) : c;
+  // One branch-free pass, which GCC vectorizes: the flags are integers
+  // because GCC 12 leaves the loop scalar when they are bools.
+  unsigned unpublished = 0;  // references an event not yet inserted
+  unsigned regressed = 0;    // below the thread's previous clock
+  unsigned differs = 0;      // Gmin != Gbnd
+  for (std::size_t j = 0; j < n; ++j) {
+    unpublished |= static_cast<unsigned>(c[j] > published[j]);
+    regressed |= static_cast<unsigned>(c[j] < prev[j]);
+    differs |= static_cast<unsigned>(c[j] != published[j]);
   }
+  // The clock may only reference already published events (Property 1 is
+  // achieved by insertion order — §4.2).
+  PM_CHECK_MSG(unpublished == 0, "clock references an event not yet inserted");
+  PM_CHECK_MSG(regressed == 0,
+               "per-thread vector clocks must be componentwise monotone");
 
   // The one copy of the clock: into the event's row, published with it.
   threads_[tid].rows.push_row([&](EventIndex* row) {
-    std::copy_n(clock.data(), n, row);
+    std::copy_n(c, n, row);
     row[n] = static_cast<EventIndex>(kind);
     row[n + 1] = object;
   });
@@ -69,11 +82,12 @@ void OnlinePoset::insert(ThreadId tid, OpKind kind, std::uint32_t object,
   out->gmin = clock;
   out->position = next_position_++;
   out->first = out->position == 0;
+  out->one_state = differs == 0;
   // Gbnd(e): snapshot of maximal events after inserting e — exactly the
   // frontier of { f : f = e or f →p e } (Definition 1 via insertion order).
   // Exact by construction: we hold the insertion lock.
   if (out->gbnd.size() != n) out->gbnd = Frontier(n);
-  for (ThreadId t = 0; t < n; ++t) out->gbnd[t] = num_events(t);
+  std::copy_n(published, n, out->gbnd.data());
 
   // Registered before the insertion lock drops so no collect() can advance
   // the watermark between publication and the pin taking effect.
@@ -130,11 +144,11 @@ OnlinePoset::CollectStats OnlinePoset::collect_locked() {
   // reference anything already published — the floor stays at zero.
   Frontier watermark(n);
   for (ThreadId t = 0; t < n; ++t) {
-    if (num_events(t) == 0) {
+    if (published_[t] == 0) {
       stats.resident_bytes = heap_bytes();
       return stats;
     }
-    const ClockView last = vc(t, num_events(t));
+    const ClockView last = vc(t, published_[t]);
     for (ThreadId j = 0; j < n; ++j) {
       watermark[j] = t == 0 ? last[j] : std::min(watermark[j], last[j]);
     }

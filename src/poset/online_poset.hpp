@@ -48,6 +48,7 @@
 // detectors drop candidates that left the window instead of crashing.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -206,6 +207,9 @@ class OnlinePoset {
     Frontier gbnd;       // snapshot of maximal events, including this event
     std::uint64_t position;  // 0-based position in the total order →p
     bool first;          // true for the very first event in →p
+    // gmin == gbnd: the event causally follows every event inserted before
+    // it, so its interval holds the single state gmin.
+    bool one_state = false;
     std::uint32_t pin_slot = kNoPin;  // adopt with EnumGuard{poset, pin_slot}
   };
 
@@ -275,7 +279,7 @@ class OnlinePoset {
   // the snapshot is a consistent cut by construction (no validation needed).
   Frontier published_frontier_locked() const PM_REQUIRES(insert_mutex_) {
     Frontier f(num_threads());
-    for (ThreadId t = 0; t < num_threads(); ++t) f[t] = num_events(t);
+    std::copy_n(published_.data(), num_threads(), f.data());
     return f;
   }
 
@@ -293,6 +297,11 @@ class OnlinePoset {
   std::vector<PerThread> threads_;
   mutable Mutex insert_mutex_;
   std::uint64_t next_position_ PM_GUARDED_BY(insert_mutex_) = 0;
+  // The writer's copy of the published counts, in one contiguous array:
+  // whenever insert_mutex_ is free, published_[t] == threads_[t].rows.size().
+  // The locked paths read it instead of n atomic size counters that sit in
+  // n separate PerThread objects; lock-free readers use those counters.
+  std::vector<EventIndex> published_ PM_GUARDED_BY(insert_mutex_);
 
   // Pin registry: slots have stable identity; structure and contents are
   // guarded by pin_mutex_ (locked after insert_mutex_ where both are held).

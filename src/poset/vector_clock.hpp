@@ -105,6 +105,7 @@ class VectorClock {
   }
 
   std::size_t size() const { return components_.size(); }
+  EventIndex* data() { return components_.data(); }
   const EventIndex* data() const { return components_.data(); }
 
   // Sets the clock to `num_threads` zero components, reusing the buffer.

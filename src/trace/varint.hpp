@@ -30,9 +30,15 @@ inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
 // on truncation or overflow leaves *p unspecified and returns false.
 inline bool get_varint(const std::uint8_t** p, const std::uint8_t* end,
                        std::uint64_t* out) {
+  const std::uint8_t* q = *p;
+  // One byte, the common case: clock deltas are mostly below 128.
+  if (q != end && *q < 0x80u) {
+    *out = *q;
+    *p = q + 1;
+    return true;
+  }
   std::uint64_t value = 0;
   unsigned shift = 0;
-  const std::uint8_t* q = *p;
   while (q != end && shift < 64) {
     const std::uint8_t byte = *q++;
     const std::uint64_t group = byte & 0x7Fu;

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "obs/telemetry.hpp"
 #include "poset/lattice.hpp"
@@ -14,6 +16,7 @@
 #include "poset/poset_builder.hpp"
 #include "poset/topo_sort.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 #include "util/sync.hpp"
 
 namespace paramount {
@@ -72,6 +75,56 @@ TEST(OnlinePoset, RejectsBadOwnComponent) {
   OnlinePoset poset(2);
   EXPECT_DEATH(poset.insert(0, OpKind::kInternal, 0, VectorClock{5, 0}),
                "own clock component");
+}
+
+// A clock with `width` components, zero except for the listed ones.
+VectorClock sparse_clock(std::size_t width,
+                         std::initializer_list<std::pair<ThreadId, EventIndex>>
+                             components) {
+  VectorClock vc(width);
+  for (const auto& [t, value] : components) vc[t] = value;
+  return vc;
+}
+
+TEST(OnlinePoset, RejectsRegressionAtWidths2And64) {
+  for (const std::size_t width : {2u, 64u}) {
+    const ThreadId last = static_cast<ThreadId>(width - 1);
+    OnlinePoset poset(width);
+    poset.insert(last, OpKind::kInternal, 0, sparse_clock(width, {{last, 1}}));
+    poset.insert(0, OpKind::kInternal, 0,
+                 sparse_clock(width, {{0, 1}, {last, 1}}));
+    // Thread 0's next clock forgets the event its previous one had seen.
+    EXPECT_DEATH(poset.insert(0, OpKind::kInternal, 0,
+                              sparse_clock(width, {{0, 2}})),
+                 "componentwise monotone")
+        << "width " << width;
+  }
+}
+
+TEST(OnlinePoset, RejectsForwardReferenceInLastComponentAtWidth65) {
+  constexpr std::size_t kWidth = 65;  // one component past a 16-word block
+  OnlinePoset poset(kWidth);
+  for (ThreadId t = 0; t + 1 < kWidth; ++t) {
+    poset.insert(t, OpKind::kInternal, 0, sparse_clock(kWidth, {{t, 1}}));
+  }
+  EXPECT_DEATH(poset.insert(0, OpKind::kInternal, 0,
+                            sparse_clock(kWidth, {{0, 2}, {kWidth - 1, 1}})),
+               "not yet inserted");
+}
+
+// Both defects in one clock: the forward reference is reported, wherever
+// the two sit.
+TEST(OnlinePoset, RejectsClockWithBothDefectsAsForwardReference) {
+  OnlinePoset poset(3);
+  poset.insert(1, OpKind::kInternal, 0, VectorClock{0, 1, 0});
+  poset.insert(2, OpKind::kInternal, 0, VectorClock{0, 0, 1});
+  poset.insert(0, OpKind::kInternal, 0, VectorClock{1, 1, 1});
+  // Regression in component 1, forward reference in component 2.
+  EXPECT_DEATH(poset.insert(0, OpKind::kInternal, 0, VectorClock{2, 0, 2}),
+               "not yet inserted");
+  // Forward reference in component 1, regression in component 2.
+  EXPECT_DEATH(poset.insert(0, OpKind::kInternal, 0, VectorClock{2, 2, 0}),
+               "not yet inserted");
 }
 
 TEST(OnlinePoset, Figure8BoundaryDependsOnInsertionOrder) {
@@ -276,6 +329,56 @@ TEST(OnlinePoset, HeapBytesCountEveryClockRow) {
     EXPECT_GE(poset.heap_bytes(),
               (events - poset.reclaimed_events()) * row_bytes)
         << "width " << width;
+  }
+}
+
+// Every Inserted against a count of inserted events the test keeps itself,
+// on random consistent streams. The widths straddle Frontier's inline
+// capacity (16, 17) and a 64-component block (63, 64, 65).
+TEST(OnlinePoset, InsertedMatchesOwnCountsAtEveryWidth) {
+  for (const std::size_t width : {1u, 2u, 6u, 16u, 17u, 63u, 64u, 65u}) {
+    for (const bool gc : {false, true}) {
+      Rng rng(width * 2 + (gc ? 1 : 0));
+      OnlinePoset poset(width);
+      std::vector<VectorClock> last(width, VectorClock(width));
+      Key counts(width, 0);
+      OnlinePoset::Inserted ins;  // reused, as OnlineParamount does
+      std::uint64_t one_state = 0;
+      const std::uint64_t events = 30 * width + 40;
+      for (std::uint64_t k = 0; k < events; ++k) {
+        const auto t = static_cast<ThreadId>(rng.next_below(width));
+        // The new clock joins what its thread saw with one other thread's
+        // last event, or, one time in four, with every thread's, which
+        // makes a one-state interval.
+        VectorClock vc = last[t];
+        if (rng.next_below(4) == 0) {
+          for (const VectorClock& other : last) vc.join(other);
+        } else {
+          vc.join(last[rng.next_below(width)]);
+        }
+        vc[t] = counts[t] + 1;
+        poset.insert(t, OpKind::kInternal, static_cast<std::uint32_t>(k), vc,
+                     /*pin=*/false, &ins);
+        ++counts[t];
+        last[t] = vc;
+
+        const std::string where =
+            "width " + std::to_string(width) + (gc ? " gc" : "") +
+            ", event " + std::to_string(k);
+        ASSERT_EQ(ins.id, (EventId{t, counts[t]})) << where;
+        ASSERT_EQ(ins.gmin, vc) << where;
+        ASSERT_EQ(key_of(ins.gbnd), counts) << where;
+        ASSERT_EQ(ins.one_state, ins.gmin == ins.gbnd) << where;
+        ASSERT_TRUE(poset.is_consistent(ins.gbnd)) << where;
+        ASSERT_EQ(ins.position, k) << where;
+        ASSERT_EQ(ins.first, k == 0) << where;
+        if (ins.one_state) ++one_state;
+        if (gc && k % 32 == 31) poset.collect();
+      }
+      EXPECT_GT(one_state, 0u) << "width " << width;
+      if (width > 1) EXPECT_LT(one_state, events) << "width " << width;
+      if (gc) EXPECT_GT(poset.reclaimed_events(), 0u) << "width " << width;
+    }
   }
 }
 
@@ -522,6 +625,63 @@ TEST(OnlineParamount, ConcurrentProducersMatchOracle) {
     EXPECT_TRUE(all_distinct(states));
     EXPECT_EQ(as_set(states), oracle);
   }
+}
+
+// A visitor may submit to another driver. Each nesting depth of submit()
+// has its own Inserted, so the inner insert leaves the outer interval alone:
+// the outer driver enumerates its own lattice with its own owners, and the
+// inner driver enumerates its own.
+TEST(OnlineParamount, NestedSubmitToAnotherDriverKeepsTheOuterInterval) {
+  // Outer: two independent 5-event chains, whose lattice has 6 x 6 states.
+  // Inner: its events alternate between two independent chains.
+  constexpr EventIndex kChain = 5;
+  constexpr std::uint64_t kInnerCap = 50;
+  std::uint64_t inner_states = 0;
+  std::uint64_t inner_events = 0;
+  Key inner_counts(2, 0);
+  OnlineParamount inner(2, {},
+                        [&](const OnlinePoset&, EventId, const Frontier&) {
+                          ++inner_states;
+                        });
+  // Runs the outer driver; with `nest`, each outer state submits one event
+  // to the inner driver.
+  const auto outer_run = [&](bool nest) {
+    std::vector<std::pair<EventId, Key>> visits;
+    OnlineParamount outer(
+        2, {}, [&](const OnlinePoset&, EventId owner, const Frontier& f) {
+          visits.emplace_back(owner, key_of(f));
+          if (!nest || inner_events >= kInnerCap) return;
+          const auto t = static_cast<ThreadId>(inner_events++ % 2);
+          ++inner_counts[t];
+          inner.submit(t, OpKind::kInternal, 0,
+                       sparse_clock(2, {{t, inner_counts[t]}}));
+        });
+    for (EventIndex i = 1; i <= kChain; ++i) {
+      for (ThreadId t = 0; t < 2; ++t) {
+        outer.submit(t, OpKind::kInternal, 0, sparse_clock(2, {{t, i}}));
+      }
+    }
+    EXPECT_EQ(outer.states_enumerated(), 36u);
+    return visits;
+  };
+  const auto nested = outer_run(true);
+  const auto reference = outer_run(false);
+
+  ASSERT_EQ(nested.size(), 36u);
+  std::set<Key> states;
+  for (const auto& [owner, state] : nested) {
+    EXPECT_LT(owner.tid, 2u);
+    EXPECT_LE(owner.index, kChain) << owner.to_string();
+    states.insert(state);
+  }
+  EXPECT_EQ(states.size(), 36u);
+  EXPECT_EQ(nested, reference);
+
+  ASSERT_EQ(inner_events, 36u);
+  const std::uint64_t inner_lattice =
+      std::uint64_t{inner_counts[0] + 1} * (inner_counts[1] + 1);
+  EXPECT_EQ(inner_states, inner_lattice);
+  EXPECT_EQ(inner.states_enumerated(), inner_lattice);
 }
 
 }  // namespace

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "poset/clock_validator.hpp"
 #include "poset/poset_builder.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace paramount {
 namespace {
@@ -108,6 +113,145 @@ TEST(EventId, PackedAndToString) {
 TEST(OpKind, Names) {
   EXPECT_STREQ(to_string(OpKind::kAcquire), "acquire");
   EXPECT_STREQ(to_string(OpKind::kCollection), "collection");
+}
+
+// The validator's ordered scan and its messages, kept as the reference its
+// one-pass detection must match verdict for verdict.
+class ReferenceValidator {
+ public:
+  using Verdict = ClockValidator::Verdict;
+
+  explicit ReferenceValidator(std::size_t num_threads)
+      : prev_(num_threads, VectorClock(num_threads)),
+        published_(num_threads, 0),
+        has_prev_(num_threads, true) {}
+
+  void reset_published(std::vector<EventIndex> published) {
+    published_ = std::move(published);
+    prev_.assign(published_.size(), VectorClock(published_.size()));
+    has_prev_.assign(published_.size(), false);
+  }
+
+  Verdict validate(ThreadId tid, const VectorClock& clock) const {
+    if (tid >= published_.size()) return Verdict::kBadThread;
+    if (clock[tid] != published_[tid] + 1) return Verdict::kWrongOwnComponent;
+    const bool check_prev = has_prev_[tid] != 0;
+    const VectorClock& prev = prev_[tid];
+    for (ThreadId j = 0; j < published_.size(); ++j) {
+      if (check_prev && clock[j] < prev[j]) return Verdict::kRegression;
+      if (j != tid && clock[j] > published_[j]) return Verdict::kUnpublished;
+    }
+    return Verdict::kOk;
+  }
+
+  void commit(ThreadId tid, const VectorClock& clock) {
+    published_[tid] += 1;
+    prev_[tid] = clock;
+    has_prev_[tid] = true;
+  }
+
+  std::string describe(ThreadId tid, Verdict verdict) const {
+    switch (verdict) {
+      case Verdict::kOk:
+        return "ok";
+      case Verdict::kBadThread:
+        return "tid " + std::to_string(tid) + " out of range";
+      case Verdict::kWrongOwnComponent:
+        return "own clock component must equal the event's index " +
+               std::to_string(tid < published_.size() ? published_[tid] + 1
+                                                      : 0);
+      case Verdict::kRegression:
+        return "clock not componentwise monotone on thread " +
+               std::to_string(tid);
+      case Verdict::kUnpublished:
+        return "clock references unpublished event of another thread";
+    }
+    return "ok";
+  }
+
+  const std::vector<EventIndex>& published() const { return published_; }
+
+ private:
+  std::vector<VectorClock> prev_;
+  std::vector<EventIndex> published_;
+  std::vector<char> has_prev_;
+};
+
+// Random streams at every width from 1 to 70. Half the candidate clocks are
+// valid; the rest carry one to three defects at random components: a
+// regression, a reference to an unpublished event, a wrong own component.
+// Halfway through, both validators resume from the published counts alone.
+TEST(ClockValidator, VerdictsAndMessagesMatchTheOrderedScan) {
+  using Verdict = ClockValidator::Verdict;
+  Rng rng(22);
+  std::vector<std::uint64_t> seen(5, 0);
+  for (std::size_t width = 1; width <= 70; ++width) {
+    ClockValidator validator(width);
+    ReferenceValidator reference(width);
+    // Each thread's last accepted clock, kept across the reset.
+    std::vector<VectorClock> last(width, VectorClock(width));
+    constexpr int kSteps = 240;
+    for (int step = 0; step < kSteps; ++step) {
+      if (step == kSteps / 2) {
+        validator.reset_published(reference.published());
+        reference.reset_published(reference.published());
+      }
+      if (rng.next_below(40) == 0) {
+        const auto tid = static_cast<ThreadId>(width + rng.next_below(3));
+        const VectorClock clock(width);
+        const Verdict want = reference.validate(tid, clock);
+        ASSERT_EQ(validator.validate(tid, clock), want);
+        ASSERT_EQ(validator.describe(tid, want), reference.describe(tid, want));
+        ++seen[static_cast<std::size_t>(want)];
+        continue;
+      }
+      const auto tid = static_cast<ThreadId>(rng.next_below(width));
+      const std::vector<EventIndex>& published = reference.published();
+      VectorClock clock = last[tid];
+      clock.join(last[rng.next_below(width)]);
+      clock[tid] = published[tid] + 1;
+      const std::uint64_t defects =
+          rng.next_bool(0.5) ? 0 : 1 + rng.next_below(3);
+      for (std::uint64_t d = 0; d < defects; ++d) {
+        const auto j = static_cast<ThreadId>(rng.next_below(width));
+        switch (rng.next_below(3)) {
+          case 0:  // regression below the thread's last accepted clock
+            if (last[tid][j] > 0) {
+              clock[j] = static_cast<EventIndex>(rng.next_below(last[tid][j]));
+            }
+            break;
+          case 1:  // reference past the published count
+            clock[j] = published[j] + 1 +
+                       static_cast<EventIndex>(rng.next_below(3));
+            break;
+          default:  // wrong own component
+            clock[tid] = rng.next_bool(0.5)
+                             ? 0
+                             : published[tid] + 2 +
+                                   static_cast<EventIndex>(rng.next_below(3));
+            break;
+        }
+      }
+      const Verdict want = reference.validate(tid, clock);
+      const std::string where = "width " + std::to_string(width) +
+                                ", step " + std::to_string(step);
+      ASSERT_EQ(validator.validate(tid, clock), want) << where;
+      ASSERT_EQ(validator.describe(tid, want), reference.describe(tid, want))
+          << where;
+      ++seen[static_cast<std::size_t>(want)];
+      if (want == Verdict::kOk) {
+        validator.commit(tid, clock);
+        reference.commit(tid, clock);
+        last[tid] = clock;
+      }
+    }
+    for (ThreadId t = 0; t < width; ++t) {
+      ASSERT_EQ(validator.published(t), reference.published()[t]);
+    }
+  }
+  for (std::size_t v = 0; v < seen.size(); ++v) {
+    EXPECT_GT(seen[v], 0u) << "verdict " << v << " never came up";
+  }
 }
 
 }  // namespace
