@@ -194,6 +194,12 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
+    // The channel holds the tail of the stream until a flush point; send
+    // it now, so the first timed Poll does not carry it.
+    if (probe.flush() != FrameChannel::FlushStatus::kDrained) {
+      std::fprintf(stderr, "bench_service: event flush failed\n");
+      return 1;
+    }
   }
 
   // The idle fleet, ramped cumulatively: each plateau reuses the sessions

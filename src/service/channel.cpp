@@ -303,6 +303,15 @@ const char* to_string(ReadStatus status) {
   return "?";
 }
 
+FrameChannel::FrameChannel(UniqueFd fd) : fd_(std::move(fd)) {
+  // The reactor's fds come from accept4(SOCK_NONBLOCK), a client's from a
+  // plain connect(): the fd itself says which write path applies.
+  const int flags = fd_.valid() ? ::fcntl(fd_.get(), F_GETFL, 0) : -1;
+  nonblocking_ = flags >= 0 && (flags & O_NONBLOCK) != 0;
+}
+
+FrameChannel::~FrameChannel() { flush_if_blocking(); }
+
 ReadStatus FrameChannel::read_frame(std::span<const std::uint8_t>* payload,
                                     std::uint32_t* stream_id) {
   // Frames come out of the read buffer; the socket is read only when the
@@ -363,10 +372,16 @@ std::optional<ReadStatus> FrameChannel::fill(std::size_t need) {
   }
   in_begin_ = 0;
   in_end_ = buffered;
+  // A blocking read may wait for a reply to the frames still held here. A
+  // failed flush does not fail the read: what the peer sent before the
+  // failure (its Error, then EOF) is still there to read.
+  flush_if_blocking();
   while (true) {
+    ++counts_.recv_calls;
     const ssize_t n = ::recv(fd_.get(), in_.get() + in_end_, cap - in_end_, 0);
     if (n > 0) {
       in_end_ += static_cast<std::size_t>(n);
+      counts_.bytes_received += static_cast<std::size_t>(n);
       return std::nullopt;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -391,77 +406,68 @@ void FrameChannel::release_input() {
 
 bool FrameChannel::write_frame(std::span<const std::uint8_t> payload,
                                std::uint32_t stream_id) {
+  if (write_failed_) return false;
   std::uint8_t header[kFrameHeaderBytes];
   store_le32(header, static_cast<std::uint32_t>(payload.size()));
   store_le32(header + 4, stream_id);
-  if (has_pending_write()) {
-    // Keep ordering: earlier queued bytes must hit the wire first, so the
-    // new frame joins the backlog and we opportunistically flush.
-    out_.insert(out_.end(), header, header + sizeof(header));
+  out_.insert(out_.end(), header, header + sizeof(header));
+  ++counts_.frames_sent;
+  if (!nonblocking_ && pending_write_bytes() + payload.size() < kWriteChunk) {
+    // Held for a flush point: the frame still fits in the chunk.
     out_.insert(out_.end(), payload.begin(), payload.end());
-    return flush() != FlushStatus::kError;
+    return true;
   }
-  // Fast path: header + payload coalesced into one sendmsg — a single
-  // syscall and (with TCP_NODELAY) a single packet, instead of the old
-  // prefix-then-payload pair of sends.
-  const std::size_t total = sizeof(header) + payload.size();
-  std::size_t sent = 0;
-  while (sent < total) {
+  // The payload rides behind the buffered bytes (its header among them) in
+  // one sendmsg, uncopied: on TCP_NODELAY a lone frame is one packet, not a
+  // header packet and a payload packet.
+  return send_buffered(payload) != FlushStatus::kError;
+}
+
+FrameChannel::FlushStatus FrameChannel::flush() { return send_buffered({}); }
+
+FrameChannel::FlushStatus FrameChannel::send_buffered(
+    std::span<const std::uint8_t> tail) {
+  if (write_failed_) return FlushStatus::kError;
+  std::size_t tail_sent = 0;
+  while (out_pos_ < out_.size() || tail_sent < tail.size()) {
     iovec iov[2];
     int iovcnt = 0;
-    if (sent < sizeof(header)) {
-      iov[iovcnt].iov_base = header + sent;
-      iov[iovcnt].iov_len = sizeof(header) - sent;
+    if (out_pos_ < out_.size()) {
+      iov[iovcnt].iov_base = out_.data() + out_pos_;
+      iov[iovcnt].iov_len = out_.size() - out_pos_;
       ++iovcnt;
-      if (!payload.empty()) {
-        iov[iovcnt].iov_base = const_cast<std::uint8_t*>(payload.data());
-        iov[iovcnt].iov_len = payload.size();
-        ++iovcnt;
-      }
-    } else {
-      iov[iovcnt].iov_base =
-          const_cast<std::uint8_t*>(payload.data()) + (sent - sizeof(header));
-      iov[iovcnt].iov_len = total - sent;
+    }
+    if (tail_sent < tail.size()) {
+      iov[iovcnt].iov_base = const_cast<std::uint8_t*>(tail.data()) + tail_sent;
+      iov[iovcnt].iov_len = tail.size() - tail_sent;
       ++iovcnt;
     }
     msghdr msg{};
     msg.msg_iov = iov;
     msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
+    ++counts_.send_calls;
     const ssize_t w = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL);
     if (w >= 0) {
-      sent += static_cast<std::size_t>(w);
+      const std::size_t sent = static_cast<std::size_t>(w);
+      counts_.bytes_sent += sent;
+      const std::size_t from_buffer = std::min(sent, out_.size() - out_pos_);
+      out_pos_ += from_buffer;
+      tail_sent += sent - from_buffer;
       continue;
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // Non-blocking fd pushed back: buffer the unsent tail; the caller
+      // The kernel pushed back (a non-blocking fd, or a blocking one with a
+      // send timeout): queue the unsent tail behind the backlog; the caller
       // flush()es when the fd turns writable.
-      if (sent < sizeof(header)) {
-        out_.insert(out_.end(), header + sent, header + sizeof(header));
-        out_.insert(out_.end(), payload.begin(), payload.end());
-      } else {
-        out_.insert(out_.end(),
-                    payload.begin() +
-                        static_cast<std::ptrdiff_t>(sent - sizeof(header)),
-                    payload.end());
-      }
-      return true;
+      out_.insert(out_.end(),
+                  tail.begin() + static_cast<std::ptrdiff_t>(tail_sent),
+                  tail.end());
+      return FlushStatus::kPending;
     }
-    return false;
-  }
-  return true;
-}
-
-FrameChannel::FlushStatus FrameChannel::flush() {
-  while (out_pos_ < out_.size()) {
-    const ssize_t w = ::send(fd_.get(), out_.data() + out_pos_,
-                             out_.size() - out_pos_, MSG_NOSIGNAL);
-    if (w >= 0) {
-      out_pos_ += static_cast<std::size_t>(w);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return FlushStatus::kPending;
+    write_failed_ = true;
+    out_.clear();
+    out_pos_ = 0;
     return FlushStatus::kError;
   }
   out_.clear();
@@ -469,14 +475,23 @@ FrameChannel::FlushStatus FrameChannel::flush() {
   return FlushStatus::kDrained;
 }
 
+void FrameChannel::flush_if_blocking() {
+  if (!nonblocking_ && has_pending_write()) flush();
+}
+
 bool FrameChannel::set_nonblocking(bool enabled) {
   const int flags = ::fcntl(fd_.get(), F_GETFL, 0);
   if (flags < 0) return false;
   const int wanted = enabled ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  return ::fcntl(fd_.get(), F_SETFL, wanted) == 0;
+  if (::fcntl(fd_.get(), F_SETFL, wanted) != 0) return false;
+  nonblocking_ = enabled;
+  return true;
 }
 
-void FrameChannel::shutdown_write() { ::shutdown(fd_.get(), SHUT_WR); }
+void FrameChannel::shutdown_write() {
+  flush_if_blocking();
+  ::shutdown(fd_.get(), SHUT_WR);
+}
 
 bool FrameChannel::discard_input(std::size_t* discarded) {
   release_input();

@@ -104,8 +104,9 @@ bool parse_endpoint(const std::string& spec, Endpoint* endpoint,
 UniqueFd listen_tcp(const std::string& host, std::uint16_t port, int backlog,
                     std::string* error);
 
-// Connects to host:port over TCP and sets TCP_NODELAY (frames are already
-// coalesced into single writes; Nagle would only add latency).
+// Connects to host:port over TCP and sets TCP_NODELAY: a FrameChannel
+// already batches its frames into chunk-sized writes and sends the rest at
+// a flush point, where Nagle would only hold them back.
 UniqueFd connect_tcp(const std::string& host, std::uint16_t port,
                      std::string* error);
 
@@ -148,20 +149,60 @@ inline constexpr std::chrono::milliseconds kLingerTimeout{2000};
 // finds it drained and the socket empty too (kWouldBlock, kEof, kError),
 // so an idle non-blocking connection holds none.
 //
+// Writes on a blocking fd are buffered too, so that a stream of small
+// frames costs one kernel send per kWriteChunk bytes, not one per frame.
+// write_frame appends the frame to the write buffer, and the buffer goes to
+// the kernel in one send at the first of these flush points:
+//   - the buffered bytes reach kWriteChunk (a frame that does not fit in a
+//     chunk goes out with them, in the same sendmsg, uncopied);
+//   - read_frame is about to read the socket;
+//   - flush() is called;
+//   - shutdown_write() is called;
+//   - the channel is destroyed.
+// So a frame may wait in the buffer until a flush point. A client that
+// writes requests and then reads their replies needs nothing more; a
+// producer that stops writing without reading (a paused live feed) must
+// call flush(), or its last frames never reach the peer. A failed send is
+// sticky: every later write_frame returns false and flush() kError, and the
+// unsendable bytes are dropped. A failed flush inside read_frame does not
+// fail the read, so the reply the peer sent before it closed (a typed
+// Error, say) is still read.
+//
 // On a blocking fd every call runs to completion. On a non-blocking fd
-// (set_nonblocking) the channel keeps partial progress between calls:
-// read_frame returns kWouldBlock mid-frame and resumes where it left off,
-// and write_frame queues whatever the kernel would not take — flush()
-// retries the backlog when the fd signals writable. Level-triggered epoll
-// fires for bytes still in the kernel, not for frames already in the read
-// buffer: a reactor that stops reading while has_buffered_frame() holds
-// must come back to the channel on its own.
+// (set_nonblocking, or an fd opened with O_NONBLOCK: the mode is read from
+// the fd) the channel keeps partial progress between calls: read_frame
+// returns kWouldBlock mid-frame and resumes where it left off, and
+// write_frame sends at once, queueing whatever the kernel would not take —
+// flush() retries the backlog when the fd signals writable. Level-triggered
+// epoll fires for bytes still in the kernel, not for frames already in the
+// read buffer: a reactor that stops reading while has_buffered_frame()
+// holds must come back to the channel on its own.
 class FrameChannel {
  public:
   // Bytes one recv() asks for while the buffered frame fits in them.
   static constexpr std::size_t kReadChunk = std::size_t{16} << 10;
+  // Bytes a blocking channel buffers before it sends them.
+  static constexpr std::size_t kWriteChunk = kReadChunk;
 
-  explicit FrameChannel(UniqueFd fd) : fd_(std::move(fd)) {}
+  // What the channel asked of the kernel: each send or recv call counts
+  // once, however many bytes it moved (recv calls made to discard a
+  // lingering peer's input are not counted). frames_sent counts the frames
+  // write_frame accepted.
+  struct IoCounts {
+    std::uint64_t send_calls = 0;
+    std::uint64_t bytes_sent = 0;
+    std::uint64_t recv_calls = 0;
+    std::uint64_t bytes_received = 0;
+    std::uint64_t frames_sent = 0;
+  };
+
+  explicit FrameChannel(UniqueFd fd);
+  // Flushes a blocking channel's buffered frames (best effort; call flush()
+  // first to learn whether they went out).
+  ~FrameChannel();
+  FrameChannel(FrameChannel&&) noexcept = default;
+  // Assigning over a channel would drop its buffered frames.
+  FrameChannel& operator=(FrameChannel&&) = delete;
 
   // Reads one frame; *payload views the read buffer (see above for how
   // long). An oversized header poisons the stream (the payload is unread,
@@ -182,19 +223,22 @@ class FrameChannel {
   // oversized, is buffered.
   bool has_buffered_frame() const;
 
-  // Writes the 8-byte header plus the payload as a single coalesced
-  // sendmsg (one packet on TCP, not header-then-payload). Partial writes
-  // are retried; on a non-blocking fd the unsent tail is buffered (call
-  // flush() when writable) and the call still returns true. Returns false
-  // only on a transport error (including EPIPE — sends use MSG_NOSIGNAL,
-  // so a half-closed peer can never SIGPIPE the server).
+  // Writes the 8-byte header plus the payload: buffered on a blocking fd
+  // (see the flush points above), sent at once on a non-blocking one. A
+  // send puts the buffered bytes and the payload into one sendmsg. Partial
+  // writes are retried; on a non-blocking fd the unsent tail is buffered
+  // (call flush() when writable) and the call still returns true. Returns
+  // false only on a transport error, now or at an earlier send (including
+  // EPIPE — sends use MSG_NOSIGNAL, so a half-closed peer can never SIGPIPE
+  // the server).
   bool write_frame(std::span<const std::uint8_t> payload,
                    std::uint32_t stream_id = 0);
 
   enum class FlushStatus { kDrained, kPending, kError };
 
-  // Retries the buffered write backlog. kPending means the kernel is still
-  // pushing back (re-arm for writability); kDrained means nothing is queued.
+  // Sends the write buffer. kPending means the kernel is still pushing back
+  // (re-arm for writability); kDrained means nothing is queued; kError
+  // means this or an earlier send failed.
   FlushStatus flush();
 
   bool has_pending_write() const { return out_pos_ < out_.size(); }
@@ -203,9 +247,11 @@ class FrameChannel {
   // Switches the fd's O_NONBLOCK flag. Returns false on fcntl failure.
   bool set_nonblocking(bool enabled);
 
-  // Half-closes the write side: the peer reads EOF after the frames
-  // already sent.
+  // Flushes a blocking channel, then half-closes the write side: the peer
+  // reads EOF after the frames already sent.
   void shutdown_write();
+
+  const IoCounts& io_counts() const { return counts_; }
 
   // Drops the read buffer, then reads and discards whatever input the
   // kernel holds, without blocking, adding that byte count to *discarded.
@@ -222,6 +268,13 @@ class FrameChannel {
   // the status read_frame reports.
   std::optional<ReadStatus> fill(std::size_t need);
   void release_input();
+  // Sends the write buffer and then `tail` in as few sendmsg calls as the
+  // kernel allows; on a push-back the unsent part of `tail` joins the
+  // buffer (kPending).
+  FlushStatus send_buffered(std::span<const std::uint8_t> tail);
+  // The flush a blocking channel owes before it reads, half-closes or
+  // closes; a non-blocking channel's backlog waits for writability.
+  void flush_if_blocking();
 
   // Read buffer: bytes [in_begin_, in_end_) are received but not yet
   // returned as frames. Null while empty.
@@ -230,10 +283,15 @@ class FrameChannel {
   std::size_t in_begin_ = 0;
   std::size_t in_end_ = 0;
 
-  // Write backlog (bytes the kernel refused on a non-blocking fd).
+  // Write buffer: bytes [out_pos_, size) are written but not yet sent —
+  // frames held for a flush point on a blocking fd, the bytes the kernel
+  // refused on a non-blocking one.
   std::vector<std::uint8_t> out_;
   std::size_t out_pos_ = 0;
+  bool nonblocking_ = false;  // the fd's O_NONBLOCK, as last read or set
+  bool write_failed_ = false;
 
+  IoCounts counts_;
   UniqueFd fd_;
 };
 

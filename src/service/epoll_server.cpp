@@ -73,6 +73,10 @@ void EpollServer::stop() {
   listener_.reset();
   if (!bound_unix_path_.empty()) ::unlink(bound_unix_path_.c_str());
   tenant_gates_.clear();
+  {
+    MutexLock lock(stats_mutex_);
+    stats_.reactor_wakes = loop_->wakes();
+  }
   loop_.reset();
 }
 
@@ -322,6 +326,13 @@ void EpollServer::teardown(std::uint64_t conn_id, ReadStatus why) {
       MutexLock lock(stats_mutex_);
       ++stats_.protocol_errors;
     }
+  }
+  {
+    const FrameChannel::IoCounts& io = conn->channel.io_counts();
+    MutexLock lock(stats_mutex_);
+    stats_.recv_calls += io.recv_calls;
+    stats_.bytes_received += io.bytes_received;
+    stats_.reactor_wakes = loop_->wakes();
   }
   std::vector<std::uint32_t> stream_ids;
   stream_ids.reserve(conn->streams.size());

@@ -71,6 +71,12 @@ struct ServerStats {
   std::uint64_t frames = 0;              // well-formed frames handled
   std::uint64_t leaked_pins = 0;         // sum of final outstanding_pins
   std::uint64_t submit_stalls = 0;       // backpressure engagements, summed
+  // Transport: recv calls made to read frames and the bytes they brought,
+  // summed over connections as each closes, and returns from the reactor's
+  // epoll_wait, as of the last connection close or stop().
+  std::uint64_t recv_calls = 0;
+  std::uint64_t bytes_received = 0;
+  std::uint64_t reactor_wakes = 0;
   CountsBody last_session;               // final counts of the last session
   std::vector<VarId> last_racy_vars;     // last session's race-report vars
 };

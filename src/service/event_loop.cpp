@@ -90,6 +90,7 @@ void EventLoop::run() {
       if (errno == EINTR) continue;
       return;  // epoll fd itself broke; nothing sane to do but exit
     }
+    ++wakes_;
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       // A handler earlier in this batch may have removed this fd (and its

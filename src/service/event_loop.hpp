@@ -69,6 +69,10 @@ class EventLoop {
   // Thread-safe, idempotent: makes run() return after the current batch.
   void stop();
 
+  // How many times run()'s epoll_wait has returned (EINTR aside), each
+  // return one reactor wake-up. Loop-thread-only, or after run() returned.
+  std::uint64_t wakes() const { return wakes_; }
+
  private:
   static std::uint32_t to_epoll(std::uint32_t interest);
   void drain_wake_and_run_posted();
@@ -77,6 +81,7 @@ class EventLoop {
   UniqueFd wake_;  // eventfd: post()/stop() wake-up
   std::string error_;
   std::unordered_map<int, Handler> handlers_;  // loop-thread-only
+  std::uint64_t wakes_ = 0;                    // loop-thread-only
 
   // relaxed would suffice for the flag alone, but posted-task visibility
   // rides on the mutex below; keep the default ordering for clarity.

@@ -1,15 +1,17 @@
 // Allocation counts on the ingest paths that promise to allocate nothing
 // once warm: TraceCursor::next into a reused TraceEvent, OnlinePoset::insert
-// into a reused Inserted, and inline OnlineParamount::submit of one-state
-// intervals, nested submits included. The poset's own storage is the one
-// allowance: an insert may open a row segment and, with it, a directory
-// leaf.
+// into a reused Inserted, inline OnlineParamount::submit of one-state
+// intervals, nested submits included, SessionCore's Event path, and
+// FrameChannel::write_frame on a blocking socket. The poset's own storage
+// is the one allowance: an insert may open a row segment and, with it, a
+// directory leaf.
 //
 // This binary replaces the global operator new and operator delete with
 // counting ones (thread-local tallies over malloc/free). A sanitizer build
 // brings its own allocator, so there the replacement is compiled out and
 // every test skips.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -19,10 +21,14 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/online_paramount.hpp"
 #include "poset/online_poset.hpp"
+#include "service/channel.hpp"
+#include "service/frame.hpp"
+#include "service/session.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
 #include "workloads/scenarios/scenarios.hpp"
@@ -236,6 +242,134 @@ TEST(AllocationCount, OnlineParamountOneStateSubmitInlineAndNested) {
   EXPECT_EQ(outer.states_enumerated(), kEvents + 1);
   EXPECT_EQ(inner.states_enumerated(), kEvents + 2);
   EXPECT_EQ(inner_next, kEvents + 1);
+}
+
+// The reactor's per-frame path for an Event: decode into the frame
+// scratch, rebuild and validate the clock, admit against the submit gate,
+// insert and visit the one-state interval. A twin OnlinePoset fed the same
+// clocks, outside the counted span, measures what each insert opened.
+TEST(AllocationCount, SessionCoreEventPathAllocatesOnlyPosetStorage) {
+  SKIP_UNLESS_COUNTING();
+  constexpr std::size_t kWidth = 64;
+  constexpr std::uint64_t kWarm = 4 * kWidth;
+  constexpr std::uint64_t kEvents = kWarm + 10000;
+  const std::vector<VectorClock> clocks = chain_clocks(kWidth, kEvents);
+  std::vector<std::vector<std::uint8_t>> frames;
+  frames.reserve(kEvents);
+  const VectorClock zero(kWidth);
+  for (std::uint64_t k = 0; k < kEvents; ++k) {
+    const VectorClock& prev = k >= kWidth ? clocks[k - kWidth] : zero;
+    service::EventBody body;
+    body.tid = static_cast<ThreadId>(k % kWidth);
+    for (std::size_t j = 0; j < kWidth; ++j) {
+      if (clocks[k][j] != prev[j]) {
+        body.delta.push_back({static_cast<std::uint32_t>(j), clocks[k][j]});
+      }
+    }
+    frames.push_back(service::encode_event(body));
+  }
+  // Wired as EpollServer wires a session: a budgeted gate, and a
+  // gate-ready hook capturing what the server's does.
+  auto gate = std::make_shared<SubmitGate>(std::size_t{1} << 20);
+  std::uint64_t replies = 0;
+  service::SessionCore core(1, {}, [&replies](std::span<const std::uint8_t>) {
+    ++replies;
+    return true;
+  });
+  core.set_gate_provider([gate](const service::HelloBody&) { return gate; });
+  std::uint64_t wake_ups = 0;
+  const std::uint64_t conn_id = 7;
+  core.set_gate_ready([&wake_ups, conn_id] { wake_ups += conn_id; });
+  service::HelloBody hello;
+  hello.num_threads = kWidth;
+  ASSERT_EQ(core.on_payload(service::encode_hello(hello)),
+            service::SessionCore::Disposition::kContinue);
+
+  OnlinePoset twin(kWidth);
+  OnlinePoset::Inserted ins;
+  const auto feed = [&](std::uint64_t k) {
+    return core.on_payload(frames[k]);
+  };
+  // Warm-up: the first events grow the frame scratch, the clock scratch
+  // and the validator's per-thread clocks.
+  for (std::uint64_t k = 0; k < kWarm; ++k) {
+    twin.insert(static_cast<ThreadId>(k % kWidth), OpKind::kInternal, 0,
+                clocks[k], false, &ins);
+    ASSERT_EQ(feed(k), service::SessionCore::Disposition::kContinue);
+  }
+  std::uint64_t made_total = 0;
+  std::uint64_t storage_opens = 0;
+  for (std::uint64_t k = kWarm; k < kEvents; ++k) {
+    const std::size_t bytes = twin.heap_bytes();
+    twin.insert(static_cast<ThreadId>(k % kWidth), OpKind::kInternal, 0,
+                clocks[k], false, &ins);
+    const std::uint64_t allowed =
+        storage_allowance(kWidth, twin.heap_bytes() - bytes);
+    const std::uint64_t allocs = allocations();
+    const service::SessionCore::Disposition disposition = feed(k);
+    const std::uint64_t made = allocations() - allocs;
+    ASSERT_EQ(disposition, service::SessionCore::Disposition::kContinue)
+        << "event " << k;
+    ASSERT_LE(made, allowed) << "event " << k;
+    made_total += made;
+    if (allowed > 0) ++storage_opens;
+  }
+  EXPECT_LT(storage_opens * 8, kEvents - kWarm);
+  EXPECT_LE(made_total, 2 * storage_opens);
+  EXPECT_EQ(replies, 1u);  // the HelloAck; events are not answered
+  EXPECT_EQ(wake_ups, 0u);  // the gate never refused an event
+  core.finish();
+  EXPECT_EQ(core.result().counts.events, kEvents);
+  EXPECT_EQ(core.result().counts.states, kEvents + 1);
+}
+
+// A blocking channel's write buffer grows to one chunk plus a frame, and
+// then write_frame allocates nothing, for small frames that wait in it and
+// for frames larger than the chunk, which go out behind it uncopied.
+TEST(AllocationCount, BlockingWriteFrameAllocatesNothingOnceItsBufferGrew) {
+  SKIP_UNLESS_COUNTING();
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  service::UniqueFd peer(fds[1]);
+  std::uint64_t drained = 0;
+  std::thread reader([&peer, &drained] {
+    std::vector<std::uint8_t> buffer(std::size_t{1} << 16);
+    while (true) {
+      const ssize_t n = ::read(peer.get(), buffer.data(), buffer.size());
+      if (n <= 0) return;
+      drained += static_cast<std::uint64_t>(n);
+    }
+  });
+  const std::vector<std::uint8_t> small(200, 0x5A);
+  const std::vector<std::uint8_t> big(std::size_t{1} << 20, 0xA5);
+  constexpr std::uint32_t kWrites = 19800;
+  std::uint64_t made = 0;
+  std::uint64_t freed = 0;
+  std::uint64_t expected_bytes = 0;
+  bool ok = true;
+  {
+    service::FrameChannel channel{service::UniqueFd(fds[0])};
+    // Warm-up: two hundred frames fill the chunk twice over.
+    for (std::uint32_t i = 0; i < 200; ++i) {
+      ok = channel.write_frame(small, i) && ok;
+      expected_bytes += 8 + small.size();
+    }
+    const std::uint64_t allocs = allocations();
+    const std::uint64_t frees = deallocations();
+    for (std::uint32_t i = 0; i < kWrites; ++i) {
+      const std::vector<std::uint8_t>& payload = i % 5000 == 4999 ? big : small;
+      ok = channel.write_frame(payload, i) && ok;
+      expected_bytes += 8 + payload.size();
+    }
+    ok = channel.flush() == service::FrameChannel::FlushStatus::kDrained && ok;
+    made = allocations() - allocs;
+    freed = deallocations() - frees;
+  }  // closes the socket: the reader sees EOF
+  reader.join();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(made, 0u);
+  EXPECT_EQ(freed, 0u);
+  EXPECT_EQ(drained, expected_bytes);
 }
 
 }  // namespace

@@ -18,7 +18,9 @@
 #include "service/channel.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -27,6 +29,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "service/frame.hpp"
@@ -175,6 +178,8 @@ TEST(FrameChannelSplits, StreamIdRoundTripsAndDefaultsToZero) {
   const std::vector<std::uint8_t> payload = {0xAB, 0xCD};
   ASSERT_TRUE(pair.a->write_frame(payload, 0xDEADBEEFu));
   ASSERT_TRUE(pair.a->write_frame(payload));
+  // One thread plays both ends: send the held frames before reading them.
+  ASSERT_EQ(pair.a->flush(), FrameChannel::FlushStatus::kDrained);
   std::vector<std::uint8_t> got;
   std::uint32_t stream = 0;
   ASSERT_EQ(pair.b->read_frame(&got, &stream), ReadStatus::kFrame);
@@ -190,6 +195,7 @@ TEST(FrameChannelSplits, WriteProducesTheDocumentedWireImage) {
   Pair pair;
   const std::vector<std::uint8_t> payload = test_payload();
   ASSERT_TRUE(pair.a->write_frame(payload, 9));
+  ASSERT_EQ(pair.a->flush(), FrameChannel::FlushStatus::kDrained);
   std::vector<std::uint8_t> raw(8 + payload.size());
   std::size_t got = 0;
   while (got < raw.size()) {
@@ -342,17 +348,18 @@ TEST(FrameChannelSplits, BufferedWritesFlushAcrossArbitraryResumeOffsets) {
   EXPECT_EQ(raw, expected);
 }
 
-// write_frame on a peer-closed socket must fail without raising SIGPIPE
-// (the test surviving is the assertion).
+// Writing to a peer-closed socket must fail without raising SIGPIPE (the
+// test surviving is the assertion). The small frames wait in the write
+// buffer, so the failure shows at the flush, and it sticks: the next
+// write_frame fails too.
 TEST(FrameChannelSplits, PeerCloseFailsWritesWithoutSigpipe) {
   Pair pair;
   pair.b.reset();
   const std::vector<std::uint8_t> payload = test_payload();
-  bool failed = false;
-  for (int i = 0; i < 4 && !failed; ++i) {
-    failed = !pair.a->write_frame(payload);
-  }
-  EXPECT_TRUE(failed);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(pair.a->write_frame(payload));
+  EXPECT_EQ(pair.a->flush(), FrameChannel::FlushStatus::kError);
+  EXPECT_FALSE(pair.a->write_frame(payload));
+  EXPECT_FALSE(pair.a->has_pending_write());
 }
 
 // flush() on a peer-closed socket with a backlog reports kError.
@@ -368,6 +375,228 @@ TEST(FrameChannelSplits, FlushReportsErrorAfterPeerClose) {
   }
   pair.b.reset();
   EXPECT_EQ(pair.a->flush(), FrameChannel::FlushStatus::kError);
+}
+
+// ---- write buffering on blocking fds ----
+
+// Bounds every blocking send and recv on the channel's fd, so a channel
+// that forgets a flush fails its test (kWouldBlock) instead of hanging it.
+void bound_waits(const FrameChannel& channel) {
+  timeval tv = {};
+  tv.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(channel.fd(), SOL_SOCKET, SO_RCVTIMEO, &tv,
+                         sizeof(tv)), 0);
+  ASSERT_EQ(::setsockopt(channel.fd(), SOL_SOCKET, SO_SNDTIMEO, &tv,
+                         sizeof(tv)), 0);
+}
+
+// Bytes waiting in the kernel to be read on `channel`'s fd.
+std::size_t queued_bytes(const FrameChannel& channel) {
+  int n = -1;
+  EXPECT_EQ(::ioctl(channel.fd(), FIONREAD, &n), 0);
+  return static_cast<std::size_t>(n);
+}
+
+// Frames that leave the chunk unfilled stay off the wire; the frame that
+// fills it sends every held frame, in order, in one call.
+TEST(FrameChannelWriteBuffer, SmallFramesWaitForTheFrameThatFillsTheChunk) {
+  Pair pair;
+  bound_waits(*pair.b);
+  constexpr std::size_t kPayload = 200;
+  constexpr std::size_t kFrameBytes = 8 + kPayload;
+  const auto payload = [](std::uint32_t i) {
+    return std::vector<std::uint8_t>(kPayload, static_cast<std::uint8_t>(i));
+  };
+  constexpr std::uint32_t kHeld =
+      (FrameChannel::kWriteChunk - 1) / kFrameBytes;
+  for (std::uint32_t i = 0; i < kHeld; ++i) {
+    ASSERT_TRUE(pair.a->write_frame(payload(i), i));
+    ASSERT_EQ(queued_bytes(*pair.b), 0u) << "frame " << i;
+  }
+  EXPECT_EQ(pair.a->pending_write_bytes(), kHeld * kFrameBytes);
+  EXPECT_EQ(pair.a->io_counts().send_calls, 0u);
+  ASSERT_TRUE(pair.a->write_frame(payload(kHeld), kHeld));
+  EXPECT_FALSE(pair.a->has_pending_write());
+  EXPECT_EQ(pair.a->io_counts().send_calls, 1u);
+  EXPECT_EQ(pair.a->io_counts().bytes_sent, (kHeld + 1) * kFrameBytes);
+  EXPECT_EQ(pair.a->io_counts().frames_sent, kHeld + 1);
+  EXPECT_EQ(queued_bytes(*pair.b), (kHeld + 1) * kFrameBytes);
+  std::vector<std::uint8_t> got;
+  std::uint32_t stream = 0;
+  for (std::uint32_t i = 0; i <= kHeld; ++i) {
+    ASSERT_EQ(pair.b->read_frame(&got, &stream), ReadStatus::kFrame)
+        << "frame " << i;
+    EXPECT_EQ(stream, i);
+    EXPECT_EQ(got, payload(i)) << "frame " << i;
+  }
+}
+
+// A client writes its requests and then reads: read_frame must send the
+// held frames before it waits, or the responder, which answers only once
+// it has seen every frame, never answers.
+TEST(FrameChannelWriteBuffer, ReadFrameSendsHeldFramesBeforeItWaits) {
+  Pair pair;
+  bound_waits(*pair.a);
+  bound_waits(*pair.b);
+  constexpr std::uint32_t kFrames = 10;
+  std::thread responder([&pair] {
+    std::vector<std::uint8_t> got;
+    std::uint32_t stream = 0;
+    for (std::uint32_t i = 0; i < kFrames; ++i) {
+      if (pair.b->read_frame(&got, &stream) != ReadStatus::kFrame) return;
+    }
+    // It stops writing and does not read: it must flush.
+    pair.b->write_frame(test_payload(), kFrames);
+    pair.b->flush();
+  });
+  bool wrote = true;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    wrote = pair.a->write_frame(test_payload(), i) && wrote;
+  }
+  const std::uint64_t sends_before_read = pair.a->io_counts().send_calls;
+  std::vector<std::uint8_t> reply;
+  std::uint32_t stream = 0;
+  const ReadStatus status = pair.a->read_frame(&reply, &stream);
+  responder.join();
+  EXPECT_TRUE(wrote);
+  EXPECT_EQ(sends_before_read, 0u);
+  ASSERT_EQ(status, ReadStatus::kFrame) << to_string(status);
+  EXPECT_EQ(stream, kFrames);
+  EXPECT_EQ(reply, test_payload());
+  EXPECT_EQ(pair.a->io_counts().send_calls, 1u);
+}
+
+// shutdown_write() and the destructor each send the held frames first: the
+// peer reads every frame, then EOF.
+TEST(FrameChannelWriteBuffer, ShutdownWriteAndDestructorSendHeldFrames) {
+  for (const bool destroy : {false, true}) {
+    Pair pair;
+    bound_waits(*pair.b);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE(pair.a->write_frame(test_payload(), i));
+    }
+    ASSERT_EQ(queued_bytes(*pair.b), 0u);
+    if (destroy) {
+      pair.a.reset();
+    } else {
+      pair.a->shutdown_write();
+    }
+    std::vector<std::uint8_t> got;
+    std::uint32_t stream = 0;
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      ASSERT_EQ(pair.b->read_frame(&got, &stream), ReadStatus::kFrame)
+          << (destroy ? "destructor" : "shutdown_write") << ", frame " << i;
+      EXPECT_EQ(stream, i);
+      EXPECT_EQ(got, test_payload());
+    }
+    EXPECT_EQ(pair.b->read_frame(&got), ReadStatus::kEof)
+        << (destroy ? "destructor" : "shutdown_write");
+  }
+}
+
+// The server's shape on a protocol error: a typed Error, then close. The
+// client's held frame cannot go out any more, but the flush failing inside
+// read_frame must not hide the Error. The write error then sticks.
+TEST(FrameChannelWriteBuffer, PeerErrorStaysReadableAfterAFailedFlush) {
+  Pair pair;
+  bound_waits(*pair.a);
+  ASSERT_TRUE(pair.b->write_frame(
+      encode_error(ErrorCode::kClockRegression, "clock went back")));
+  pair.b.reset();  // flushes the Error, then closes
+  ASSERT_TRUE(pair.a->write_frame(test_payload()));  // held: no send yet
+  std::vector<std::uint8_t> got;
+  ASSERT_EQ(pair.a->read_frame(&got), ReadStatus::kFrame);
+  EXPECT_EQ(pair.a->io_counts().send_calls, 1u) << "read_frame never flushed";
+  DecodedFrame frame;
+  ASSERT_FALSE(decode_frame(got, &frame).has_value());
+  EXPECT_EQ(frame.op, Op::kError);
+  EXPECT_EQ(frame.error.code, ErrorCode::kClockRegression);
+  EXPECT_EQ(pair.a->read_frame(&got), ReadStatus::kEof);
+  EXPECT_FALSE(pair.a->write_frame(test_payload()));
+  EXPECT_EQ(pair.a->flush(), FrameChannel::FlushStatus::kError);
+  EXPECT_EQ(pair.a->io_counts().send_calls, 1u) << "a failed channel sent";
+}
+
+// A frame larger than the chunk goes out behind the held bytes in the same
+// send, and round-trips intact between blocking ends.
+TEST(FrameChannelWriteBuffer, FrameLargerThanTheChunkRoundTrips) {
+  Pair pair;
+  bound_waits(*pair.a);
+  bound_waits(*pair.b);
+  std::vector<std::uint8_t> big(std::size_t{1} << 20);
+  for (std::size_t j = 0; j < big.size(); ++j) {
+    big[j] = static_cast<std::uint8_t>((j * 131 + j / 251) & 0xFF);
+  }
+  const std::vector<std::uint8_t> small = test_payload();
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::vector<std::uint32_t> streams;
+  std::thread reader([&] {
+    std::vector<std::uint8_t> got;
+    std::uint32_t stream = 0;
+    for (int i = 0; i < 3; ++i) {
+      if (pair.b->read_frame(&got, &stream) != ReadStatus::kFrame) return;
+      frames.push_back(got);
+      streams.push_back(stream);
+    }
+  });
+  const bool wrote_small = pair.a->write_frame(small, 1);
+  const bool wrote_big = pair.a->write_frame(big, 2);
+  // A blocking send returns once the kernel has taken every byte.
+  const std::uint64_t sends_after_big = pair.a->io_counts().send_calls;
+  const bool held_after_big = pair.a->has_pending_write();
+  const bool wrote_last = pair.a->write_frame(small, 3);
+  const FrameChannel::FlushStatus flushed = pair.a->flush();
+  reader.join();
+  EXPECT_TRUE(wrote_small && wrote_big && wrote_last);
+  EXPECT_EQ(sends_after_big, 1u);
+  EXPECT_FALSE(held_after_big);
+  EXPECT_EQ(flushed, FrameChannel::FlushStatus::kDrained);
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames[0], small);
+  EXPECT_EQ(frames[1], big);
+  EXPECT_EQ(frames[2], small);
+  EXPECT_EQ(streams, (std::vector<std::uint32_t>{1, 2, 3}));
+}
+
+// The client shape perfbench and paramount-client share: a thousand Event
+// frames of about 200 B, then a Poll, then its reply. The sends number one
+// per chunk, plus the Poll's flush.
+TEST(FrameChannelWriteBuffer, ThousandFramesAndAPollSendOncePerChunk) {
+  Pair pair;
+  bound_waits(*pair.a);
+  bound_waits(*pair.b);
+  constexpr std::uint32_t kFrames = 1000;
+  std::uint32_t seen = 0;
+  std::thread responder([&pair, &seen] {
+    std::vector<std::uint8_t> got;
+    while (seen <= kFrames) {
+      if (pair.b->read_frame(&got) != ReadStatus::kFrame) return;
+      ++seen;
+    }
+    pair.b->write_frame(encode_counts(Op::kStats, {}));
+    pair.b->flush();
+  });
+  bool wrote = true;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    const std::vector<std::uint8_t> event(190 + i % 21,
+                                          static_cast<std::uint8_t>(i));
+    wrote = pair.a->write_frame(event) && wrote;
+  }
+  wrote = pair.a->write_frame(encode_poll()) && wrote;
+  std::vector<std::uint8_t> reply;
+  const ReadStatus status = pair.a->read_frame(&reply);
+  responder.join();
+  EXPECT_TRUE(wrote);
+  ASSERT_EQ(status, ReadStatus::kFrame) << to_string(status);
+  EXPECT_EQ(seen, kFrames + 1);
+  const FrameChannel::IoCounts& io = pair.a->io_counts();
+  EXPECT_EQ(io.frames_sent, kFrames + 1);
+  const std::uint64_t chunks =
+      (io.bytes_sent + FrameChannel::kWriteChunk - 1) /
+      FrameChannel::kWriteChunk;
+  EXPECT_LE(io.send_calls, chunks + 2)
+      << io.bytes_sent << " bytes in " << io.send_calls << " sends";
+  EXPECT_EQ(pair.b->io_counts().bytes_received, io.bytes_sent);
 }
 
 // ---- endpoint parsing ----
@@ -480,13 +709,17 @@ TEST(TcpEndpoint, ListenConnectAndExchangeFrames) {
   FrameChannel client(std::move(client_fd));
   FrameChannel server(std::move(server_fd));
   const std::vector<std::uint8_t> payload = test_payload();
+  // One thread plays both ends: each side sends its held frame before the
+  // other reads it.
   ASSERT_TRUE(client.write_frame(payload, 11));
+  ASSERT_EQ(client.flush(), FrameChannel::FlushStatus::kDrained);
   std::vector<std::uint8_t> got;
   std::uint32_t stream = 0;
   ASSERT_EQ(server.read_frame(&got, &stream), ReadStatus::kFrame);
   EXPECT_EQ(got, payload);
   EXPECT_EQ(stream, 11u);
   ASSERT_TRUE(server.write_frame(payload, 12));
+  ASSERT_EQ(server.flush(), FrameChannel::FlushStatus::kDrained);
   ASSERT_EQ(client.read_frame(&got, &stream), ReadStatus::kFrame);
   EXPECT_EQ(stream, 12u);
 }

@@ -456,6 +456,40 @@ TEST_F(EventServerTest, SoakIdleThousandsPlusActiveStreams) {
   EXPECT_LE(open_fd_count(), fds_before + 4);
 }
 
+// ---- transport counters ----
+
+// The server adds each connection's recv calls and bytes to its stats when
+// it closes the connection: every byte the client sent arrives, in fewer
+// recv calls than frames. The client's sends number far fewer than its
+// frames, the shape CI's service-mode job checks on paramount-client.
+TEST_F(EventServerTest, TransportCountersAddUpWhenTheConnectionCloses) {
+  start_server();
+  const SyntheticEventStream::Params params = oracle_params(41);
+  FrameChannel channel = connect();
+  HelloBody h;
+  h.num_threads = params.num_threads;
+  hello(channel, h);
+  SyntheticEventStream stream(params);
+  std::vector<VectorClock> prev(params.num_threads,
+                                VectorClock(params.num_threads));
+  constexpr std::uint64_t kEvents = 3000;
+  stream_events(channel, stream, prev, kEvents);
+  ASSERT_TRUE(channel.write_frame(encode_shutdown()));
+  ASSERT_EQ(read_frame(channel).op, Op::kGoodbye);
+  std::vector<std::uint8_t> payload;
+  ASSERT_EQ(channel.read_frame(&payload), ReadStatus::kEof);
+  server_->stop();
+  const ServerStats stats = server_->stats();
+  const FrameChannel::IoCounts& io = channel.io_counts();
+  EXPECT_EQ(io.frames_sent, kEvents + 2);  // Hello, Events, Shutdown
+  EXPECT_LT(io.send_calls * 8, io.frames_sent);
+  EXPECT_EQ(stats.frames, kEvents + 2);
+  EXPECT_EQ(stats.bytes_received, io.bytes_sent);
+  EXPECT_GT(stats.recv_calls, 0u);
+  EXPECT_LT(stats.recv_calls, stats.frames);
+  EXPECT_GT(stats.reactor_wakes, 0u);
+}
+
 // ---- lingering close ----
 
 // See flood_events in service_test_helpers.hpp: over both
@@ -512,7 +546,10 @@ TEST_F(EventServerTest, TcpKillMidStreamReleasesEverything) {
     stream_events(channel, stream, prev, 500);
     // Die mid-frame: half a header promising more (raw ::write on purpose —
     // the test needs bytes FrameChannel would never emit), then the channel
-    // destructor closes the socket with intervals still in flight.
+    // destructor closes the socket with intervals still in flight. The
+    // events the channel still holds go out first, so the half header
+    // follows them on the wire.
+    ASSERT_EQ(channel.flush(), FrameChannel::FlushStatus::kDrained);
     const std::uint8_t half_header[4] = {100, 0, 0, 0};
     ASSERT_EQ(::write(channel.fd(), half_header, sizeof(half_header)), 4);
   }
@@ -520,6 +557,7 @@ TEST_F(EventServerTest, TcpKillMidStreamReleasesEverything) {
   const ServerStats stats = server_->stats();
   EXPECT_EQ(stats.sessions_completed, 1u);
   EXPECT_EQ(stats.clean_shutdowns, 0u);
+  EXPECT_EQ(stats.last_session.events, 500u);  // all ahead of the cut
   EXPECT_EQ(stats.leaked_pins, 0u);
 }
 

@@ -94,6 +94,117 @@ TEST(Poset, InvariantsHoldOnRandomPosets) {
   }
 }
 
+// The invariant scan as it stood before check_invariants skipped the
+// components an event shares with its thread predecessor: every component
+// of every event. Returns the message of its first failed check, or null.
+const char* full_scan_failure(const Poset& poset) {
+  const std::size_t n = poset.num_threads();
+  for (ThreadId t = 0; t < n; ++t) {
+    for (EventIndex i = 1; i <= poset.num_events(t); ++i) {
+      const Event& e = poset.event(t, i);
+      if (!(e.id.tid == t && e.id.index == i)) {
+        return "event id does not match its position";
+      }
+      if (e.vc.size() != n) return "vector clock width mismatch";
+      if (e.vc[t] != i) {
+        return "own component of the vector clock must equal the index";
+      }
+      if (i > 1 && !poset.event(t, i - 1).vc.leq(e.vc)) {
+        return "process order must be reflected in vector clocks";
+      }
+      for (ThreadId j = 0; j < n; ++j) {
+        if (j == t || e.vc[j] == 0) continue;
+        if (e.vc[j] > poset.num_events(j)) {
+          return "vector clock points past the end of a thread";
+        }
+        if (!poset.vc(j, e.vc[j]).leq(e.vc)) {
+          return "vector clocks must be transitively closed";
+        }
+      }
+    }
+  }
+  return nullptr;
+}
+
+// Three threads; thread 2's clocks are given, the rest are valid. Thread
+// 1's first event follows thread 0's, so its clock is {1, 1, 0}.
+PosetBuilder three_threads_with(const std::vector<VectorClock>& thread2) {
+  PosetBuilder builder(3);
+  builder.add_event_with_clock(0, OpKind::kInternal, 0, VectorClock{1, 0, 0});
+  builder.add_event_with_clock(1, OpKind::kInternal, 0, VectorClock{1, 1, 0});
+  for (const VectorClock& clock : thread2) {
+    builder.add_event_with_clock(2, OpKind::kInternal, 0, clock);
+  }
+  return builder;
+}
+
+// Thread 2's first event names thread 1's first event but not the thread-0
+// event that one follows.
+TEST(PosetInvariantsDeathTest, NotTransitivelyClosedAtAThreadsFirstEvent) {
+  const PosetBuilder builder = three_threads_with({VectorClock{0, 1, 1}});
+  EXPECT_STREQ(full_scan_failure(builder.poset()),
+               "vector clocks must be transitively closed");
+  EXPECT_DEATH(builder.poset().check_invariants(),
+               "vector clocks must be transitively closed");
+}
+
+// The same gap at thread 2's third event, where component 1 moves; the
+// events before it are valid, and component 0 stays at 0 throughout.
+TEST(PosetInvariantsDeathTest, NotTransitivelyClosedAtALaterEvent) {
+  const PosetBuilder builder = three_threads_with(
+      {VectorClock{0, 0, 1}, VectorClock{0, 0, 2}, VectorClock{0, 1, 3}});
+  EXPECT_STREQ(full_scan_failure(builder.poset()),
+               "vector clocks must be transitively closed");
+  EXPECT_DEATH(builder.poset().check_invariants(),
+               "vector clocks must be transitively closed");
+}
+
+// Random posets at widths 2-65, each rebuilt with one component of one
+// event's clock changed: check_invariants must reject exactly the posets
+// the full scan rejects, with the same message, and pass the rest.
+TEST(PosetInvariantsDeathTest, OneCorruptComponentFailsLikeTheFullScan) {
+  Rng rng(24);
+  int rejected = 0;
+  for (std::size_t width = 2; width <= 65; ++width) {
+    const Poset valid = make_random(width, 6 * width, 0.5, 100 + width);
+    ASSERT_EQ(full_scan_failure(valid), nullptr) << "width " << width;
+    // The event and component to corrupt: any event, any other thread.
+    const auto t = static_cast<ThreadId>(rng.next_below(width));
+    if (valid.num_events(t) == 0) continue;
+    const auto i = static_cast<EventIndex>(
+        1 + rng.next_below(valid.num_events(t)));
+    const auto j = static_cast<ThreadId>(
+        (t + 1 + rng.next_below(width - 1)) % width);
+    const EventIndex old_value = valid.vc(t, i)[j];
+    EventIndex new_value = old_value;
+    while (new_value == old_value) {
+      new_value =
+          static_cast<EventIndex>(rng.next_below(valid.num_events(j) + 2));
+    }
+    PosetBuilder builder(width);
+    for (ThreadId u = 0; u < width; ++u) {
+      for (EventIndex k = 1; k <= valid.num_events(u); ++k) {
+        VectorClock clock = valid.vc(u, k);
+        if (u == t && k == i) clock[j] = new_value;
+        builder.add_event_with_clock(u, OpKind::kInternal, 0,
+                                     std::move(clock));
+      }
+    }
+    const Poset& corrupt = builder.poset();
+    const char* expected = full_scan_failure(corrupt);
+    if (expected == nullptr) {
+      corrupt.check_invariants();  // aborts the suite on a false rejection
+    } else {
+      ++rejected;
+      EXPECT_DEATH(corrupt.check_invariants(), expected)
+          << "width " << width << ", event (" << t << ", " << i
+          << "), component " << j << ": " << old_value << " -> "
+          << new_value;
+    }
+  }
+  EXPECT_GT(rejected, 16) << "too few corruptions broke an invariant";
+}
+
 TEST(Poset, EventAccessorsRoundTrip) {
   const Poset poset = make_figure4_poset();
   const Event& e = poset.event(EventId{0, 2});

@@ -470,12 +470,16 @@ TEST_F(ServiceTest, KillMidStreamReleasesPinsAndServerSurvives) {
     std::vector<VectorClock> prev(2, VectorClock(2));
     stream_events(channel, stream, prev, 300);
     // Die mid-frame: a bare header with no payload, then the channel
-    // destructor closes the socket with intervals still in flight.
+    // destructor closes the socket with intervals still in flight. The
+    // events the channel still holds go out first, so the bare header
+    // follows them on the wire.
+    ASSERT_EQ(channel.flush(), FrameChannel::FlushStatus::kDrained);
     const std::uint8_t prefix[8] = {50, 0, 0, 0, 0, 0, 0, 0};
     ASSERT_EQ(::write(channel.fd(), prefix, 8), 8);
   }
   await_completed(1);
   const ServerStats after_kill = server_->stats();
+  EXPECT_EQ(after_kill.last_session.events, 300u);  // all ahead of the cut
   EXPECT_EQ(after_kill.leaked_pins, 0u);
   EXPECT_EQ(after_kill.last_session.outstanding_pins, 0u);
 

@@ -326,6 +326,8 @@ int main(int argc, char** argv) {
   print_u64("window_evictions", totals.window_evictions);
   print_u64("outstanding_pins", totals.outstanding_pins);
   print_u64("stats_polls", stats_polls);
+  print_u64("frames_sent", channel.io_counts().frames_sent);
+  print_u64("send_calls", channel.io_counts().send_calls);
   if (poll_every > 0) {
     print_u64("eviction_alert_threshold", eviction_alert_threshold);
     print_u64("eviction_alert", eviction_alert ? 1 : 0);

@@ -32,6 +32,12 @@ void print_stats(const ServerStats& stats) {
               static_cast<unsigned long long>(stats.protocol_errors));
   std::printf("leaked_pins: %llu\n",
               static_cast<unsigned long long>(stats.leaked_pins));
+  std::printf("recv_calls: %llu\n",
+              static_cast<unsigned long long>(stats.recv_calls));
+  std::printf("bytes_received: %llu\n",
+              static_cast<unsigned long long>(stats.bytes_received));
+  std::printf("reactor_wakes: %llu\n",
+              static_cast<unsigned long long>(stats.reactor_wakes));
 }
 
 // The bound endpoint: a TCP port of 0 resolves to the one the kernel chose.
