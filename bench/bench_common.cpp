@@ -129,11 +129,10 @@ ParaRun measure_paramount(EnumAlgorithm subroutine, const Poset& poset,
   options.meter = &meter;
   options.collect_interval_stats = true;
 
-  const auto intervals = compute_intervals(poset, order);
   WallTimer timer;
   try {
-    const ParamountResult result =
-        enumerate_paramount(poset, intervals, options, [](const Frontier&) {});
+    const ParamountResult result = enumerate_paramount_streaming(
+        poset, order, options, [](const Frontier&) {});
     run.states = result.states;
     run.interval_seconds.reserve(result.interval_stats.size());
     for (const IntervalStat& s : result.interval_stats) {
@@ -153,9 +152,8 @@ double run_paramount_real(EnumAlgorithm subroutine, const Poset& poset,
   ParamountOptions options;
   options.subroutine = subroutine;
   options.num_workers = workers;
-  const auto intervals = compute_intervals(poset, order);
   WallTimer timer;
-  enumerate_paramount(poset, intervals, options, [](const Frontier&) {});
+  enumerate_paramount_streaming(poset, order, options, [](const Frontier&) {});
   return timer.elapsed_seconds();
 }
 

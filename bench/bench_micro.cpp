@@ -274,32 +274,28 @@ BENCHMARK(BM_ParamountDriverTelemetry);
 
 // ---- scheduler ----
 
-// The work-stealing drivers at 8 workers on a skewed workload: a sparse
+// The work-stealing driver at 8 workers on a skewed workload: a sparse
 // random poset mixes one-state intervals with intervals of tens of thousands
 // of states, so a batch routinely pairs a giant with tiny batch-mates. The
 // queue_wait_p99_ns counter shows how long a claimed event stranded behind a
 // slow batch-mate waits before an idle sibling steals it.
-void paramount_scheduler_bench(benchmark::State& state, bool streaming) {
+void BM_ParamountOffline8Workers(benchmark::State& state) {
   RandomPosetParams params;
   params.num_processes = 6;
   params.num_events = 150;
   params.message_probability = 0.85;  // sparse sync: skewed interval sizes
   params.seed = 1;
   const Poset poset = make_random_poset(params);
-  const auto order = topological_sort(poset, TopoPolicy::kInterleave);
   ParamountOptions options;
   options.num_workers = 8;
   options.chunk_size = 8;
   obs::Telemetry telemetry(options.num_workers,
                            /*trace_capacity_per_shard=*/256);
   options.telemetry = &telemetry;
-  auto noop = [](const Frontier&) {};
   std::uint64_t states = 0;
   for (auto _ : state) {
-    states = streaming
-                 ? enumerate_paramount_streaming(poset, order, options, noop)
-                       .states
-                 : enumerate_paramount(poset, options, noop).states;
+    states =
+        enumerate_paramount(poset, options, [](const Frontier&) {}).states;
   }
   const obs::MetricsSnapshot snap = telemetry.metrics().snapshot();
   if (const obs::HistogramSnapshot* h =
@@ -315,15 +311,7 @@ void paramount_scheduler_bench(benchmark::State& state, bool streaming) {
                           state.iterations());
 }
 
-void BM_ParamountOffline8Workers(benchmark::State& state) {
-  paramount_scheduler_bench(state, /*streaming=*/false);
-}
 BENCHMARK(BM_ParamountOffline8Workers)->UseRealTime();
-
-void BM_ParamountStreaming8Workers(benchmark::State& state) {
-  paramount_scheduler_bench(state, /*streaming=*/true);
-}
-BENCHMARK(BM_ParamountStreaming8Workers)->UseRealTime();
 
 void BM_IsConsistent(benchmark::State& state) {
   const Poset poset = bench_poset(10, 60);

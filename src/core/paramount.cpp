@@ -15,8 +15,7 @@ namespace paramount {
 
 namespace {
 
-// Per-interval instrumentation shared by the offline drivers: an "interval"
-// span plus the states/intervals counters and both interval histograms.
+// Per-interval instrumentation: an "interval" span plus the states/intervals counters and both interval histograms.
 void record_interval(obs::Telemetry* tel, std::size_t worker,
                      std::uint64_t start_ns, std::uint64_t states) {
   if (tel == nullptr) return;
@@ -90,125 +89,12 @@ void run_workers(std::size_t num_workers, const Worker& worker) {
 namespace detail {
 
 ParamountResult run_paramount(const Poset& poset,
-                              const std::vector<Interval>& intervals,
+                              const std::vector<EventId>& order,
                               const ParamountOptions& options,
                               BoxEnumerator enumerate) {
   PM_CHECK(options.num_workers > 0);
-  obs::Telemetry* const tel = options.telemetry;
-  PM_CHECK_MSG(tel == nullptr || tel->num_shards() >= options.num_workers,
-               "telemetry needs one shard per ParaMount worker");
-  ParamountResult result;
-  const Frontier empty = poset.empty_frontier();
-
-  if (intervals.empty()) {
-    // An empty poset has exactly one consistent state: the empty frontier.
-    result.states = enumerate(empty, empty).states;
-    return result;
-  }
-  if (options.collect_interval_stats) {
-    result.interval_stats.resize(intervals.size());
-  }
-
-  std::atomic<std::uint64_t> total_states{0};
-  std::atomic<bool> abort_flag{false};
-  Mutex error_mutex;
-  std::exception_ptr first_error;
-
-  const std::size_t chunk = std::max<std::size_t>(options.chunk_size, 1);
-
-  auto process_interval = [&](std::size_t i, std::size_t worker_index) {
-    const Interval& iv = intervals[i];
-    WallTimer timer;
-    const std::uint64_t start_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
-    std::uint64_t states = 0;
-    // The empty state {0,…,0} belongs to no interval; the paper assigns it
-    // to the first event of →p (Figure 6a).
-    if (i == 0) states += enumerate(empty, empty).states;
-    states += enumerate(iv.gmin, iv.gbnd).states;
-    // relaxed: monotone counter; the final load happens after the workers
-    // join, which orders every contribution.
-    total_states.fetch_add(states, std::memory_order_relaxed);
-    record_interval(tel, worker_index, start_ns, states);
-    if (options.collect_interval_stats) {
-      result.interval_stats[i] = IntervalStat{iv.event, states,
-                                              timer.elapsed_ns()};
-    }
-  };
-
-  auto fail = [&](std::exception_ptr error) {
-    MutexLock guard(error_mutex);
-    if (!first_error) first_error = std::move(error);
-    // relaxed: advisory stop flag — a worker that misses it only processes
-    // one more interval; the error itself is published under error_mutex.
-    abort_flag.store(true, std::memory_order_relaxed);
-  };
-
-  // The chunks are dealt round-robin into per-worker deques up front; each
-  // worker drains its own deque and steals once empty. No shared claim
-  // point — the deque owner's pop is uncontended.
-  const std::size_t num_chunks = (intervals.size() + chunk - 1) / chunk;
-  WorkStealingScheduler<std::size_t> scheduler(
-      options.num_workers, options.seed,
-      /*initial_capacity=*/num_chunks / options.num_workers + 1);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    scheduler.push(c % options.num_workers, c * chunk);
-  }
-
-  auto worker = [&](std::size_t worker_index) {
-    try {
-      // relaxed: abort_flag is an advisory stop flag, see fail().
-      while (!abort_flag.load(std::memory_order_relaxed)) {
-        const std::uint64_t seek_ns =
-            tel != nullptr ? tel->tracer().now_ns() : 0;
-        std::size_t begin;
-        if (!scheduler.pop(worker_index, begin)) {
-          std::uint64_t failed_probes = 0;
-          const bool stole =
-              scheduler.steal(worker_index, begin, &failed_probes);
-          record_steal(tel, worker_index, seek_ns, stole, failed_probes);
-          // A failed sweep is definitive here: nothing is pushed after
-          // the initial deal, and every deque's residue is drained by
-          // its owner. Refresh the gauge on the way out so a deque that
-          // thieves drained doesn't leave a stale depth behind.
-          if (!stole) {
-            sample_queue_depth(tel, scheduler, worker_index);
-            return;
-          }
-        }
-        record_claim(tel, worker_index, seek_ns, "first_interval", begin);
-        sample_queue_depth(tel, scheduler, worker_index);
-        const std::size_t end = std::min(begin + chunk, intervals.size());
-        for (std::size_t i = begin; i < end; ++i) {
-          // A sibling may have failed mid-chunk; don't run the rest of a
-          // large chunk to completion against a doomed result.
-          // relaxed: advisory stop flag, see fail().
-          if (abort_flag.load(std::memory_order_relaxed)) return;
-          process_interval(i, worker_index);
-        }
-      }
-    } catch (...) {
-      fail(std::current_exception());
-    }
-  };
-  run_workers(options.num_workers, worker);
-
-  if (first_error) std::rethrow_exception(first_error);
-
-  // relaxed: read after run_workers' joins, which order all contributions.
-  result.states = total_states.load(std::memory_order_relaxed);
-  if (options.meter != nullptr) {
-    result.peak_bytes = options.meter->peak_bytes();
-  }
-  return result;
-}
-
-ParamountResult run_paramount_streaming(const Poset& poset,
-                                        const std::vector<EventId>& order,
-                                        const ParamountOptions& options,
-                                        BoxEnumerator enumerate) {
-  PM_CHECK(options.num_workers > 0);
   PM_CHECK_MSG(is_linear_extension(poset, order),
-               "streaming ParaMount requires a linear extension");
+               "ParaMount requires a linear extension");
   obs::Telemetry* const tel = options.telemetry;
   PM_CHECK_MSG(tel == nullptr || tel->num_shards() >= options.num_workers,
                "telemetry needs one shard per ParaMount worker");
@@ -216,6 +102,7 @@ ParamountResult run_paramount_streaming(const Poset& poset,
   const Frontier empty = poset.empty_frontier();
 
   if (order.empty()) {
+    // An empty poset has exactly one consistent state: the empty frontier.
     result.states = enumerate(empty, empty).states;
     return result;
   }
@@ -223,33 +110,49 @@ ParamountResult run_paramount_streaming(const Poset& poset,
     result.interval_stats.resize(order.size());
   }
 
-  std::atomic<std::uint64_t> total_states{0};
-  Mutex cursor_mutex;
-  std::size_t cursor = 0;
-  Frontier running = empty;  // guarded by cursor_mutex
-  std::atomic<bool> abort_flag{false};
-  Mutex error_mutex;
-  std::exception_ptr first_error;
-
-  const std::size_t chunk = std::max<std::size_t>(options.chunk_size, 1);
   struct Claimed {
-    std::size_t index;
+    std::size_t index = 0;
     EventId id;
     Frontier gbnd;
     // Tracer timestamp of the seek that claimed this event from the cursor
     // (0 when telemetry is off). queue_wait_ns measures from here to the
     // start of processing, so work that sits in a deque shows up as wait.
-    std::uint64_t ready_ns;
+    std::uint64_t ready_ns = 0;
   };
 
+  std::atomic<std::uint64_t> total_states{0};
+  std::atomic<bool> abort_flag{false};
+  Mutex error_mutex;
+  std::exception_ptr first_error;
+
+  // The cursor walks →p from its end. `running` is the frontier of the
+  // events before the cursor, so it starts full, and claiming event k
+  // snapshots Gbnd(k) = running and then retreats past k. →p is a linear
+  // extension, so k is the last event of its thread in that prefix and the
+  // retreat is running[tid] = index - 1. Gbnd grows along →p, so the
+  // largest boxes tend to come first. Every Claimed lives in `pool`;
+  // processed claims come back through `spare`, and a recycled claim's gbnd
+  // keeps its capacity.
+  Mutex cursor_mutex;
+  // Guarded by cursor_mutex:
+  std::size_t cursor = order.size();
+  Frontier running = poset.full_frontier();
+  std::vector<std::unique_ptr<Claimed>> pool;
+  std::vector<Claimed*> spare;
+
+  const std::size_t chunk = std::max<std::size_t>(options.chunk_size, 1);
+
   auto process_item = [&](const Claimed& claimed, std::size_t worker_index) {
-    const Frontier gmin = poset.vc(claimed.id.tid, claimed.id.index);
+    const Frontier& gmin = poset.vc(claimed.id.tid, claimed.id.index);
     WallTimer timer;
     const std::uint64_t start_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
     std::uint64_t states = 0;
+    // The empty state {0,…,0} belongs to no interval; the paper assigns it
+    // to the first event of →p (Figure 6a).
     if (claimed.index == 0) states += enumerate(empty, empty).states;
     states += enumerate(gmin, claimed.gbnd).states;
-    // relaxed: monotone counter, read after the joins; see the offline driver.
+    // relaxed: monotone counter; the final load happens after the workers
+    // join, which orders every contribution.
     total_states.fetch_add(states, std::memory_order_relaxed);
     record_interval(tel, worker_index, start_ns, states);
     if (options.collect_interval_stats) {
@@ -261,7 +164,8 @@ ParamountResult run_paramount_streaming(const Poset& poset,
   auto fail = [&](std::exception_ptr error) {
     MutexLock guard(error_mutex);
     if (!first_error) first_error = std::move(error);
-    // relaxed: advisory stop flag; the error is published under error_mutex.
+    // relaxed: advisory stop flag — a worker that misses it only processes
+    // one more interval; the error itself is published under error_mutex.
     abort_flag.store(true, std::memory_order_relaxed);
   };
 
@@ -275,6 +179,14 @@ ParamountResult run_paramount_streaming(const Poset& poset,
     try {
       std::vector<Claimed*> batch;
       batch.reserve(chunk);
+      // Processed claims, returned to `spare` at the next cursor visit or
+      // once `chunk` of them wait.
+      std::vector<Claimed*> done;
+      done.reserve(chunk);
+      auto give_back = [&] {
+        spare.insert(spare.end(), done.begin(), done.end());
+        done.clear();
+      };
       bool cursor_exhausted = false;
       // relaxed: advisory stop flag, see fail().
       while (!abort_flag.load(std::memory_order_relaxed)) {
@@ -299,11 +211,20 @@ ParamountResult run_paramount_streaming(const Poset& poset,
             {
               MutexLock guard(cursor_mutex);
               acquired_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
-              while (cursor < order.size() && batch.size() < chunk) {
-                const std::size_t i = cursor++;
-                const EventId id = order[i];
-                running[id.tid] = id.index;
-                batch.push_back(new Claimed{i, id, running, seek_ns});
+              give_back();
+              while (cursor > 0 && batch.size() < chunk) {
+                if (spare.empty()) {
+                  pool.push_back(std::make_unique<Claimed>());
+                  spare.push_back(pool.back().get());
+                }
+                Claimed* const claimed = spare.back();
+                spare.pop_back();
+                claimed->index = --cursor;
+                claimed->id = order[claimed->index];
+                claimed->gbnd = running;
+                claimed->ready_ns = seek_ns;
+                running[claimed->id.tid] = claimed->id.index - 1;
+                batch.push_back(claimed);
               }
               snapshot_done_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
               // Queue the batch tail before the lock drops, so a sibling
@@ -336,25 +257,22 @@ ParamountResult run_paramount_streaming(const Poset& poset,
           }
         }
         sample_queue_depth(tel, scheduler, worker_index);
-        std::unique_ptr<Claimed> owned(item);
         // Waits are measured from the claiming seek, not this worker's:
         // a popped or stolen event has been sitting in a deque since its
         // batch was claimed, and that queueing delay is the point.
-        record_claim(tel, worker_index, owned->ready_ns, "event", owned->index);
-        process_item(*owned, worker_index);
+        record_claim(tel, worker_index, item->ready_ns, "event", item->index);
+        process_item(*item, worker_index);
+        if (done.size() == chunk) {
+          MutexLock guard(cursor_mutex);
+          give_back();
+        }
+        done.push_back(item);
       }
     } catch (...) {
       fail(std::current_exception());
     }
   };
   run_workers(options.num_workers, worker);
-
-  // On an aborted run, unprocessed claims may still sit in the deques;
-  // the workers have joined, so draining them single-threaded is safe.
-  for (std::size_t w = 0; w < options.num_workers; ++w) {
-    Claimed* leftover = nullptr;
-    while (scheduler.pop(w, leftover)) delete leftover;
-  }
 
   if (first_error) std::rethrow_exception(first_error);
   // relaxed: read after run_workers' joins, which order all contributions.

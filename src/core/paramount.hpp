@@ -1,15 +1,16 @@
 // ParaMount: parallel enumeration of all consistent global states
 // (Algorithm 1 of the paper).
 //
-// The driver fixes a linear extension →p, computes the interval I(e) of every
-// event, and hands the intervals to worker threads. Each interval is
-// enumerated with a *bounded* sequential subroutine (Algorithm 2); because the
-// intervals partition the lattice (Theorem 2), every consistent state is
-// delivered to the visitor exactly once, and total work is that of the
-// sequential subroutine (work-optimal). Where the paper's ParaMountWorker
-// fetches "the next event in the total order →p" from one shared counter,
-// both drivers here distribute work through per-worker work-stealing deques
-// (util/work_stealing.hpp; DESIGN.md §5, substitution 7).
+// The driver fixes a linear extension →p and hands its events to worker
+// threads. In the paper's atomic block a worker takes the next event e of →p
+// together with Gbnd(e), a snapshot of a running frontier, then enumerates
+// the interval I(e) with a *bounded* sequential subroutine (Algorithm 2).
+// Because the intervals partition the lattice (Theorem 2), every consistent
+// state is delivered to the visitor exactly once, and total work is that of
+// the sequential subroutine (work-optimal). Here the shared cursor walks →p
+// from its end, each visit claims up to chunk_size events, and claimed
+// events wait in per-worker work-stealing deques (util/work_stealing.hpp;
+// DESIGN.md §5, substitution 7). No interval table is materialized.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +29,10 @@ struct ParamountOptions {
   EnumAlgorithm subroutine = EnumAlgorithm::kLexical;
   TopoPolicy topo_policy = TopoPolicy::kInterleave;
   std::uint64_t seed = 0;
-  // Intervals per work item. The offline driver deals chunks of this many
-  // intervals round-robin into the workers' deques up front; the streaming
-  // driver claims this many events per visit to the cursor and parks them in
-  // the claimer's deque. Idle workers steal whole items from their siblings.
-  // Larger chunks amortize claims at the cost of coarser load balancing
-  // (tail intervals are the big ones).
+  // Events per cursor claim. A worker claims this many events of →p per
+  // visit to the cursor, enumerates the first and parks the rest in its own
+  // deque, where idle workers steal them one at a time. Larger chunks
+  // amortize claims at the cost of coarser load balancing.
   std::size_t chunk_size = 1;
   // Optional shared memory meter (thread-safe); lets B-Para reproduce the
   // bounded-memory behaviour of Table 1.
@@ -42,15 +41,14 @@ struct ParamountOptions {
   // by the speedup benches to feed the schedule simulator.
   bool collect_interval_stats = false;
   // Optional telemetry sink (see src/obs/). Must have at least `num_workers`
-  // shards; worker w writes only shard w. Per interval the drivers record an
+  // shards; worker w writes only shard w. Per interval the driver records an
   // "interval" span plus states/intervals counters and the interval-size and
-  // interval-time histograms. Per work acquisition they record a claims
-  // count and a queue-wait observation — measured from when the work was
-  // claimed (or first sought) to the start of its processing, so time spent
-  // parked in a deque or behind a slow batch-mate is visible. Stolen
-  // acquisitions additionally bump pool.steals (failed probes:
-  // pool.steal_fail) and emit a "steal" span. The streaming driver records
-  // Gbnd-snapshot timings per non-empty cursor claim.
+  // interval-time histograms. Per event it records a claims count and a
+  // queue-wait observation, measured from the seek that claimed the event
+  // to the start of its processing, so time spent parked in a deque or
+  // behind a slow batch-mate is visible. Stolen acquisitions additionally
+  // bump pool.steals (failed probes: pool.steal_fail) and emit a "steal"
+  // span. Each non-empty cursor claim records its Gbnd-snapshot time.
   obs::Telemetry* telemetry = nullptr;
 };
 
@@ -69,21 +67,18 @@ struct ParamountResult {
 namespace detail {
 
 // Enumerates one box [lo, hi] with the caller's visitor and returns its
-// stats: the one type-erased call the drivers make per interval. The empty
+// stats: the one type-erased call the driver makes per interval. The empty
 // state goes through it too, as the box [∅, ∅], which holds that state alone.
 using BoxEnumerator =
     FunctionRef<EnumStats(const Frontier& lo, const Frontier& hi)>;
 
-// The driver cores (paramount.cpp): scheduling, stealing, telemetry and error
-// handling, with every box enumerated through `enumerate`.
+// The driver core (paramount.cpp): the cursor over `order`, which must be a
+// linear extension of `poset`, plus scheduling, stealing, telemetry and
+// error handling, with every box enumerated through `enumerate`.
 ParamountResult run_paramount(const Poset& poset,
-                              const std::vector<Interval>& intervals,
+                              const std::vector<EventId>& order,
                               const ParamountOptions& options,
                               BoxEnumerator enumerate);
-ParamountResult run_paramount_streaming(const Poset& poset,
-                                        const std::vector<EventId>& order,
-                                        const ParamountOptions& options,
-                                        BoxEnumerator enumerate);
 
 // Runs options.subroutine over a box with `visit`, charging options.meter.
 // The visitor is compiled into the subroutine and invoked in place.
@@ -104,46 +99,49 @@ auto box_enumerator(const Poset& poset, const ParamountOptions& options,
 // invocable as visit(const Frontier&) — a lambda, mutable or not, or a
 // std::function — by forwarding reference and never copy it. The visitor is
 // compiled into the enumeration subroutine, so a state costs no indirect
-// call; the drivers erase only "enumerate this box", once per interval. They
+// call; the driver erases only "enumerate this box", once per interval. They
 // rethrow the first exception any worker hit: MemoryBudgetExceeded if the
-// meter's budget was crossed, or whatever the visitor threw.
+// meter's budget was crossed, or whatever the visitor threw. All three run
+// the one driver core; they differ only in where →p comes from. The space
+// used is the poset plus →p plus one subroutine working set and a few
+// claims per worker. The paper states O(n) per worker in §3.4; the lexical
+// subroutine's closure stack makes it O(n²) words (DESIGN.md §5,
+// substitution 8).
 
-// Over a precomputed interval partition (the benches reuse one partition
-// across worker-count sweeps so the →p order is held fixed).
+// Over the →p of a precomputed interval partition: the intervals' events in
+// order (the benches reuse one partition across worker-count sweeps so the
+// →p order is held fixed). The driver recomputes each box from that order,
+// which must be a linear extension; the intervals' own boxes are not read.
 template <typename Visit>
 ParamountResult enumerate_paramount(const Poset& poset,
                                     const std::vector<Interval>& intervals,
                                     const ParamountOptions& options,
                                     Visit&& visit) {
-  return detail::run_paramount(poset, intervals, options,
+  std::vector<EventId> order;
+  order.reserve(intervals.size());
+  for (const Interval& iv : intervals) order.push_back(iv.event);
+  return detail::run_paramount(poset, order, options,
                                detail::box_enumerator(poset, options, visit));
 }
 
-// Over the interval partition of options.topo_policy and options.seed.
+// Over the →p of options.topo_policy and options.seed.
 template <typename Visit>
 ParamountResult enumerate_paramount(const Poset& poset,
                                     const ParamountOptions& options,
                                     Visit&& visit) {
-  return enumerate_paramount(
-      poset, compute_intervals(poset, options.topo_policy, options.seed),
-      options, visit);
+  return detail::run_paramount(
+      poset, topological_sort(poset, options.topo_policy, options.seed),
+      options, detail::box_enumerator(poset, options, visit));
 }
 
-// Streaming variant — Algorithm 1's atomic block: workers pull the next
-// event of →p from a shared cursor and compute Gbnd incrementally from a
-// running frontier inside the critical section (P.getBoundaryGlobalState()).
-// Claimed events wait in the claimer's deque, where idle workers steal. No
-// interval table is materialized, so the total space is the poset plus the
-// order plus one subroutine working set per worker. The paper states O(n)
-// per worker in §3.4; the lexical subroutine's closure stack makes it O(n²)
-// words (DESIGN.md §5, substitution 8).
+// Over a caller-supplied →p, such as a trace's file order.
 template <typename Visit>
 ParamountResult enumerate_paramount_streaming(const Poset& poset,
                                               const std::vector<EventId>& order,
                                               const ParamountOptions& options,
                                               Visit&& visit) {
-  return detail::run_paramount_streaming(
-      poset, order, options, detail::box_enumerator(poset, options, visit));
+  return detail::run_paramount(poset, order, options,
+                               detail::box_enumerator(poset, options, visit));
 }
 
 }  // namespace paramount

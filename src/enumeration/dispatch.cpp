@@ -8,8 +8,6 @@ const char* to_string(EnumAlgorithm algorithm) {
       return "bfs";
     case EnumAlgorithm::kLexical:
       return "lexical";
-    case EnumAlgorithm::kDfs:
-      return "dfs";
   }
   return "?";
 }

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "enumeration/bfs_enumerator.hpp"
-#include "enumeration/dfs_enumerator.hpp"
 #include "enumeration/enumerator.hpp"
 #include "enumeration/lexical_enumerator.hpp"
 
@@ -23,8 +22,6 @@ EnumStats enumerate_box(EnumAlgorithm algorithm, const PosetT& poset,
     case EnumAlgorithm::kLexical:
       return enumerate_lexical(poset, lo, hi, std::forward<Visit>(visit),
                                meter);
-    case EnumAlgorithm::kDfs:
-      return enumerate_dfs(poset, lo, hi, std::forward<Visit>(visit), meter);
   }
   PM_CHECK_MSG(false, "unknown enumeration algorithm");
   return {};

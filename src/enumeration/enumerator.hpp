@@ -39,7 +39,6 @@ struct EnumStats {
 enum class EnumAlgorithm {
   kBfs,      // Cooper-Marzullo breadth-first [6], dedup'd to exactly-once
   kLexical,  // Ganter/Garg lexical order [11,12], O(n²) closure rows
-  kDfs,      // depth-first with a global visited set (extra oracle)
 };
 
 const char* to_string(EnumAlgorithm algorithm);

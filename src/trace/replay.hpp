@@ -5,8 +5,9 @@
 //
 // The file order of a .pmt written by TraceFileSink or `paramount-trace gen`
 // is a valid →p (delivery/generation order respects happened-before), so:
-//   * offline:   materialize a Poset and run enumerate_paramount;
-//   * streaming: run enumerate_paramount_streaming over the file order;
+//   * offline:   materialize a Poset and run enumerate_paramount, whose →p
+//                interleaves the threads;
+//   * streaming: run the same driver with the file order as →p;
 //   * online:    submit each event to OnlineParamount as it is decoded.
 // All three enumerate the same lattice, hence must report identical state
 // counts — the oracle-differential the tests and CI hold the format to.
@@ -27,16 +28,17 @@
 namespace paramount::trace {
 
 // Decodes the full trace into an offline Poset. `order` (optional) receives
-// the file order of event ids — a valid →p for the streaming driver.
+// the file order of event ids — a valid →p for the driver.
 bool replay_to_poset(const TraceReader& reader, Poset* poset,
                      std::vector<EventId>* order, TraceError* error);
 
-// Counts consistent global states via the offline interval-partition driver.
+// Counts consistent global states via the offline driver, over the
+// interleave →p.
 bool replay_count_offline(const TraceReader& reader,
                           const ParamountOptions& options,
                           std::uint64_t* states, TraceError* error);
 
-// Counts via the streaming driver, using the trace's file order as →p.
+// Counts via the offline driver, using the trace's file order as →p.
 bool replay_count_streaming(const TraceReader& reader,
                             const ParamountOptions& options,
                             std::uint64_t* states, TraceError* error);

@@ -4,7 +4,7 @@
 // cost of one indirect call and no allocation (std::function may allocate
 // and is slower to invoke). The enumerators never erase their visitor: it
 // is a template parameter, compiled into the per-state loop. ParaMount's
-// offline drivers erase "enumerate this box" once per interval
+// offline driver erases "enumerate this box" once per interval
 // (core/paramount.hpp), and the predicate detectors take their predicates
 // this way. The referenced callable must outlive the FunctionRef; all uses
 // in this codebase pass stack lambdas downward.

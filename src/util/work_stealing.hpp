@@ -2,8 +2,8 @@
 // seeded-RNG victim policy.
 //
 // Algorithm 1's work-optimality argument assumes workers stay busy, but a
-// single shared claim point (the offline driver's counter, the streaming
-// driver's cursor mutex) serializes every claim, and interval sizes are
+// single shared claim point (the paper's counter, the offline driver's
+// cursor mutex) serializes every claim, and interval sizes are
 // skewed enough that a few tail intervals gate scale-up. Here each worker
 // owns a deque: the owner pushes and pops at the bottom with no contention,
 // and idle workers steal from the top of a randomly chosen victim — the

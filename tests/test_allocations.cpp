@@ -4,12 +4,14 @@
 // intervals, nested submits included, SessionCore's Event path, and
 // FrameChannel::write_frame on a blocking socket. The poset's own storage
 // is the one allowance: an insert may open a row segment and, with it, a
-// directory leaf.
+// directory leaf. The offline driver's claims are recycled, so its own
+// allocations do not grow with the number of events.
 //
 // This binary replaces the global operator new and operator delete with
-// counting ones (thread-local tallies over malloc/free). A sanitizer build
-// brings its own allocator, so there the replacement is compiled out and
-// every test skips.
+// counting ones (thread-local tallies over malloc/free, plus a process-wide
+// allocation count for the multi-worker driver). A sanitizer build brings
+// its own allocator, so there the replacement is compiled out and every
+// test skips.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -24,8 +26,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/interval.hpp"
 #include "core/online_paramount.hpp"
+#include "core/paramount.hpp"
 #include "poset/online_poset.hpp"
+#include "poset/poset_builder.hpp"
 #include "service/channel.hpp"
 #include "service/frame.hpp"
 #include "service/session.hpp"
@@ -38,9 +43,12 @@
 namespace {
 thread_local std::uint64_t tl_allocations = 0;
 thread_local std::uint64_t tl_deallocations = 0;
+std::atomic<std::uint64_t> process_allocations{0};
 
 void* counted_alloc(std::size_t size, std::size_t alignment) {
   ++tl_allocations;
+  // relaxed: a tally read after the counting threads joined.
+  process_allocations.fetch_add(1, std::memory_order_relaxed);
   if (size == 0) size = 1;
   void* p = alignment <= alignof(std::max_align_t)
                 ? std::malloc(size)
@@ -79,10 +87,17 @@ namespace {
 constexpr bool kCounting = false;
 std::uint64_t allocations() { return 0; }
 std::uint64_t deallocations() { return 0; }
+std::uint64_t all_threads_allocations() { return 0; }
 #else
 constexpr bool kCounting = true;
 std::uint64_t allocations() { return tl_allocations; }
 std::uint64_t deallocations() { return tl_deallocations; }
+// Every thread's allocations so far; exact once the threads that allocate
+// have joined.
+std::uint64_t all_threads_allocations() {
+  // relaxed: read after the driver joined its workers.
+  return process_allocations.load(std::memory_order_relaxed);
+}
 #endif
 
 #define SKIP_UNLESS_COUNTING()                                        \
@@ -188,7 +203,9 @@ TEST(AllocationCount, OnlinePosetInsertAllocatesOnlyStorage) {
     // past 16 threads; seeing those allocations shows the count is live.
     const std::uint64_t before_warm_up = allocations();
     poset.insert(0, OpKind::kInternal, 0, clocks[0], false, &ins);
-    if (width > 16) EXPECT_GT(allocations(), before_warm_up);
+    if (width > 16) {
+      EXPECT_GT(allocations(), before_warm_up);
+    }
     std::uint64_t storage_opens = 0;
     for (std::uint64_t k = 1; k < events; ++k) {
       const std::size_t bytes = poset.heap_bytes();
@@ -242,6 +259,82 @@ TEST(AllocationCount, OnlineParamountOneStateSubmitInlineAndNested) {
   EXPECT_EQ(outer.states_enumerated(), kEvents + 1);
   EXPECT_EQ(inner.states_enumerated(), kEvents + 2);
   EXPECT_EQ(inner_next, kEvents + 1);
+}
+
+// The offline driver over a convoy of one-state intervals: the claims come
+// from a pool the run owns and go back to it once processed, so the
+// driver's own allocations, its total minus what enumerate_box makes over
+// the same boxes, do not grow with the number of events. One worker runs a
+// fixed sequence, so 2,000 and 20,000 events must cost exactly the same. At
+// four workers the pool holds at most workers × (2·chunk + 1) claims, each
+// one allocation plus one for a Gbnd wider than the inline 16 threads, and
+// the rest (threads, deques, the order check) is a fixed allowance.
+TEST(AllocationCount, ParamountDriverRecyclesClaims) {
+  SKIP_UNLESS_COUNTING();
+  constexpr std::uint64_t kFixedAllowance = 64;
+  for (const std::size_t width : {6u, 20u}) {
+    for (const std::size_t chunk : {1u, 8u}) {
+      for (const std::size_t workers : {1u, 4u}) {
+        std::vector<std::uint64_t> own;  // per convoy length
+        for (const std::uint64_t events : {2000u, 20000u}) {
+          const std::vector<VectorClock> clocks = chain_clocks(width, events);
+          PosetBuilder builder(width);
+          std::vector<EventId> order;
+          for (std::uint64_t k = 0; k < events; ++k) {
+            order.push_back(builder.add_event_with_clock(
+                static_cast<ThreadId>(k % width), OpKind::kInternal, 0,
+                clocks[k]));
+          }
+          const Poset poset = std::move(builder).build();
+          const std::vector<Interval> intervals =
+              compute_intervals(poset, order);
+          const Frontier empty = poset.empty_frontier();
+          auto noop = [](const Frontier&) {};
+
+          std::uint64_t before = all_threads_allocations();
+          std::uint64_t box_states =
+              enumerate_box(EnumAlgorithm::kLexical, poset, empty, empty, noop)
+                  .states;
+          for (const Interval& iv : intervals) {
+            box_states += enumerate_box(EnumAlgorithm::kLexical, poset,
+                                        iv.gmin, iv.gbnd, noop)
+                              .states;
+          }
+          const std::uint64_t boxes = all_threads_allocations() - before;
+
+          ParamountOptions options;
+          options.num_workers = workers;
+          options.chunk_size = chunk;
+          before = all_threads_allocations();
+          const std::uint64_t states =
+              enumerate_paramount_streaming(poset, order, options, noop)
+                  .states;
+          const std::uint64_t driver = all_threads_allocations() - before;
+
+          const std::string where = "width " + std::to_string(width) +
+                                    ", chunk " + std::to_string(chunk) +
+                                    ", " + std::to_string(workers) +
+                                    " workers, " + std::to_string(events) +
+                                    " events";
+          ASSERT_EQ(states, events + 1) << where;
+          ASSERT_EQ(box_states, events + 1) << where;
+          ASSERT_GE(driver, boxes) << where;
+          own.push_back(driver - boxes);
+          if (workers > 1) {
+            const std::uint64_t per_claim = width > 16 ? 2 : 1;
+            EXPECT_LE(own.back(), workers * (2 * chunk + 1) * per_claim +
+                                      kFixedAllowance)
+                << where;
+          }
+        }
+        if (workers == 1) {
+          EXPECT_EQ(own[0], own[1])
+              << "width " << width << ", chunk " << chunk
+              << ": the driver's own allocations grew with the events";
+        }
+      }
+    }
+  }
 }
 
 // The reactor's per-frame path for an Event: decode into the frame

@@ -1,4 +1,4 @@
-// Correctness of the three sequential enumerators: exactly-once enumeration
+// Correctness of the two sequential enumerators: exactly-once enumeration
 // of all consistent states, agreement with the brute-force lattice oracle,
 // ordering guarantees, bounded (boxed) enumeration, the memory-budget
 // behaviour, and the visit order and clock-read cost of the lexical run loop.
@@ -9,7 +9,6 @@
 
 #include "core/interval.hpp"
 #include "enumeration/bfs_enumerator.hpp"
-#include "enumeration/dfs_enumerator.hpp"
 #include "enumeration/dispatch.hpp"
 #include "enumeration/lexical_enumerator.hpp"
 #include "poset/lattice.hpp"
@@ -34,8 +33,7 @@ using testing::make_grid;
 using testing::make_random;
 using testing::Key;
 
-constexpr EnumAlgorithm kAll[] = {EnumAlgorithm::kBfs, EnumAlgorithm::kLexical,
-                                  EnumAlgorithm::kDfs};
+constexpr EnumAlgorithm kAll[] = {EnumAlgorithm::kBfs, EnumAlgorithm::kLexical};
 
 TEST(Enumerators, EmptyPosetHasOneState) {
   PosetBuilder builder(3);
@@ -485,7 +483,6 @@ TEST(EnumeratorsDeathTest, LexicalInconsistentHiDies) {
 TEST(Enumerators, DispatchNamesAlgorithms) {
   EXPECT_STREQ(to_string(EnumAlgorithm::kBfs), "bfs");
   EXPECT_STREQ(to_string(EnumAlgorithm::kLexical), "lexical");
-  EXPECT_STREQ(to_string(EnumAlgorithm::kDfs), "dfs");
 }
 
 }  // namespace

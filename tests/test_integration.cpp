@@ -31,8 +31,7 @@ TEST(Integration, RecordedProgramPosetEnumeratesConsistently) {
   ASSERT_TRUE(expected.has_value()) << "poset too large for the oracle";
 
   // Sequential enumerators agree.
-  for (const auto algorithm :
-       {EnumAlgorithm::kBfs, EnumAlgorithm::kLexical, EnumAlgorithm::kDfs}) {
+  for (const auto algorithm : {EnumAlgorithm::kBfs, EnumAlgorithm::kLexical}) {
     const EnumStats stats =
         enumerate_all(algorithm, trace.poset, [](const Frontier&) {});
     EXPECT_EQ(stats.states, *expected) << to_string(algorithm);

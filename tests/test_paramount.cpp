@@ -95,15 +95,15 @@ TEST_P(ParamountExactlyOnce, MatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, ParamountExactlyOnce,
     ::testing::Combine(::testing::Values(EnumAlgorithm::kBfs,
-                                         EnumAlgorithm::kLexical,
-                                         EnumAlgorithm::kDfs),
+                                         EnumAlgorithm::kLexical),
                        ::testing::Values(1u, 2u, 4u, 8u),
                        ::testing::Values(TopoPolicy::kInterleave,
                                          TopoPolicy::kThreadMajor,
                                          TopoPolicy::kRandom)));
 
-// The streaming driver (the literal Algorithm 1 with an incremental
-// boundary-frontier sweep) must agree with the precomputed-interval driver.
+// Over a caller-supplied →p (the entry point trace replay uses), the driver
+// must match the oracle for every worker count and policy, and its
+// per-interval counts must add up to the total.
 class ParamountStreaming
     : public ::testing::TestWithParam<std::tuple<std::size_t, TopoPolicy>> {};
 
@@ -138,7 +138,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(TopoPolicy::kInterleave,
                                          TopoPolicy::kRandom)));
 
-// Chunked work assignment must preserve exactly-once for both drivers.
+// Chunked cursor claims must preserve exactly-once through both entry
+// points.
 class ParamountChunking : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ParamountChunking, ExactlyOnceForAnyChunkSize) {
@@ -202,17 +203,84 @@ class IntervalIndex {
   std::vector<std::vector<std::size_t>> position_;
 };
 
+// The cursor's batch grid. The driver walks →p from its end and claims up
+// to `chunk` events per cursor visit, so batch b covers the positions
+// [n − (b+1)·chunk, n − b·chunk), clipped at 0. Its head, the event the
+// claimer runs itself, is its highest position; the rest of the batch waits
+// in the claimer's deque, where siblings may steal it.
+struct BatchGrid {
+  std::size_t events;
+  std::size_t chunk;
+
+  std::size_t batch(std::size_t i) const { return (events - 1 - i) / chunk; }
+  bool is_head(std::size_t i) const { return (events - 1 - i) % chunk == 0; }
+  // The batch holding position i is [begin(i), end(i)).
+  std::size_t end(std::size_t i) const { return events - batch(i) * chunk; }
+  std::size_t begin(std::size_t i) const {
+    return end(i) > chunk ? end(i) - chunk : 0;
+  }
+};
+
+// At one worker the visit order is fixed: the worker runs each batch's head
+// as it claims the batch, then the rest of the batch from its deque, before
+// it claims again. So batches are visited whole, in grid order, each from
+// its head, and at chunk 1 the intervals come in decreasing →p position.
+// Every entry point shares this order. With 30 events, chunk 7 leaves a
+// short last batch, [0, 2), so a grid anchored at position 0 fails here.
+TEST(ParamountCursor, OneWorkerClaimsPFromItsEnd) {
+  const Poset poset = make_random(4, 30, 0.4, 21);
+  ASSERT_EQ(poset.total_events(), 30u);
+  ParamountOptions options;
+  const auto order =
+      topological_sort(poset, options.topo_policy, options.seed);
+  const IntervalIndex interval_of(poset, order);
+  const auto intervals = compute_intervals(poset, order);
+  for (const std::size_t chunk : {1u, 7u}) {
+    options.chunk_size = chunk;
+    const BatchGrid grid{order.size(), chunk};
+    for (const char* entry : {"topo policy", "order", "intervals"}) {
+      std::vector<std::size_t> visits;  // interval per visit, repeats merged
+      auto visitor = [&](const Frontier& f) {
+        const std::size_t i = interval_of(f);
+        if (visits.empty() || visits.back() != i) visits.push_back(i);
+      };
+      if (entry == std::string("topo policy")) {
+        enumerate_paramount(poset, options, visitor);
+      } else if (entry == std::string("order")) {
+        enumerate_paramount_streaming(poset, order, options, visitor);
+      } else {
+        enumerate_paramount(poset, intervals, options, visitor);
+      }
+      ASSERT_EQ(visits.size(), order.size()) << entry << ", chunk " << chunk;
+      for (std::size_t v = 0; v < visits.size(); ++v) {
+        const std::size_t i = visits[v];
+        const bool starts_batch =
+            v == 0 || grid.batch(visits[v - 1]) != grid.batch(i);
+        EXPECT_EQ(grid.is_head(i), starts_batch)
+            << entry << ", chunk " << chunk << ", visit " << v;
+        if (starts_batch && v > 0) {
+          EXPECT_EQ(grid.batch(i), grid.batch(visits[v - 1]) + 1)
+              << entry << ", chunk " << chunk << ", visit " << v;
+        }
+        if (chunk == 1 && v > 0) {
+          EXPECT_LT(i, visits[v - 1]) << entry << ", visit " << v;
+        }
+      }
+    }
+  }
+}
+
 // The work-stealing scheduler must keep the exactly-once guarantee for every
-// workers × chunk combination, in both drivers, including more workers than
-// a small poset has chunks to deal.
+// workers × chunk combination, through both entry points, including more
+// workers than a small poset has batches to claim.
 //
 // The third parameter stalls worker 0 (the caller's thread) in its first
 // visit until its siblings have visited every state outside the work item it
-// holds. They must steal everything else dealt to it (offline) and run the
-// shared cursor, Algorithm 1's shared counter, dry without it (streaming);
-// afterwards worker 0 may finish only its own item. The names date from when
-// this parameter switched to a shared-counter scheduler, since deleted
-// (DESIGN.md §5, substitution 7).
+// holds. They must steal the rest of its batch and run the shared cursor,
+// Algorithm 1's shared counter, dry without it; afterwards worker 0 may
+// finish only its own item. The names date from when this parameter
+// switched to a shared-counter scheduler, since deleted (DESIGN.md §5,
+// substitution 7).
 class ParamountScheduler
     : public ::testing::TestWithParam<
           std::tuple<std::size_t, std::size_t, bool>> {};
@@ -223,10 +291,11 @@ TEST_P(ParamountScheduler, StealAndSharedCounterPathsAgree) {
   ParamountOptions options;
   options.num_workers = workers;
   options.chunk_size = chunk;
-  // The offline driver derives the same →p from these options.
+  // enumerate_paramount derives the same →p from these options.
   const auto order =
       topological_sort(poset, options.topo_policy, options.seed);
   const IntervalIndex interval_of(poset, order);
+  const BatchGrid grid{order.size(), chunk};
 
   std::set<Key> oracle;
   std::vector<std::uint64_t> interval_states(order.size(), 0);
@@ -268,11 +337,10 @@ TEST_P(ParamountScheduler, StealAndSharedCounterPathsAgree) {
         return;
       }
       caller_started = true;
-      // Offline chunks and streaming cursor batches start at multiples of
-      // `chunk`, and a batch's head is never queued, so an item off that
-      // grid was stolen alone; one on it brings its whole chunk or batch.
-      held_begin = i;
-      held_end = i % chunk == 0 ? std::min(i + chunk, order.size()) : i + 1;
+      // A batch's head is never queued, so an item that is no head was
+      // stolen alone; a head brings its whole batch.
+      held_begin = grid.is_head(i) ? grid.begin(i) : i;
+      held_end = grid.is_head(i) ? grid.end(i) : i + 1;
       while (!others_done()) {
         if (!cv.wait_for(mutex, std::chrono::seconds(30)) && !others_done()) {
           ADD_FAILURE() << "no sibling visit for 30 s; work is stranded "
@@ -301,6 +369,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 2u, 8u),
                        ::testing::Values(1u, 5u), ::testing::Bool()));
 
+// 30 events in batches of 7: the last batch, [0, 2), is short.
+INSTANTIATE_TEST_SUITE_P(
+    UnevenChunk, ParamountScheduler,
+    ::testing::Combine(::testing::Values(2u, 8u), ::testing::Values(7u),
+                       ::testing::Bool()));
+
 // A visitor exception must reach the caller, and sibling workers must stop
 // promptly: on a chain every interval is one state and abort is checked
 // between intervals, so once the driver has recorded the failure each
@@ -314,14 +388,12 @@ INSTANTIATE_TEST_SUITE_P(
 // neither throw (nothing would release the others before it joins them)
 // nor run the whole chain before a spawned worker gets to the throw.
 //
-// With the parameter set, the throw comes from work its thrower stole.
-// Offline, any chunk dealt to worker 0 and run by another thread was stolen
-// from worker 0's deque; its siblings reach that deque once their own run
-// dry. Streaming, a batch's head is always run by the worker that claimed
-// the batch from the cursor, so another batch event run by a different
-// thread was stolen. To make sure one is, a spawned worker that visits a
-// head (an anchor) waits there until another thread has visited the rest
-// of its batch. Up to num_workers - 2 anchors wait at once, so one spawned
+// With the parameter set, the throw comes from work its thrower stole. A
+// batch's head is always run by the worker that claimed the batch from the
+// cursor (BatchGrid), so another batch event run by a different thread was
+// stolen. To make sure one is, a spawned worker that visits a head (an
+// anchor) waits there until another thread has visited the rest of its
+// batch. Up to num_workers - 2 anchors wait at once, so one spawned
 // worker stays free to steal: with a single anchor, the caller could steal
 // its tail and be descheduled before visiting it, while the free workers
 // ran the rest of the chain without a steal and nothing ever threw. The
@@ -362,6 +434,7 @@ TEST_P(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
   const auto order =
       topological_sort(poset, options.topo_policy, options.seed);
   const IntervalIndex interval_of(poset, order);
+  const BatchGrid grid{order.size(), chunk};
 
   const std::thread::id caller = std::this_thread::get_id();
   for (const bool streaming : {false, true}) {
@@ -370,8 +443,8 @@ TEST_P(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
     // Visit index that armed the throw: kThrowAt or one past it when the
     // visit count decides, the stolen visit itself otherwise.
     std::uint64_t throw_at = kThrowAt;
-    // Per chunk or batch: the thread that first visited its head.
-    std::vector<std::thread::id> head_runner(kEvents / chunk + 1);
+    // Per batch: the thread that first visited its head.
+    std::vector<std::thread::id> head_runner(grid.batch(0) + 1);
     struct Anchor {
       std::size_t batch;
       std::thread::id thread;
@@ -380,8 +453,7 @@ TEST_P(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
     std::list<Anchor> anchors;  // the waiting anchors
 
     auto stolen = [&](std::size_t i, std::thread::id self) {
-      if (!streaming) return (i / chunk) % options.num_workers == 0;
-      return i % chunk != 0 && head_runner[i / chunk] != self;
+      return !grid.is_head(i) && head_runner[grid.batch(i)] != self;
     };
     auto visitor = [&](const Frontier& f) {
       const std::uint64_t k = visited.fetch_add(1);
@@ -390,10 +462,10 @@ TEST_P(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
       const bool is_caller = self == caller;
       MutexLock lock(rendezvous.mutex);
       const bool first_head_visit =
-          i % chunk == 0 && head_runner[i / chunk] == std::thread::id();
-      if (first_head_visit) head_runner[i / chunk] = self;
+          grid.is_head(i) && head_runner[grid.batch(i)] == std::thread::id();
+      if (first_head_visit) head_runner[grid.batch(i)] = self;
       for (Anchor& a : anchors) {
-        if (a.batch == i / chunk && a.thread != self) {
+        if (a.batch == grid.batch(i) && a.thread != self) {
           a.released = true;
           rendezvous.cv.notify_all();
         }
@@ -406,13 +478,14 @@ TEST_P(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
         exit_signal.rendezvous = &rendezvous;
         throw std::runtime_error("visitor boom");
       }
-      if (throw_stolen && streaming && !is_caller && first_head_visit &&
+      if (throw_stolen && !is_caller && first_head_visit &&
           anchors.size() + 2 < options.num_workers && !rendezvous.armed &&
-          !rendezvous.stuck && i + 1 < kEvents) {
+          !rendezvous.stuck && grid.begin(i) < i) {
         // The rest of the batch already sits in this worker's deque. The
         // caller parks after one visit, so once it has taken one anchor's
         // batch, only a spawned worker can take another.
-        Anchor& anchor = anchors.emplace_back(Anchor{i / chunk, self, false});
+        Anchor& anchor =
+            anchors.emplace_back(Anchor{grid.batch(i), self, false});
         while (!rendezvous.armed && !anchor.released) {
           if (!rendezvous.cv.wait_for(rendezvous.mutex,
                                       std::chrono::seconds(30)) &&
@@ -490,6 +563,16 @@ TEST(Paramount, PrecomputedIntervalsReused) {
   }
 }
 
+// The driver recomputes every box from the intervals' →p, so a list that
+// is not a linear extension of the poset, the empty list included, is
+// rejected rather than trusted.
+TEST(Paramount, PrecomputedIntervalsMustBeALinearExtension) {
+  const Poset poset = make_figure4_poset();
+  EXPECT_DEATH(enumerate_paramount(poset, std::vector<Interval>{}, {},
+                                   [](const Frontier&) {}),
+               "linear extension");
+}
+
 TEST(Paramount, IntervalStatsCoverAllStates) {
   const Poset poset = make_random(4, 24, 0.4, 6);
   ParamountOptions options;
@@ -562,8 +645,8 @@ TEST(Paramount, PartitioningShrinksBfsPeakMemory) {
 
 // ---- the visitor surface ----
 
-// Runs the offline or the streaming driver at one worker, forwarding the
-// visitor exactly as the caller passed it.
+// Runs enumerate_paramount or enumerate_paramount_streaming at one worker,
+// forwarding the visitor exactly as the caller passed it.
 template <typename Visit>
 ParamountResult run_driver(bool streaming, const Poset& poset,
                            const std::vector<EventId>& order, Visit&& visit) {
@@ -574,9 +657,9 @@ ParamountResult run_driver(bool streaming, const Poset& poset,
                                          std::forward<Visit>(visit));
 }
 
-// Both drivers take a mutable lambda as an lvalue and invoke it in place —
-// its own count, read afterwards, equals `states` — and a std::function;
-// both visit exactly the plain lambda's sequence.
+// Both entry points take a mutable lambda as an lvalue and invoke it in
+// place — its own count, read afterwards, equals `states` — and a
+// std::function; both visit exactly the plain lambda's sequence.
 TEST(ParamountVisitors, MutableLambdaAndStdFunctionMatchPlainLambda) {
   const Poset poset = make_random(4, 24, 0.4, 9);
   const std::vector<EventId> order =

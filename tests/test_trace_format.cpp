@@ -69,7 +69,9 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
 void write_file(const std::string& path, const std::vector<std::uint8_t>& b) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
-  if (!b.empty()) ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
+  if (!b.empty()) {
+    ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
+  }
   std::fclose(f);
 }
 

@@ -13,8 +13,10 @@ namespace {
 using testing::all_distinct;
 using testing::as_set;
 using testing::collect_all;
+using testing::key_of;
 using testing::make_antichain;
 using testing::make_random;
+using testing::Key;
 
 // Staircase poset: `threads` threads with `steps` events each, where the
 // k-th event of thread t depends on the k-th event of thread t-1. Consistent
@@ -76,13 +78,15 @@ TEST(WidePoset, StaircaseClosedFormCount) {
 
 TEST(WidePoset, EnumeratorsAgree) {
   const Poset poset = make_staircase(18, 3);
+  std::vector<Key> oracle;
+  for (const Frontier& f : all_ideals(poset)) oracle.push_back(key_of(f));
   const auto lexical = collect_all(EnumAlgorithm::kLexical, poset);
-  const auto dfs = collect_all(EnumAlgorithm::kDfs, poset);
   const auto bfs = collect_all(EnumAlgorithm::kBfs, poset);
   EXPECT_TRUE(all_distinct(lexical));
-  EXPECT_EQ(lexical.size(), binomial(21, 3));
-  EXPECT_EQ(as_set(lexical), as_set(dfs));
-  EXPECT_EQ(as_set(lexical), as_set(bfs));
+  EXPECT_TRUE(all_distinct(bfs));
+  EXPECT_EQ(oracle.size(), binomial(21, 3));
+  EXPECT_EQ(as_set(lexical), as_set(oracle));
+  EXPECT_EQ(as_set(bfs), as_set(oracle));
 }
 
 TEST(WidePoset, ParamountExactlyOnce) {

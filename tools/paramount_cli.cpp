@@ -42,7 +42,6 @@ namespace {
 EnumAlgorithm parse_algorithm(const std::string& name) {
   if (name == "bfs") return EnumAlgorithm::kBfs;
   if (name == "lexical") return EnumAlgorithm::kLexical;
-  if (name == "dfs") return EnumAlgorithm::kDfs;
   std::fprintf(stderr, "error: unknown --algorithm '%s'\n", name.c_str());
   std::exit(2);
 }
@@ -173,7 +172,6 @@ int run_count(const Poset& poset, const CliFlags& flags) {
       flags.get_int_in_range("chunk", 1, std::int64_t{1} << 30));
   options.subroutine = parse_algorithm(flags.get_string("algorithm"));
   options.topo_policy = parse_policy(flags.get_string("order"));
-  const bool streaming = flags.get_bool("streaming");
 
   obs::Telemetry telemetry(options.num_workers,
                            obs::SpanTracer::kDefaultCapacityPerShard,
@@ -181,24 +179,17 @@ int run_count(const Poset& poset, const CliFlags& flags) {
   options.telemetry = &telemetry;
 
   WallTimer timer;
-  ParamountResult result;
-  if (streaming) {
-    const auto order =
-        topological_sort(poset, options.topo_policy, options.seed);
-    result = enumerate_paramount_streaming(poset, order, options,
-                                           [](const Frontier&) {});
-  } else {
-    result = enumerate_paramount(poset, options, [](const Frontier&) {});
-  }
+  const ParamountResult result =
+      enumerate_paramount(poset, options, [](const Frontier&) {});
   const double elapsed = timer.elapsed_seconds();
 
   std::printf("consistent global states: %s\n",
               format_count(result.states).c_str());
   std::printf(
-      "algorithm: ParaMount(%s, %zu workers, %s order%s, chunk %zu), %s\n",
+      "algorithm: ParaMount(%s, %zu workers, %s order, chunk %zu), %s\n",
       to_string(options.subroutine), options.num_workers,
-      to_string(options.topo_policy), streaming ? ", streaming" : "",
-      options.chunk_size, format_seconds(elapsed).c_str());
+      to_string(options.topo_policy), options.chunk_size,
+      format_seconds(elapsed).c_str());
 
   if constexpr (obs::kTelemetryEnabled) {
     print_telemetry_summary(telemetry, elapsed);
@@ -402,13 +393,11 @@ int main(int argc, char** argv) {
   flags.add_string("mode", "count",
                    "count | print | intervals | conjunctive | online");
   flags.add_string("algorithm", "lexical",
-                   "bfs | lexical | dfs (subroutine for count)");
+                   "bfs | lexical (subroutine for count)");
   flags.add_string("order", "interleave",
                    "interleave | thread-major | random");
   flags.add_int("workers", 4, "ParaMount workers for count mode");
-  flags.add_int("chunk", 1, "count mode: intervals claimed per queue visit");
-  flags.add_bool("streaming", false,
-                 "count mode: use the streaming driver (real queue waits)");
+  flags.add_int("chunk", 1, "count mode: events claimed per cursor visit");
   flags.add_string("metrics-json", "",
                    "write a metrics snapshot (JSON) here");
   flags.add_string("trace-out", "",

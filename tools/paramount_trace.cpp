@@ -271,8 +271,8 @@ int run_replay(int argc, char** argv) {
   flags.add_string("input", "", ".pmt file to replay");
   flags.add_string("mode", "offline", "offline | streaming | online");
   flags.add_int("workers", 4, "offline/streaming enumeration workers");
-  flags.add_int("chunk", 1, "intervals claimed per queue visit");
-  flags.add_string("algorithm", "lexical", "bfs | lexical | dfs");
+  flags.add_int("chunk", 1, "events claimed per cursor visit");
+  flags.add_string("algorithm", "lexical", "bfs | lexical");
   flags.add_int("async-workers", 0, "online mode: pooled workers");
   if (!flags.parse(argc, argv)) return 0;
 
@@ -283,8 +283,6 @@ int run_replay(int argc, char** argv) {
   const std::string algorithm_name = flags.get_string("algorithm");
   if (algorithm_name == "bfs") {
     algorithm = EnumAlgorithm::kBfs;
-  } else if (algorithm_name == "dfs") {
-    algorithm = EnumAlgorithm::kDfs;
   } else if (algorithm_name != "lexical") {
     std::fprintf(stderr, "error: unknown --algorithm '%s'\n",
                  algorithm_name.c_str());
