@@ -5,8 +5,8 @@
 // current frontier, the lo/hi bounds and the closure stack. L-Para runs the
 // driver over the same →p (Algorithm 1's shared cursor), which keeps no
 // per-event Gmin/Gbnd table: it adds the →p order, the shared running
-// frontier and one bounded lexical working set per worker, plus a few
-// recycled claims per worker that the figure does not count. The paper's
+// frontier and one bounded lexical working set per worker, plus one Gbnd
+// frontier per worker that the figure does not count. The paper's
 // point is that the parallel algorithm's overhead is negligible. Working
 // sets are MemoryMeter peaks, measured on real runs.
 #include <cstdio>

@@ -274,11 +274,10 @@ BENCHMARK(BM_ParamountDriverTelemetry);
 
 // ---- scheduler ----
 
-// The work-stealing driver at 8 workers on a skewed workload: a sparse
-// random poset mixes one-state intervals with intervals of tens of thousands
-// of states, so a batch routinely pairs a giant with tiny batch-mates. The
-// queue_wait_p99_ns counter shows how long a claimed event stranded behind a
-// slow batch-mate waits before an idle sibling steals it.
+// The driver at 8 workers on a skewed workload: a sparse random poset mixes
+// one-state intervals with intervals of tens of thousands of states. The
+// queue_wait_p99_ns counter shows how long a worker waits at the cursor for
+// its next event.
 void BM_ParamountOffline8Workers(benchmark::State& state) {
   RandomPosetParams params;
   params.num_processes = 6;
@@ -288,7 +287,6 @@ void BM_ParamountOffline8Workers(benchmark::State& state) {
   const Poset poset = make_random_poset(params);
   ParamountOptions options;
   options.num_workers = 8;
-  options.chunk_size = 8;
   obs::Telemetry telemetry(options.num_workers,
                            /*trace_capacity_per_shard=*/256);
   options.telemetry = &telemetry;
@@ -301,11 +299,6 @@ void BM_ParamountOffline8Workers(benchmark::State& state) {
   if (const obs::HistogramSnapshot* h =
           snap.find_histogram("pool.queue_wait_ns")) {
     state.counters["queue_wait_p99_ns"] = h->quantile(0.99);
-  }
-  if (const obs::CounterSnapshot* c = snap.find_counter("pool.steals")) {
-    state.counters["steals"] =
-        benchmark::Counter(static_cast<double>(c->total),
-                           benchmark::Counter::kAvgIterations);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(states) *
                           state.iterations());

@@ -8,9 +8,9 @@
 // Because the intervals partition the lattice (Theorem 2), every consistent
 // state is delivered to the visitor exactly once, and total work is that of
 // the sequential subroutine (work-optimal). Here the shared cursor walks →p
-// from its end, each visit claims up to chunk_size events, and claimed
-// events wait in per-worker work-stealing deques (util/work_stealing.hpp;
-// DESIGN.md §5, substitution 7). No interval table is materialized.
+// from its end and each visit claims one event, so the largest boxes tend
+// to come first (DESIGN.md §5, substitution 7). No interval table is
+// materialized.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +28,8 @@ struct ParamountOptions {
   std::size_t num_workers = 1;
   EnumAlgorithm subroutine = EnumAlgorithm::kLexical;
   TopoPolicy topo_policy = TopoPolicy::kInterleave;
+  // Seeds the →p of TopoPolicy::kRandom; the other policies ignore it.
   std::uint64_t seed = 0;
-  // Events per cursor claim. A worker claims this many events of →p per
-  // visit to the cursor, enumerates the first and parks the rest in its own
-  // deque, where idle workers steal them one at a time. Larger chunks
-  // amortize claims at the cost of coarser load balancing.
-  std::size_t chunk_size = 1;
   // Optional shared memory meter (thread-safe); lets B-Para reproduce the
   // bounded-memory behaviour of Table 1.
   MemoryMeter* meter = nullptr;
@@ -43,12 +39,10 @@ struct ParamountOptions {
   // Optional telemetry sink (see src/obs/). Must have at least `num_workers`
   // shards; worker w writes only shard w. Per interval the driver records an
   // "interval" span plus states/intervals counters and the interval-size and
-  // interval-time histograms. Per event it records a claims count and a
-  // queue-wait observation, measured from the seek that claimed the event
-  // to the start of its processing, so time spent parked in a deque or
-  // behind a slow batch-mate is visible. Stolen acquisitions additionally
-  // bump pool.steals (failed probes: pool.steal_fail) and emit a "steal"
-  // span. Each non-empty cursor claim records its Gbnd-snapshot time.
+  // interval-time histograms. Per cursor claim, one per event, it records
+  // the Gbnd-snapshot time (a "gbnd_snapshot" span and paramount.gbnd_ns),
+  // then a claims count, a queue-wait observation from the worker's visit
+  // to the cursor until it held its event, and a "claim" span.
   obs::Telemetry* telemetry = nullptr;
 };
 
@@ -73,8 +67,8 @@ using BoxEnumerator =
     FunctionRef<EnumStats(const Frontier& lo, const Frontier& hi)>;
 
 // The driver core (paramount.cpp): the cursor over `order`, which must be a
-// linear extension of `poset`, plus scheduling, stealing, telemetry and
-// error handling, with every box enumerated through `enumerate`.
+// linear extension of `poset`, plus telemetry and error handling, with
+// every box enumerated through `enumerate`.
 ParamountResult run_paramount(const Poset& poset,
                               const std::vector<EventId>& order,
                               const ParamountOptions& options,
@@ -103,8 +97,8 @@ auto box_enumerator(const Poset& poset, const ParamountOptions& options,
 // rethrow the first exception any worker hit: MemoryBudgetExceeded if the
 // meter's budget was crossed, or whatever the visitor threw. All three run
 // the one driver core; they differ only in where →p comes from. The space
-// used is the poset plus →p plus one subroutine working set and a few
-// claims per worker. The paper states O(n) per worker in §3.4; the lexical
+// used is the poset plus →p plus one subroutine working set and one Gbnd
+// frontier per worker. The paper states O(n) per worker in §3.4; the lexical
 // subroutine's closure stack makes it O(n²) words (DESIGN.md §5,
 // substitution 8).
 

@@ -44,7 +44,7 @@ class Telemetry {
   // Counters (one value per worker shard).
   MetricId states;           // consistent states delivered to the visitor
   MetricId intervals;        // intervals fully enumerated
-  MetricId claims;           // work acquisitions (cursor, counter, or deque)
+  MetricId claims;           // work acquisitions (cursor claims, submits)
   MetricId predicate_evals;  // detector predicate evaluations
   MetricId pool_tasks;       // thread-pool tasks executed
   MetricId steals;           // acquisitions satisfied by stealing (thief shard)
@@ -55,8 +55,8 @@ class Telemetry {
   // shards, so the drivers write these on shard 0 only.
   MetricId poset_resident_bytes;    // event storage resident after last GC
   MetricId poset_reclaimed_events;  // cumulative events reclaimed by GC
-  // Per-queue gauge: live depth of each worker's task queue/deque, refreshed
-  // at every submit and claim (the total sums to the pool-wide backlog).
+  // Per-queue gauge: live depth of each pool worker's task queue, refreshed
+  // at every submit and take (the total sums to the pool-wide backlog).
   // Unlike the counters this cell may be written by whichever thread last
   // touched the queue; writes are pure relaxed stores, so the race is a
   // benign last-writer-wins between equally fresh samples.

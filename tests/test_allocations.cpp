@@ -4,8 +4,9 @@
 // intervals, nested submits included, SessionCore's Event path, and
 // FrameChannel::write_frame on a blocking socket. The poset's own storage
 // is the one allowance: an insert may open a row segment and, with it, a
-// directory leaf. The offline driver's claims are recycled, so its own
-// allocations do not grow with the number of events.
+// directory leaf. The offline driver reuses one Gbnd frontier per worker,
+// so its own allocations do not grow with the number of events, and the
+// lexical kernel allocates nothing per box up to 16 threads.
 //
 // This binary replaces the global operator new and operator delete with
 // counting ones (thread-local tallies over malloc/free, plus a process-wide
@@ -16,6 +17,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -34,6 +36,7 @@
 #include "service/channel.hpp"
 #include "service/frame.hpp"
 #include "service/session.hpp"
+#include "test_helpers.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
 #include "workloads/scenarios/scenarios.hpp"
@@ -261,77 +264,110 @@ TEST(AllocationCount, OnlineParamountOneStateSubmitInlineAndNested) {
   EXPECT_EQ(inner_next, kEvents + 1);
 }
 
-// The offline driver over a convoy of one-state intervals: the claims come
-// from a pool the run owns and go back to it once processed, so the
-// driver's own allocations, its total minus what enumerate_box makes over
-// the same boxes, do not grow with the number of events. One worker runs a
-// fixed sequence, so 2,000 and 20,000 events must cost exactly the same. At
-// four workers the pool holds at most workers × (2·chunk + 1) claims, each
-// one allocation plus one for a Gbnd wider than the inline 16 threads, and
-// the rest (threads, deques, the order check) is a fixed allowance.
+// The offline driver over a convoy of one-state intervals: each worker
+// copies every Gbnd snapshot into its one frontier, which keeps its
+// capacity, so the driver's own allocations, its total minus what
+// enumerate_box makes over the same boxes, do not grow with the number of
+// events. One worker runs a fixed sequence, so 2,000 and 20,000 events must
+// cost exactly the same. At four workers each worker's frontier allocates
+// once when it is wider than the inline 16 threads, and the rest (threads,
+// the running frontier, the order check) is a fixed allowance.
 TEST(AllocationCount, ParamountDriverRecyclesClaims) {
   SKIP_UNLESS_COUNTING();
   constexpr std::uint64_t kFixedAllowance = 64;
   for (const std::size_t width : {6u, 20u}) {
-    for (const std::size_t chunk : {1u, 8u}) {
-      for (const std::size_t workers : {1u, 4u}) {
-        std::vector<std::uint64_t> own;  // per convoy length
-        for (const std::uint64_t events : {2000u, 20000u}) {
-          const std::vector<VectorClock> clocks = chain_clocks(width, events);
-          PosetBuilder builder(width);
-          std::vector<EventId> order;
-          for (std::uint64_t k = 0; k < events; ++k) {
-            order.push_back(builder.add_event_with_clock(
-                static_cast<ThreadId>(k % width), OpKind::kInternal, 0,
-                clocks[k]));
-          }
-          const Poset poset = std::move(builder).build();
-          const std::vector<Interval> intervals =
-              compute_intervals(poset, order);
-          const Frontier empty = poset.empty_frontier();
-          auto noop = [](const Frontier&) {};
-
-          std::uint64_t before = all_threads_allocations();
-          std::uint64_t box_states =
-              enumerate_box(EnumAlgorithm::kLexical, poset, empty, empty, noop)
-                  .states;
-          for (const Interval& iv : intervals) {
-            box_states += enumerate_box(EnumAlgorithm::kLexical, poset,
-                                        iv.gmin, iv.gbnd, noop)
-                              .states;
-          }
-          const std::uint64_t boxes = all_threads_allocations() - before;
-
-          ParamountOptions options;
-          options.num_workers = workers;
-          options.chunk_size = chunk;
-          before = all_threads_allocations();
-          const std::uint64_t states =
-              enumerate_paramount_streaming(poset, order, options, noop)
-                  .states;
-          const std::uint64_t driver = all_threads_allocations() - before;
-
-          const std::string where = "width " + std::to_string(width) +
-                                    ", chunk " + std::to_string(chunk) +
-                                    ", " + std::to_string(workers) +
-                                    " workers, " + std::to_string(events) +
-                                    " events";
-          ASSERT_EQ(states, events + 1) << where;
-          ASSERT_EQ(box_states, events + 1) << where;
-          ASSERT_GE(driver, boxes) << where;
-          own.push_back(driver - boxes);
-          if (workers > 1) {
-            const std::uint64_t per_claim = width > 16 ? 2 : 1;
-            EXPECT_LE(own.back(), workers * (2 * chunk + 1) * per_claim +
-                                      kFixedAllowance)
-                << where;
-          }
+    for (const std::size_t workers : {1u, 4u}) {
+      std::vector<std::uint64_t> own;  // per convoy length
+      for (const std::uint64_t events : {2000u, 20000u}) {
+        const std::vector<VectorClock> clocks = chain_clocks(width, events);
+        PosetBuilder builder(width);
+        std::vector<EventId> order;
+        for (std::uint64_t k = 0; k < events; ++k) {
+          order.push_back(builder.add_event_with_clock(
+              static_cast<ThreadId>(k % width), OpKind::kInternal, 0,
+              clocks[k]));
         }
-        if (workers == 1) {
-          EXPECT_EQ(own[0], own[1])
-              << "width " << width << ", chunk " << chunk
-              << ": the driver's own allocations grew with the events";
+        const Poset poset = std::move(builder).build();
+        const std::vector<Interval> intervals = compute_intervals(poset, order);
+        const Frontier empty = poset.empty_frontier();
+        auto noop = [](const Frontier&) {};
+
+        std::uint64_t before = all_threads_allocations();
+        std::uint64_t box_states =
+            enumerate_box(EnumAlgorithm::kLexical, poset, empty, empty, noop)
+                .states;
+        for (const Interval& iv : intervals) {
+          box_states += enumerate_box(EnumAlgorithm::kLexical, poset, iv.gmin,
+                                      iv.gbnd, noop)
+                            .states;
         }
+        const std::uint64_t boxes = all_threads_allocations() - before;
+
+        ParamountOptions options;
+        options.num_workers = workers;
+        before = all_threads_allocations();
+        const std::uint64_t states =
+            enumerate_paramount_streaming(poset, order, options, noop).states;
+        const std::uint64_t driver = all_threads_allocations() - before;
+
+        const std::string where = "width " + std::to_string(width) + ", " +
+                                  std::to_string(workers) + " workers, " +
+                                  std::to_string(events) + " events";
+        ASSERT_EQ(states, events + 1) << where;
+        ASSERT_EQ(box_states, events + 1) << where;
+        ASSERT_GE(driver, boxes) << where;
+        own.push_back(driver - boxes);
+        if (workers > 1) {
+          EXPECT_LE(own.back(),
+                    workers * (width > 16 ? 1 : 0) + kFixedAllowance)
+              << where;
+        }
+      }
+      if (workers == 1) {
+        EXPECT_EQ(own[0], own[1])
+            << "width " << width
+            << ": the driver's own allocations grew with the events";
+      }
+    }
+  }
+}
+
+// The lexical kernel's closure stack and frontier are inline up to 16
+// threads, so with no meter a box allocates nothing there, whatever its
+// size. Past 16 threads the frontier and both closure buffers spill to the
+// heap, a fixed number of allocations per box that does not grow with the
+// box's state count; seeing it shows the count is live. Two events per
+// thread give lattices of 262, 42,570, 489,600 and 4,492,800 states.
+TEST(AllocationCount, LexicalBoxAllocatesNothingUpTo16Threads) {
+  SKIP_UNLESS_COUNTING();
+  for (const std::size_t width : {6u, 12u, 16u, 17u}) {
+    const Poset poset = testing::make_random(width, 2 * width, 0.7, width);
+    const std::vector<Interval> intervals =
+        compute_intervals(poset, TopoPolicy::kInterleave);
+    auto noop = [](const Frontier&) {};
+    // Warm-up: one box before counting.
+    enumerate_box(EnumAlgorithm::kLexical, poset, intervals[0].gmin,
+                  intervals[0].gbnd, noop);
+    std::uint64_t smallest = ~std::uint64_t{0};
+    std::uint64_t largest = 0;
+    std::vector<std::uint64_t> per_box;
+    for (const Interval& iv : intervals) {
+      const std::uint64_t allocs = allocations();
+      const std::uint64_t box =
+          enumerate_box(EnumAlgorithm::kLexical, poset, iv.gmin, iv.gbnd, noop)
+              .states;
+      per_box.push_back(allocations() - allocs);
+      smallest = std::min(smallest, box);
+      largest = std::max(largest, box);
+    }
+    const std::string where = "width " + std::to_string(width);
+    EXPECT_LT(smallest, largest) << where << ": every box is one size";
+    for (std::size_t b = 0; b < per_box.size(); ++b) {
+      if (width <= 16) {
+        EXPECT_EQ(per_box[b], 0u) << where << ", box " << b;
+      } else {
+        EXPECT_GT(per_box[b], 0u) << where << ", box " << b;
+        EXPECT_EQ(per_box[b], per_box[0]) << where << ", box " << b;
       }
     }
   }

@@ -12,11 +12,14 @@
 // with successors(), is_consistent() or count_ideals(). For every
 // (poset, →p) pair it checks that:
 //   * the boxes of compute_intervals partition the lattice as attributed;
+//   * bounded lexical and bounded BFS, each run on every box alone, visit
+//     exactly the oracle's states of that box, each once;
 //   * the offline driver at one worker, with the lexical and with the BFS
 //     subroutine, visits every state exactly once, each within its own
 //     interval's count;
 //   * inline online ParaMount fed in →p order does the same per owner.
-// A seeded sample of the pairs also runs the driver at 2-4 workers.
+// A seeded sample of the pairs also runs the driver at 2-4 workers and
+// pooled online ParaMount at 2-3 workers, which start threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -227,10 +230,9 @@ bool in_box(const Key& g, const Frontier& lo, const Frontier& hi) {
 }
 
 // Each consistent state lies in exactly one box, the one at its position.
-std::string check_boxes(const Poset& poset, const std::vector<EventId>& order,
+std::string check_boxes(const std::vector<Interval>& intervals,
                         const std::vector<Key>& states,
                         const Attribution& oracle) {
-  const std::vector<Interval> intervals = compute_intervals(poset, order);
   for (std::size_t s = 0; s < states.size(); ++s) {
     std::size_t boxes = 0;
     std::size_t box = 0;
@@ -245,6 +247,35 @@ std::string check_boxes(const Poset& poset, const std::vector<EventId>& order,
     if (boxes != (empty ? 0u : 1u) || (!empty && box != oracle.position_of[s])) {
       return "compute_intervals: a state lies in " + std::to_string(boxes) +
              " boxes";
+    }
+  }
+  return "";
+}
+
+// Each box, enumerated alone by each bounded subroutine, yields exactly the
+// oracle's states at its position, each once. The empty state is in no box.
+std::string check_kernels(const Poset& poset,
+                          const std::vector<Interval>& intervals,
+                          const std::vector<Key>& states,
+                          const Attribution& oracle) {
+  std::vector<std::vector<Key>> expected(intervals.size());
+  for (std::size_t s = 1; s < states.size(); ++s) {
+    expected[oracle.position_of[s]].push_back(states[s]);
+  }
+  std::vector<Key> visited;
+  for (const EnumAlgorithm subroutine :
+       {EnumAlgorithm::kLexical, EnumAlgorithm::kBfs}) {
+    for (std::size_t p = 0; p < intervals.size(); ++p) {
+      visited.clear();
+      enumerate_box(subroutine, poset, intervals[p].gmin, intervals[p].gbnd,
+                    [&](const Frontier& f) { visited.push_back(key_of(f)); });
+      std::sort(visited.begin(), visited.end());
+      if (visited != expected[p]) {
+        return std::string(to_string(subroutine)) + ": box " +
+               std::to_string(p) + " yielded " +
+               std::to_string(visited.size()) + " states, not its " +
+               std::to_string(expected[p].size()) + " once each";
+      }
     }
   }
   return "";
@@ -291,14 +322,20 @@ std::string check_driver(const Poset& poset, const std::vector<EventId>& order,
                       oracle);
 }
 
+// Online ParaMount fed in →p order, inline (no async workers) or pooled.
 std::string check_online(const Poset& poset, const std::vector<EventId>& order,
+                         std::size_t async_workers,
                          const std::vector<Key>& states,
                          const Attribution& oracle) {
+  Mutex mutex;
   std::vector<Key> visited;
   std::vector<std::uint64_t> per_owner(order.size(), 0);
+  OnlineParamount::Options options;
+  options.async_workers = async_workers;
   OnlineParamount online(
-      poset.num_threads(), {},
+      poset.num_threads(), options,
       [&](const OnlinePoset&, EventId owner, const Frontier& f) {
+        MutexLock guard(mutex);
         visited.push_back(key_of(f));
         ++per_owner[oracle.position[owner.tid][owner.index]];
       });
@@ -307,8 +344,8 @@ std::string check_online(const Poset& poset, const std::vector<EventId>& order,
     online.submit(id.tid, e.kind, e.object, e.vc);
   }
   online.drain();
-  return check_visits("online", std::move(visited), per_owner, states,
-                      oracle);
+  return check_visits(async_workers == 0 ? "online" : "pooled online",
+                      std::move(visited), per_owner, states, oracle);
 }
 
 struct SweepCounts {
@@ -319,7 +356,8 @@ struct SweepCounts {
 
 // Checks every (poset, →p) pair of the shape; stops at the first failure.
 SweepCounts sweep(std::size_t threads, std::size_t events) {
-  // One pair in kSampleEvery also runs the driver at 2-4 workers.
+  // One pair in kSampleEvery also runs the driver at 2-4 workers and pooled
+  // online ParaMount at 2-3.
   constexpr std::uint64_t kSampleEvery = 64;
   Rng rng(threads * 100 + events);
   SweepCounts counts;
@@ -332,9 +370,13 @@ SweepCounts sweep(std::size_t threads, std::size_t events) {
       ++counts.pairs;
       const Poset poset = build_poset(clocks, order);
       const Attribution oracle = attribute(states, order, threads);
+      const std::vector<Interval> intervals = compute_intervals(poset, order);
       ParamountOptions options;
       options.collect_interval_stats = true;
-      failure = check_boxes(poset, order, states, oracle);
+      failure = check_boxes(intervals, states, oracle);
+      if (failure.empty()) {
+        failure = check_kernels(poset, intervals, states, oracle);
+      }
       for (const EnumAlgorithm subroutine :
            {EnumAlgorithm::kLexical, EnumAlgorithm::kBfs}) {
         options.subroutine = subroutine;
@@ -342,18 +384,23 @@ SweepCounts sweep(std::size_t threads, std::size_t events) {
           failure = check_driver(poset, order, options, states, oracle);
         }
       }
-      if (failure.empty()) failure = check_online(poset, order, states, oracle);
+      if (failure.empty()) {
+        failure = check_online(poset, order, 0, states, oracle);
+      }
       if (failure.empty() && rng.next_below(kSampleEvery) == 0) {
         ++counts.sampled;
         options.num_workers = 2 + rng.next_below(3);
-        options.chunk_size = 1 + rng.next_below(3);
         options.subroutine = EnumAlgorithm::kLexical;
-        options.seed = rng.next_u64();
         failure = check_driver(poset, order, options, states, oracle);
         if (!failure.empty()) {
-          failure += " (" + std::to_string(options.num_workers) +
-                     " workers, chunk " + std::to_string(options.chunk_size) +
-                     ")";
+          failure += " (" + std::to_string(options.num_workers) + " workers)";
+        }
+        const std::size_t async_workers = 2 + rng.next_below(2);
+        if (failure.empty()) {
+          failure = check_online(poset, order, async_workers, states, oracle);
+          if (!failure.empty()) {
+            failure += " (" + std::to_string(async_workers) + " workers)";
+          }
         }
       }
       if (!failure.empty()) failure += "; " + describe(clocks, order);

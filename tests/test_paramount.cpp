@@ -9,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <list>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -138,45 +137,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(TopoPolicy::kInterleave,
                                          TopoPolicy::kRandom)));
 
-// Chunked cursor claims must preserve exactly-once through both entry
-// points.
-class ParamountChunking : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ParamountChunking, ExactlyOnceForAnyChunkSize) {
-  const std::size_t chunk = GetParam();
-  const Poset poset = make_random(4, 30, 0.4, 12);
-  std::set<Key> oracle;
-  for (const Frontier& f : all_ideals(poset)) oracle.insert(key_of(f));
-
-  ParamountOptions options;
-  options.num_workers = 3;
-  options.chunk_size = chunk;
-
-  Mutex mutex;
-  std::vector<Key> states;
-  auto collector = [&](const Frontier& f) {
-    MutexLock guard(mutex);
-    states.push_back(key_of(f));
-  };
-
-  const ParamountResult precomputed =
-      enumerate_paramount(poset, options, collector);
-  EXPECT_TRUE(all_distinct(states));
-  EXPECT_EQ(as_set(states), oracle);
-  EXPECT_EQ(precomputed.states, oracle.size());
-
-  states.clear();
-  const auto order = topological_sort(poset, TopoPolicy::kInterleave);
-  const ParamountResult streaming =
-      enumerate_paramount_streaming(poset, order, options, collector);
-  EXPECT_TRUE(all_distinct(states));
-  EXPECT_EQ(as_set(states), oracle);
-  EXPECT_EQ(streaming.states, oracle.size());
-}
-
-INSTANTIATE_TEST_SUITE_P(ChunkSizes, ParamountChunking,
-                         ::testing::Values(1u, 2u, 5u, 16u, 1000u));
-
 // The interval a state belongs to (Theorem 2): the position in →p of its
 // last event. The empty state belongs to the first interval (Figure 6a).
 class IntervalIndex {
@@ -203,99 +163,62 @@ class IntervalIndex {
   std::vector<std::vector<std::size_t>> position_;
 };
 
-// The cursor's batch grid. The driver walks →p from its end and claims up
-// to `chunk` events per cursor visit, so batch b covers the positions
-// [n − (b+1)·chunk, n − b·chunk), clipped at 0. Its head, the event the
-// claimer runs itself, is its highest position; the rest of the batch waits
-// in the claimer's deque, where siblings may steal it.
-struct BatchGrid {
-  std::size_t events;
-  std::size_t chunk;
-
-  std::size_t batch(std::size_t i) const { return (events - 1 - i) / chunk; }
-  bool is_head(std::size_t i) const { return (events - 1 - i) % chunk == 0; }
-  // The batch holding position i is [begin(i), end(i)).
-  std::size_t end(std::size_t i) const { return events - batch(i) * chunk; }
-  std::size_t begin(std::size_t i) const {
-    return end(i) > chunk ? end(i) - chunk : 0;
-  }
-};
-
-// At one worker the visit order is fixed: the worker runs each batch's head
-// as it claims the batch, then the rest of the batch from its deque, before
-// it claims again. So batches are visited whole, in grid order, each from
-// its head, and at chunk 1 the intervals come in decreasing →p position.
-// Every entry point shares this order. With 30 events, chunk 7 leaves a
-// short last batch, [0, 2), so a grid anchored at position 0 fails here.
+// At one worker the visit order is fixed: the worker claims one event per
+// cursor visit, from the end of →p, and enumerates its interval before it
+// claims again. So the intervals come in strictly decreasing →p position,
+// and every entry point shares this order.
 TEST(ParamountCursor, OneWorkerClaimsPFromItsEnd) {
   const Poset poset = make_random(4, 30, 0.4, 21);
   ASSERT_EQ(poset.total_events(), 30u);
-  ParamountOptions options;
+  const ParamountOptions options;
   const auto order =
       topological_sort(poset, options.topo_policy, options.seed);
   const IntervalIndex interval_of(poset, order);
   const auto intervals = compute_intervals(poset, order);
-  for (const std::size_t chunk : {1u, 7u}) {
-    options.chunk_size = chunk;
-    const BatchGrid grid{order.size(), chunk};
-    for (const char* entry : {"topo policy", "order", "intervals"}) {
-      std::vector<std::size_t> visits;  // interval per visit, repeats merged
-      auto visitor = [&](const Frontier& f) {
-        const std::size_t i = interval_of(f);
-        if (visits.empty() || visits.back() != i) visits.push_back(i);
-      };
-      if (entry == std::string("topo policy")) {
-        enumerate_paramount(poset, options, visitor);
-      } else if (entry == std::string("order")) {
-        enumerate_paramount_streaming(poset, order, options, visitor);
-      } else {
-        enumerate_paramount(poset, intervals, options, visitor);
-      }
-      ASSERT_EQ(visits.size(), order.size()) << entry << ", chunk " << chunk;
-      for (std::size_t v = 0; v < visits.size(); ++v) {
-        const std::size_t i = visits[v];
-        const bool starts_batch =
-            v == 0 || grid.batch(visits[v - 1]) != grid.batch(i);
-        EXPECT_EQ(grid.is_head(i), starts_batch)
-            << entry << ", chunk " << chunk << ", visit " << v;
-        if (starts_batch && v > 0) {
-          EXPECT_EQ(grid.batch(i), grid.batch(visits[v - 1]) + 1)
-              << entry << ", chunk " << chunk << ", visit " << v;
-        }
-        if (chunk == 1 && v > 0) {
-          EXPECT_LT(i, visits[v - 1]) << entry << ", visit " << v;
-        }
-      }
+  for (const char* entry : {"topo policy", "order", "intervals"}) {
+    std::vector<std::size_t> visits;  // interval per visit, repeats merged
+    auto visitor = [&](const Frontier& f) {
+      const std::size_t i = interval_of(f);
+      if (visits.empty() || visits.back() != i) visits.push_back(i);
+    };
+    if (entry == std::string("topo policy")) {
+      enumerate_paramount(poset, options, visitor);
+    } else if (entry == std::string("order")) {
+      enumerate_paramount_streaming(poset, order, options, visitor);
+    } else {
+      enumerate_paramount(poset, intervals, options, visitor);
+    }
+    ASSERT_EQ(visits.size(), order.size()) << entry;
+    EXPECT_EQ(visits.front(), order.size() - 1) << entry;
+    for (std::size_t v = 1; v < visits.size(); ++v) {
+      EXPECT_LT(visits[v], visits[v - 1]) << entry << ", visit " << v;
     }
   }
 }
 
-// The work-stealing scheduler must keep the exactly-once guarantee for every
-// workers × chunk combination, through both entry points, including more
-// workers than a small poset has batches to claim.
+// The cursor must keep the exactly-once guarantee for every worker count,
+// through both entry points, including more workers than a small poset has
+// events to claim.
 //
-// The third parameter stalls worker 0 (the caller's thread) in its first
-// visit until its siblings have visited every state outside the work item it
-// holds. They must steal the rest of its batch and run the shared cursor,
-// Algorithm 1's shared counter, dry without it; afterwards worker 0 may
-// finish only its own item. The names date from when this parameter
-// switched to a shared-counter scheduler, since deleted (DESIGN.md §5,
-// substitution 7).
+// The second parameter stalls worker 0 (the caller's thread) in its first
+// visit until its siblings have visited every state outside the interval it
+// holds. A worker holds one claimed event at a time, so they must run the
+// shared cursor, Algorithm 1's shared counter, dry without it; afterwards
+// worker 0 may finish only its own interval. The test's name dates from
+// when this parameter switched to a shared-counter scheduler, since deleted
+// (DESIGN.md §5, substitution 7).
 class ParamountScheduler
-    : public ::testing::TestWithParam<
-          std::tuple<std::size_t, std::size_t, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
 
 TEST_P(ParamountScheduler, StealAndSharedCounterPathsAgree) {
-  const auto [workers, chunk, stall] = GetParam();
+  const auto [workers, stall] = GetParam();
   const Poset poset = make_random(4, 30, 0.4, 21);
   ParamountOptions options;
   options.num_workers = workers;
-  options.chunk_size = chunk;
   // enumerate_paramount derives the same →p from these options.
   const auto order =
       topological_sort(poset, options.topo_policy, options.seed);
   const IntervalIndex interval_of(poset, order);
-  const BatchGrid grid{order.size(), chunk};
 
   std::set<Key> oracle;
   std::vector<std::uint64_t> interval_states(order.size(), 0);
@@ -313,15 +236,13 @@ TEST_P(ParamountScheduler, StealAndSharedCounterPathsAgree) {
     std::vector<Key> states;
     std::vector<std::uint64_t> visits(order.size(), 0);
     bool caller_started = false;
-    // Intervals of the item worker 0 held at its first visit.
-    std::size_t held_begin = 0;
-    std::size_t held_end = 0;
+    // The interval worker 0 held at its first visit.
+    std::size_t held = 0;
     std::uint64_t caller_visits_outside = 0;
 
     auto others_done = [&] {
       for (std::size_t i = 0; i < order.size(); ++i) {
-        const bool held = i >= held_begin && i < held_end;
-        if (!held && visits[i] != interval_states[i]) return false;
+        if (i != held && visits[i] != interval_states[i]) return false;
       }
       return true;
     };
@@ -333,14 +254,11 @@ TEST_P(ParamountScheduler, StealAndSharedCounterPathsAgree) {
       cv.notify_all();
       if (!stalls || std::this_thread::get_id() != caller) return;
       if (caller_started) {
-        if (i < held_begin || i >= held_end) ++caller_visits_outside;
+        if (i != held) ++caller_visits_outside;
         return;
       }
       caller_started = true;
-      // A batch's head is never queued, so an item that is no head was
-      // stolen alone; a head brings its whole batch.
-      held_begin = grid.is_head(i) ? grid.begin(i) : i;
-      held_end = grid.is_head(i) ? grid.end(i) : i + 1;
+      held = i;
       while (!others_done()) {
         if (!cv.wait_for(mutex, std::chrono::seconds(30)) && !others_done()) {
           ADD_FAILURE() << "no sibling visit for 30 s; work is stranded "
@@ -365,15 +283,8 @@ TEST_P(ParamountScheduler, StealAndSharedCounterPathsAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    WorkersChunksSteal, ParamountScheduler,
-    ::testing::Combine(::testing::Values(1u, 2u, 8u),
-                       ::testing::Values(1u, 5u), ::testing::Bool()));
-
-// 30 events in batches of 7: the last batch, [0, 2), is short.
-INSTANTIATE_TEST_SUITE_P(
-    UnevenChunk, ParamountScheduler,
-    ::testing::Combine(::testing::Values(2u, 8u), ::testing::Values(7u),
-                       ::testing::Bool()));
+    WorkersStall, ParamountScheduler,
+    ::testing::Combine(::testing::Values(1u, 2u, 8u), ::testing::Bool()));
 
 // A visitor exception must reach the caller, and sibling workers must stop
 // promptly: on a chain every interval is one state and abort is checked
@@ -388,17 +299,10 @@ INSTANTIATE_TEST_SUITE_P(
 // neither throw (nothing would release the others before it joins them)
 // nor run the whole chain before a spawned worker gets to the throw.
 //
-// With the parameter set, the throw comes from work its thrower stole. A
-// batch's head is always run by the worker that claimed the batch from the
-// cursor (BatchGrid), so another batch event run by a different thread was
-// stolen. To make sure one is, a spawned worker that visits a head (an
-// anchor) waits there until another thread has visited the rest of its
-// batch. Up to num_workers - 2 anchors wait at once, so one spawned
-// worker stays free to steal: with a single anchor, the caller could steal
-// its tail and be descheduled before visiting it, while the free workers
-// ran the rest of the chain without a steal and nothing ever threw. The
-// names date from when the parameter switched to a shared-counter
-// scheduler, since deleted (DESIGN.md §5, substitution 7).
+// The suite keeps its parameter so that this instance keeps its name: the
+// other instance threw from work its thrower had stolen from a sibling's
+// batch, and the cursor no longer claims batches (DESIGN.md §5,
+// substitution 7).
 class ParamountThrow : public ::testing::TestWithParam<bool> {};
 
 struct ThrowRendezvous {
@@ -422,82 +326,28 @@ struct ThreadExitSignal {
 };
 
 TEST_P(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
-  const bool throw_stolen = GetParam();
   constexpr std::size_t kEvents = 500;
   constexpr std::uint64_t kThrowAt = 20;
   const Poset poset = make_chain(kEvents);
 
   ParamountOptions options;
   options.num_workers = 4;
-  options.chunk_size = 2;
-  const std::size_t chunk = options.chunk_size;
   const auto order =
       topological_sort(poset, options.topo_policy, options.seed);
-  const IntervalIndex interval_of(poset, order);
-  const BatchGrid grid{order.size(), chunk};
 
   const std::thread::id caller = std::this_thread::get_id();
   for (const bool streaming : {false, true}) {
     ThrowRendezvous rendezvous;
     std::atomic<std::uint64_t> visited{0};
-    // Visit index that armed the throw: kThrowAt or one past it when the
-    // visit count decides, the stolen visit itself otherwise.
-    std::uint64_t throw_at = kThrowAt;
-    // Per batch: the thread that first visited its head.
-    std::vector<std::thread::id> head_runner(grid.batch(0) + 1);
-    struct Anchor {
-      std::size_t batch;
-      std::thread::id thread;
-      bool released;
-    };
-    std::list<Anchor> anchors;  // the waiting anchors
-
-    auto stolen = [&](std::size_t i, std::thread::id self) {
-      return !grid.is_head(i) && head_runner[grid.batch(i)] != self;
-    };
-    auto visitor = [&](const Frontier& f) {
+    auto visitor = [&](const Frontier&) {
       const std::uint64_t k = visited.fetch_add(1);
-      const std::size_t i = interval_of(f);
-      const std::thread::id self = std::this_thread::get_id();
-      const bool is_caller = self == caller;
+      const bool is_caller = std::this_thread::get_id() == caller;
       MutexLock lock(rendezvous.mutex);
-      const bool first_head_visit =
-          grid.is_head(i) && head_runner[grid.batch(i)] == std::thread::id();
-      if (first_head_visit) head_runner[grid.batch(i)] = self;
-      for (Anchor& a : anchors) {
-        if (a.batch == grid.batch(i) && a.thread != self) {
-          a.released = true;
-          rendezvous.cv.notify_all();
-        }
-      }
-      const bool throws = throw_stolen ? stolen(i, self) : k >= kThrowAt;
-      if (!rendezvous.armed && !is_caller && throws) {
+      if (!rendezvous.armed && !is_caller && k >= kThrowAt) {
         rendezvous.armed = true;
-        if (throw_stolen) throw_at = k;
         thread_local ThreadExitSignal exit_signal;
         exit_signal.rendezvous = &rendezvous;
         throw std::runtime_error("visitor boom");
-      }
-      if (throw_stolen && !is_caller && first_head_visit &&
-          anchors.size() + 2 < options.num_workers && !rendezvous.armed &&
-          !rendezvous.stuck && grid.begin(i) < i) {
-        // The rest of the batch already sits in this worker's deque. The
-        // caller parks after one visit, so once it has taken one anchor's
-        // batch, only a spawned worker can take another.
-        Anchor& anchor =
-            anchors.emplace_back(Anchor{grid.batch(i), self, false});
-        while (!rendezvous.armed && !anchor.released) {
-          if (!rendezvous.cv.wait_for(rendezvous.mutex,
-                                      std::chrono::seconds(30)) &&
-              !rendezvous.armed && !anchor.released) {
-            ADD_FAILURE() << "no other thread took the anchor's batch "
-                             "in 30 s";
-            rendezvous.stuck = true;
-            rendezvous.cv.notify_all();
-            break;
-          }
-        }
-        anchors.remove_if([&](const Anchor& a) { return a.thread == self; });
       }
       while ((is_caller || rendezvous.armed) && !rendezvous.observed &&
              !rendezvous.stuck) {
@@ -520,15 +370,15 @@ TEST_P(ParamountThrow, VisitorExceptionPropagatesAndAborts) {
                    std::runtime_error);
     }
     // The throw is armed by visit kThrowAt or kThrowAt + 1 (the caller's one
-    // parked visit may take index kThrowAt), or by the stolen visit. After
-    // it, each of the other workers makes at most one parked visit plus,
-    // for interval 0, its second state.
-    EXPECT_LE(visited.load(), throw_at + 2 * options.num_workers)
+    // parked visit may take index kThrowAt). After it, each of the other
+    // workers makes at most one parked visit plus, for interval 0, its
+    // second state.
+    EXPECT_LE(visited.load(), kThrowAt + 2 * options.num_workers)
         << (streaming ? "streaming" : "offline");
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(StealOnOff, ParamountThrow, ::testing::Bool());
+INSTANTIATE_TEST_SUITE_P(StealOnOff, ParamountThrow, ::testing::Values(false));
 
 TEST(Paramount, StreamingEmptyPoset) {
   PosetBuilder builder(2);

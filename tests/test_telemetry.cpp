@@ -596,15 +596,15 @@ TEST(DriverTelemetry, StreamingRecordsQueueWaitAndGbnd) {
   if constexpr (obs::kTelemetryEnabled) {
     const MetricsSnapshot snap = telemetry.snapshot();
     EXPECT_EQ(snap.find_counter("paramount.states")->total, result.states);
-    // One claim and one queue-wait observation per event; Gbnd snapshots
-    // happen once per non-empty cursor batch, so at most once per claim.
+    // One claim, one queue-wait observation and one Gbnd snapshot per
+    // event: a cursor claim takes exactly one event.
     const std::uint64_t claims = snap.find_counter("paramount.claims")->total;
     EXPECT_EQ(claims, order.size());
     EXPECT_EQ(snap.find_histogram("pool.queue_wait_ns")->count, claims);
-    const std::uint64_t gbnd =
-        snap.find_histogram("paramount.gbnd_ns")->count;
-    EXPECT_GE(gbnd, 1u);
-    EXPECT_LE(gbnd, claims);
+    EXPECT_EQ(snap.find_histogram("paramount.gbnd_ns")->count, claims);
+    // Only the thread pool steals; the driver probes no sibling.
+    EXPECT_EQ(snap.find_counter("pool.steals")->total, 0u);
+    EXPECT_EQ(snap.find_counter("pool.steal_fail")->total, 0u);
   }
 }
 
@@ -624,7 +624,7 @@ TEST(DriverTelemetry, StreamingEmptyClaimsAreNotCounted) {
   if constexpr (obs::kTelemetryEnabled) {
     const MetricsSnapshot snap = telemetry.snapshot();
     EXPECT_EQ(snap.find_counter("paramount.claims")->total, order.size());
-    EXPECT_LE(snap.find_histogram("paramount.gbnd_ns")->count, order.size());
+    EXPECT_EQ(snap.find_histogram("paramount.gbnd_ns")->count, order.size());
   }
 }
 

@@ -1,7 +1,7 @@
-// Work-stealing scheduler (util/work_stealing.hpp) and the stealing
-// ThreadPool: deque LIFO/FIFO discipline, growth, exactly-once delivery
-// under owner/thief races, the victim policy, and load redistribution
-// under deliberately skewed preloads.
+// The victim policy (util/work_stealing.hpp) and the stealing ThreadPool:
+// every sweep visits each sibling once from a seeded start, per-worker
+// seeds are decorrelated, and a lone free worker finishes a burst by
+// stealing from its parked siblings.
 #include "util/work_stealing.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <chrono>
 #include <set>
 #include <thread>
-#include <vector>
 
 #include "obs/telemetry.hpp"
 #include "util/rng.hpp"
@@ -18,111 +17,6 @@
 
 namespace paramount {
 namespace {
-
-using Deque = WsDeque<std::size_t>;
-
-TEST(WsDeque, OwnerPopsLifo) {
-  Deque deque;
-  for (std::size_t i = 0; i < 5; ++i) deque.push(i);
-  std::size_t out = 0;
-  for (std::size_t i = 5; i-- > 0;) {
-    ASSERT_TRUE(deque.pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(deque.pop(out));
-}
-
-TEST(WsDeque, ThiefStealsFifo) {
-  Deque deque;
-  for (std::size_t i = 0; i < 5; ++i) deque.push(i);
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < 5; ++i) {
-    ASSERT_EQ(deque.steal(out), Deque::StealResult::kSuccess);
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_EQ(deque.steal(out), Deque::StealResult::kEmpty);
-}
-
-TEST(WsDeque, PopAfterStealSeesRemainder) {
-  Deque deque;
-  for (std::size_t i = 0; i < 4; ++i) deque.push(i);
-  std::size_t out = 0;
-  ASSERT_EQ(deque.steal(out), Deque::StealResult::kSuccess);  // takes 0
-  ASSERT_TRUE(deque.pop(out));
-  EXPECT_EQ(out, 3u);
-  EXPECT_EQ(deque.size_approx(), 2u);
-}
-
-TEST(WsDeque, GrowsPastInitialCapacity) {
-  constexpr std::size_t kCount = 1000;
-  Deque deque(/*initial_capacity=*/2);
-  for (std::size_t i = 0; i < kCount; ++i) deque.push(i);
-  EXPECT_EQ(deque.size_approx(), kCount);
-  std::set<std::size_t> seen;
-  std::size_t out = 0;
-  while (deque.pop(out)) seen.insert(out);
-  EXPECT_EQ(seen.size(), kCount);
-  EXPECT_EQ(*seen.begin(), 0u);
-  EXPECT_EQ(*seen.rbegin(), kCount - 1);
-}
-
-TEST(WsDeque, GrowthInterleavedWithStealsLosesNothing) {
-  constexpr std::size_t kCount = 512;
-  Deque deque(/*initial_capacity=*/2);
-  std::set<std::size_t> seen;
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < kCount; ++i) {
-    deque.push(i);
-    if (i % 3 == 0 && deque.steal(out) == Deque::StealResult::kSuccess) {
-      seen.insert(out);
-    }
-  }
-  while (deque.pop(out)) seen.insert(out);
-  EXPECT_EQ(seen.size(), kCount);
-}
-
-// The core concurrency contract: one owner pushing then popping, several
-// thieves stealing throughout — every element is delivered to exactly one
-// taker. The last-element owner/thief CAS race is exercised constantly
-// because the owner drains while thieves are still sweeping.
-TEST(WsDeque, ConcurrentOwnerAndThievesTakeEachElementOnce) {
-  constexpr std::size_t kCount = 100000;
-  constexpr std::size_t kThieves = 3;
-  Deque deque(/*initial_capacity=*/8);
-  std::vector<std::atomic<std::uint32_t>> taken(kCount);
-  for (auto& t : taken) t.store(0);
-  std::atomic<std::size_t> remaining{kCount};
-
-  auto take = [&](std::size_t value) {
-    ASSERT_LT(value, kCount);
-    EXPECT_EQ(taken[value].fetch_add(1), 0u) << "element taken twice";
-    remaining.fetch_sub(1);
-  };
-
-  std::vector<std::thread> thieves;
-  for (std::size_t t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      std::size_t out = 0;
-      while (remaining.load() > 0) {
-        if (deque.steal(out) == Deque::StealResult::kSuccess) take(out);
-      }
-    });
-  }
-
-  // Owner: push everything, popping intermittently, then drain.
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < kCount; ++i) {
-    deque.push(i);
-    if (i % 7 == 0 && deque.pop(out)) take(out);
-  }
-  while (deque.pop(out)) take(out);
-
-  for (auto& thief : thieves) thief.join();
-  EXPECT_EQ(remaining.load(), 0u);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(taken[i].load(), 1u) << "element " << i;
-  }
-}
 
 TEST(VictimSequence, VisitsEveryOtherWorkerExactlyOnce) {
   Rng rng(17);
@@ -165,71 +59,7 @@ TEST(WorkStealingScheduler, WorkerSeedsAreDecorrelated) {
   EXPECT_NE(detail::worker_seed(1, 0), detail::worker_seed(2, 0));
 }
 
-TEST(WorkStealingScheduler, PopOnlySeesOwnDeque) {
-  WorkStealingScheduler<std::size_t> scheduler(3, /*seed=*/1);
-  scheduler.push(0, 42);
-  std::size_t out = 0;
-  EXPECT_FALSE(scheduler.pop(1, out));
-  EXPECT_TRUE(scheduler.pop(0, out));
-  EXPECT_EQ(out, 42u);
-}
-
-TEST(WorkStealingScheduler, StealSweepFindsLoadedSibling) {
-  WorkStealingScheduler<std::size_t> scheduler(4, /*seed=*/1);
-  scheduler.push(2, 7);
-  std::size_t out = 0;
-  std::uint64_t failed_probes = 0;
-  EXPECT_TRUE(scheduler.steal(0, out, &failed_probes));
-  EXPECT_EQ(out, 7u);
-  EXPECT_LE(failed_probes, 2u);  // at most the two empty victims
-  // Now everything is empty: a full sweep fails and counts every victim.
-  failed_probes = 0;
-  EXPECT_FALSE(scheduler.steal(0, out, &failed_probes));
-  EXPECT_EQ(failed_probes, 3u);
-}
-
-// Skewed preload: every item starts on worker 0's deque, so workers 1..3
-// can only ever be fed by theft. Each worker holds its first item until
-// every worker has one — that models a skewed long-running task and, more
-// importantly, keeps the supply from draining before a late-scheduled
-// thread gets its chance to steal, making the ≥1-per-worker assertion
-// deterministic rather than a race against the OS scheduler.
-TEST(WorkStealingScheduler, StealingFeedsEveryWorkerUnderSkew) {
-  constexpr std::size_t kWorkers = 4;
-  constexpr std::size_t kItems = 4096;
-  WorkStealingScheduler<std::size_t> scheduler(kWorkers, /*seed=*/3);
-  for (std::size_t i = 0; i < kItems; ++i) scheduler.push(0, i);
-
-  std::vector<std::atomic<std::size_t>> executed(kWorkers);
-  for (auto& e : executed) e.store(0);
-  std::atomic<std::size_t> remaining{kItems};
-  std::atomic<std::size_t> fed{0};  // workers that have executed >= 1 item
-
-  auto worker = [&](std::size_t w) {
-    std::size_t item = 0;
-    while (remaining.load() > 0) {
-      if (!scheduler.pop(w, item) && !scheduler.steal(w, item)) continue;
-      if (executed[w].fetch_add(1) == 0) {
-        fed.fetch_add(1);
-        while (fed.load() < kWorkers) std::this_thread::yield();
-      }
-      remaining.fetch_sub(1);
-    }
-  };
-  std::vector<std::thread> threads;
-  for (std::size_t w = 0; w < kWorkers; ++w) threads.emplace_back(worker, w);
-  for (auto& t : threads) t.join();
-
-  std::size_t total = 0;
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    EXPECT_GE(executed[w].load(), 1u) << "worker " << w << " starved";
-    total += executed[w].load();
-  }
-  EXPECT_EQ(total, kItems);
-}
-
-// Pool analog of the skew test: park all workers but one, then submit a
-// burst. Least-loaded placement spreads the burst over every queue —
+// Park all workers but one, then submit a burst. Least-loaded placement spreads the burst over every queue —
 // including the parked workers' — so the lone free worker can only finish
 // the burst by stealing from its blocked siblings.
 TEST(ThreadPool, LoneFreeWorkerStealsFromParkedSiblings) {

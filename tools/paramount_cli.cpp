@@ -108,8 +108,10 @@ void print_telemetry_summary(const obs::Telemetry& telemetry,
 
   const obs::CounterSnapshot* steals = snap.find_counter("pool.steals");
   const obs::CounterSnapshot* drops = snap.find_counter("tracer.spans_dropped");
-  // Live gauge: each worker's deque depth as of its last submit/claim, so a
-  // snapshot taken mid-run shows where the remaining work sits.
+  // Live gauge: each pool worker's queue depth as of its last submit or
+  // take, so a snapshot taken mid-run shows where the remaining work sits.
+  // Steals and queue depths come from the online mode's pool; the offline
+  // driver has no queues, so count mode prints zeros there.
   const obs::CounterSnapshot* depth = snap.find_gauge("pool.queue_depth");
 
   Table workers({"worker", "states", "intervals", "steals", "spans-drop",
@@ -168,8 +170,6 @@ int run_count(const Poset& poset, const CliFlags& flags) {
   // a raw PM_CHECK abort inside the driver.
   options.num_workers = static_cast<std::size_t>(
       flags.get_int_in_range("workers", 1, 1 << 14));
-  options.chunk_size = static_cast<std::size_t>(
-      flags.get_int_in_range("chunk", 1, std::int64_t{1} << 30));
   options.subroutine = parse_algorithm(flags.get_string("algorithm"));
   options.topo_policy = parse_policy(flags.get_string("order"));
 
@@ -186,10 +186,9 @@ int run_count(const Poset& poset, const CliFlags& flags) {
   std::printf("consistent global states: %s\n",
               format_count(result.states).c_str());
   std::printf(
-      "algorithm: ParaMount(%s, %zu workers, %s order, chunk %zu), %s\n",
+      "algorithm: ParaMount(%s, %zu workers, %s order), %s\n",
       to_string(options.subroutine), options.num_workers,
-      to_string(options.topo_policy), options.chunk_size,
-      format_seconds(elapsed).c_str());
+      to_string(options.topo_policy), format_seconds(elapsed).c_str());
 
   if constexpr (obs::kTelemetryEnabled) {
     print_telemetry_summary(telemetry, elapsed);
@@ -397,7 +396,6 @@ int main(int argc, char** argv) {
   flags.add_string("order", "interleave",
                    "interleave | thread-major | random");
   flags.add_int("workers", 4, "ParaMount workers for count mode");
-  flags.add_int("chunk", 1, "count mode: events claimed per cursor visit");
   flags.add_string("metrics-json", "",
                    "write a metrics snapshot (JSON) here");
   flags.add_string("trace-out", "",

@@ -271,7 +271,6 @@ int run_replay(int argc, char** argv) {
   flags.add_string("input", "", ".pmt file to replay");
   flags.add_string("mode", "offline", "offline | streaming | online");
   flags.add_int("workers", 4, "offline/streaming enumeration workers");
-  flags.add_int("chunk", 1, "events claimed per cursor visit");
   flags.add_string("algorithm", "lexical", "bfs | lexical");
   flags.add_int("async-workers", 0, "online mode: pooled workers");
   if (!flags.parse(argc, argv)) return 0;
@@ -298,8 +297,6 @@ int run_replay(int argc, char** argv) {
     ParamountOptions options;
     options.num_workers = static_cast<std::size_t>(
         flags.get_int_in_range("workers", 1, 1 << 14));
-    options.chunk_size = static_cast<std::size_t>(
-        flags.get_int_in_range("chunk", 1, std::int64_t{1} << 30));
     options.subroutine = algorithm;
     ok = mode == "offline"
              ? trace::replay_count_offline(reader, options, &states, &error)
