@@ -1,13 +1,18 @@
 // Micro benchmarks (google-benchmark) for the hot primitives underneath the
 // enumeration stack: vector-clock operations, bounded lexical enumeration of
 // interval boxes, BFS level expansion, interval computation, topological
-// sorting, the concurrent containers, and the telemetry hot path.
+// sorting, the concurrent containers, the telemetry hot path, and the
+// service session's per-frame cost.
 //
 // Telemetry overhead acceptance: compare BM_ParamountDriver against
 // BM_ParamountDriverTelemetry in a default build, or rebuild with
 // -DPARAMOUNT_NO_TELEMETRY=ON and compare the telemetry variant against
 // itself across builds; the instrumented driver must stay within 2%.
+// BM_OnlineSubmitOneState and BM_OnlineSubmitOneStateTelemetry give the
+// same delta for the online driver's submit path.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "core/interval.hpp"
 #include "core/online_paramount.hpp"
@@ -18,6 +23,8 @@
 #include "poset/lattice.hpp"
 #include "poset/poset_builder.hpp"
 #include "poset/topo_sort.hpp"
+#include "service/frame.hpp"
+#include "service/session.hpp"
 #include "util/stable_vector.hpp"
 #include "workloads/event_stream.hpp"
 #include "workloads/random_poset.hpp"
@@ -271,6 +278,134 @@ void BM_ParamountDriverTelemetry(benchmark::State& state) {
   paramount_driver_bench(state, true);
 }
 BENCHMARK(BM_ParamountDriverTelemetry);
+
+// One-state intervals through inline OnlineParamount, the convoy's shape:
+// every event's clock covers every event inserted before it (Gmin == Gbnd),
+// round robin over Arg(0) threads, with a no-op visitor and window GC every
+// 4096 inserts. The Telemetry variant attaches the sink a service session
+// attaches: one shard for its single submitting thread and no span buffers.
+void online_submit_bench(benchmark::State& state, bool with_telemetry) {
+  const auto width = static_cast<std::size_t>(state.range(0));
+  obs::Telemetry telemetry(1, /*trace_capacity_per_shard=*/0);
+  OnlineParamount::Options options;
+  options.single_submitter = true;
+  options.window_policy.gc_every = 4096;
+  if (with_telemetry) options.telemetry = &telemetry;
+  OnlineParamount driver(width, options,
+                         [](const OnlinePoset&, EventId, const Frontier&) {});
+  VectorClock clock(width);
+  std::uint64_t k = 0;
+  for (auto _ : state) {
+    const auto tid = static_cast<ThreadId>(k++ % width);
+    clock[tid] += 1;
+    benchmark::DoNotOptimize(driver.submit(tid, OpKind::kInternal, 0, clock));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_OnlineSubmitOneState(benchmark::State& state) {
+  online_submit_bench(state, false);
+}
+BENCHMARK(BM_OnlineSubmitOneState)->Arg(8)->Arg(64);
+
+void BM_OnlineSubmitOneStateTelemetry(benchmark::State& state) {
+  online_submit_bench(state, true);
+}
+BENCHMARK(BM_OnlineSubmitOneStateTelemetry)->Arg(8)->Arg(64);
+
+// ---- service session ----
+
+// perfbench's service-convoy input: the 64-thread lock convoy (60,000
+// events, seed 1) as Event frame payloads, each clock delta-encoded against
+// its thread's previous one.
+const std::vector<std::vector<std::uint8_t>>& convoy_frames() {
+  static const std::vector<std::vector<std::uint8_t>> frames = [] {
+    constexpr std::size_t kThreads = 64;
+    std::unique_ptr<ScenarioStream> stream =
+        make_scenario("lock-convoy-64", ScenarioParams{kThreads, 60000, 1});
+    std::vector<std::vector<std::uint8_t>> out;
+    std::vector<VectorClock> prev(kThreads, VectorClock(kThreads));
+    trace::TraceEvent ev;
+    while (stream->next(&ev)) {
+      service::EventBody body;
+      body.tid = ev.tid;
+      body.kind = ev.kind;
+      body.object = ev.object;
+      for (std::size_t j = 0; j < kThreads; ++j) {
+        if (ev.clock[j] != prev[ev.tid][j]) {
+          body.delta.push_back({static_cast<std::uint32_t>(j), ev.clock[j]});
+        }
+      }
+      prev[ev.tid] = ev.clock;
+      for (const trace::TraceAccess& a : ev.accesses) {
+        body.accesses.push_back({a.var, a.is_write, a.is_init});
+      }
+      out.push_back(service::encode_event(body));
+    }
+    return out;
+  }();
+  return frames;
+}
+
+// What the daemon's reactor spends on service-convoy, without the socket:
+// the convoy's Event frames through one SessionCore with 2 pool workers,
+// window GC every 4096 inserts and a Poll after every 500 frames, then a
+// Drain. ns_per_frame is the mean time of an Event frame's on_payload,
+// us_per_poll that of a Poll's; each is timed once per 500-frame batch.
+void BM_SessionEventFrame(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const std::vector<std::vector<std::uint8_t>>& frames = convoy_frames();
+  service::HelloBody hello;
+  hello.num_threads = 64;
+  hello.async_workers = 2;
+  hello.gc_every = 4096;
+  const std::vector<std::uint8_t> hello_frame = service::encode_hello(hello);
+  const std::vector<std::uint8_t> poll = service::encode_poll();
+  const std::vector<std::uint8_t> drain = service::encode_drain();
+  constexpr std::size_t kPollEvery = 500;
+  std::chrono::nanoseconds frame_time{0};
+  std::chrono::nanoseconds poll_time{0};
+  std::uint64_t polls = 0;
+  std::uint64_t states = 0;
+  bool ok = true;
+  for (auto _ : state) {
+    service::SessionCore core(
+        1, {}, [](std::span<const std::uint8_t>) { return true; });
+    const auto feed = [&](const std::vector<std::uint8_t>& payload) {
+      ok = ok && core.on_payload(payload) ==
+                     service::SessionCore::Disposition::kContinue;
+    };
+    feed(hello_frame);
+    Clock::time_point batch = Clock::now();
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      feed(frames[i]);
+      if ((i + 1) % kPollEvery != 0) continue;  // 60,000 frames: 120 Polls
+      const Clock::time_point polled = Clock::now();
+      feed(poll);
+      const Clock::time_point resumed = Clock::now();
+      frame_time += polled - batch;
+      poll_time += resumed - polled;
+      ++polls;
+      batch = resumed;
+    }
+    feed(drain);
+    core.finish();
+    states = core.result().counts.states;
+    benchmark::DoNotOptimize(states);
+  }
+  if (!ok) state.SkipWithError("the session refused a frame");
+  const auto per_run = static_cast<double>(state.iterations());
+  state.counters["ns_per_frame"] =
+      static_cast<double>(frame_time.count()) /
+      (per_run * static_cast<double>(frames.size()));
+  state.counters["us_per_poll"] =
+      static_cast<double>(poll_time.count()) * 1e-3 /
+      static_cast<double>(std::max<std::uint64_t>(polls, 1));
+  state.counters["states"] = static_cast<double>(states);
+  state.SetItemsProcessed(static_cast<std::int64_t>(frames.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_SessionEventFrame)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---- scheduler ----
 

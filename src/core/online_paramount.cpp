@@ -41,17 +41,21 @@ class ScratchSlot {
 
 OnlineParamount::OnlineParamount(std::size_t num_threads, Options options,
                                  IntervalStateVisitor visit)
-    : poset_(num_threads), options_(options), visit_(std::move(visit)) {
+    : poset_(num_threads),
+      options_(options),
+      pool_shard_base_(options_.single_submitter ? 1 : num_threads),
+      visit_(std::move(visit)) {
   PM_CHECK(visit_ != nullptr);
   obs::Telemetry* const tel = options_.telemetry;
   PM_CHECK_MSG(tel == nullptr || tel->num_shards() >=
-                                     num_threads + options_.async_workers,
-               "online telemetry needs num_threads + async_workers shards");
+                                     pool_shard_base_ + options_.async_workers,
+               "online telemetry needs a shard per program thread (one with "
+               "single_submitter) plus one per async worker");
   if (options_.async_workers > 0) {
-    // Pool workers report on shards above the program threads' so every
+    // Pool workers report on shards above the submitting side's so every
     // shard keeps a single writer (see Options::telemetry).
     pool_ = std::make_unique<ThreadPool>(options_.async_workers, tel,
-                                         /*shard_base=*/num_threads);
+                                         pool_shard_base_);
   }
 }
 
@@ -62,6 +66,15 @@ OnlineParamount::~OnlineParamount() {
 EventId OnlineParamount::submit(ThreadId tid, OpKind kind,
                                 std::uint32_t object,
                                 const VectorClock& clock) {
+  EventId id;
+  poset_.check_insert(try_submit(tid, kind, object, clock, &id), tid, clock);
+  return id;
+}
+
+ClockVerdict OnlineParamount::try_submit(ThreadId tid, OpKind kind,
+                                         std::uint32_t object,
+                                         const VectorClock& clock,
+                                         EventId* id) {
   obs::Telemetry* const tel = options_.telemetry;
   const std::uint64_t insert_ns =
       tel != nullptr ? tel->tracer().now_ns() : 0;
@@ -74,16 +87,20 @@ EventId OnlineParamount::submit(ThreadId tid, OpKind kind,
   // With a window policy the interval's Gmin is pinned atomically with the
   // insert; the pin travels to enumerate_interval via ins.pin_slot and is
   // released when the enumeration finishes.
-  poset_.insert(tid, kind, object, clock,
-                /*pin=*/options_.window_policy.enabled(), &ins);
-  const EventId id = ins.id;
+  const ClockVerdict verdict =
+      poset_.try_insert(tid, kind, object, clock,
+                        /*pin=*/options_.window_policy.enabled(), &ins);
+  if (verdict != ClockVerdict::kOk) return verdict;
+  if (id != nullptr) *id = ins.id;
+  const std::size_t shard = options_.single_submitter ? 0 : tid;
+  std::uint64_t done_ns = 0;
   if (tel != nullptr) {
     // The insert is Algorithm 4's atomic block: it appends to →p and
     // snapshots the maximal frontier (Gbnd).
-    const std::uint64_t done_ns = tel->tracer().now_ns();
-    tel->metrics().add(tel->claims, tid);
-    tel->metrics().observe(tel->gbnd_ns, tid, done_ns - insert_ns);
-    tel->tracer().record(tid, "gbnd_snapshot", "online", insert_ns,
+    done_ns = tel->tracer().now_ns();
+    tel->metrics().add(tel->claims, shard);
+    tel->metrics().observe(tel->gbnd_ns, shard, done_ns - insert_ns);
+    tel->tracer().record(shard, "gbnd_snapshot", "online", insert_ns,
                          done_ns - insert_ns);
   }
   // Gmin == Gbnd: the event causally follows every event inserted before it,
@@ -92,15 +109,19 @@ EventId OnlineParamount::submit(ThreadId tid, OpKind kind,
   // another CPU), so only multi-state boxes go to the pool, each with its
   // own copy of the Inserted.
   if (pool_ != nullptr && !ins.one_state) {
-    pool_->submit([this, ins = ins] {
+    pool_->submit([this, tel, ins = ins] {
       enumerate_interval(
-          ins, poset_.num_threads() + ThreadPool::current_worker_index());
+          ins, pool_shard_base_ + ThreadPool::current_worker_index(),
+          tel != nullptr ? tel->tracer().now_ns() : 0);
     });
   } else {
-    enumerate_interval(ins, tid);
+    // An interval enumerated here is timed from the moment its Gbnd
+    // snapshot ended: one clock read closes the one span and opens the
+    // other.
+    enumerate_interval(ins, shard, done_ns);
   }
   maybe_collect();
-  return id;
+  return ClockVerdict::kOk;
 }
 
 void OnlineParamount::drain() {
@@ -143,13 +164,13 @@ void OnlineParamount::maybe_collect() {
 }
 
 void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins,
-                                         std::size_t shard) {
+                                         std::size_t shard,
+                                         std::uint64_t start_ns) {
   // Adopt the pin taken at insert time (inert without a window policy):
   // while this guard lives, collect() cannot advance the watermark past
   // ins.gmin, so every index inside [Gmin, Gbnd] stays resident.
   OnlinePoset::EnumGuard guard(&poset_, ins.pin_slot);
   obs::Telemetry* const tel = options_.telemetry;
-  const std::uint64_t start_ns = tel != nullptr ? tel->tracer().now_ns() : 0;
   std::uint64_t states = 0;
   // The empty state {0,…,0} belongs to the interval of the first event in
   // the insertion order →p (Figure 6a).

@@ -53,11 +53,19 @@ class OnlineParamount {
   struct Options {
     EnumAlgorithm subroutine = EnumAlgorithm::kLexical;
     std::size_t async_workers = 0;  // 0 = enumerate inline on submit
-    // Optional telemetry sink (see src/obs/). Shard layout: submitting
-    // program thread t writes shard t, including the intervals it
-    // enumerates itself; pooled enumeration worker w writes shard
-    // num_threads + w. Requires num_threads + async_workers shards.
+    // Optional telemetry sink (see src/obs/). Shard layout: the submitting
+    // side writes the low shards, including the intervals it enumerates
+    // itself, and pooled enumeration worker w writes the shard after them
+    // plus w. The submitting side holds one shard per program thread
+    // (thread t writes shard t; num_threads + async_workers shards), or
+    // one shard alone with single_submitter (1 + async_workers shards).
     obs::Telemetry* telemetry = nullptr;
+    // One thread at a time calls submit(), whatever the events' thread ids
+    // (the service session's reactor): it alone writes shard 0, so the
+    // sink's shard count no longer grows with num_threads. Only the shard
+    // layout changes; with several concurrent submitters it would break the
+    // one-writer-per-shard contract.
+    bool single_submitter = false;
     WindowPolicy window_policy;  // default: no reclamation (unbounded)
     // Invoked once per interval after its enumeration finished AND its
     // window pin (if any) was released — the point where the interval has
@@ -88,8 +96,16 @@ class OnlineParamount {
 
   // Inserts an event (clock already computed per Algorithm 3) and enumerates
   // its interval per the execution mode. Thread-safe. Returns the event id.
+  // Aborts on a defective clock (OnlinePoset::check_insert).
   EventId submit(ThreadId tid, OpKind kind, std::uint32_t object,
                  const VectorClock& clock);
+
+  // submit() for a clock from an untrusted source: a defective clock comes
+  // back as OnlinePoset::try_insert's verdict, with nothing inserted,
+  // enumerated or recorded, instead of aborting. On kOk, *id (if given)
+  // receives the event id.
+  ClockVerdict try_submit(ThreadId tid, OpKind kind, std::uint32_t object,
+                          const VectorClock& clock, EventId* id = nullptr);
 
   // Waits until every queued interval has been enumerated (no-op inline).
   void drain();
@@ -111,13 +127,16 @@ class OnlineParamount {
 
  private:
   // `shard` is the telemetry shard of the calling thread (see
-  // Options::telemetry).
-  void enumerate_interval(const OnlinePoset::Inserted& ins,
-                          std::size_t shard);
+  // Options::telemetry); `start_ns` is the tracer time the interval's
+  // timing starts from (unused without telemetry).
+  void enumerate_interval(const OnlinePoset::Inserted& ins, std::size_t shard,
+                          std::uint64_t start_ns);
   void maybe_collect();
 
   OnlinePoset poset_;
   Options options_;
+  // Telemetry shard of pool worker 0 (see Options::telemetry).
+  std::size_t pool_shard_base_;
   IntervalStateVisitor visit_;
   std::unique_ptr<ThreadPool> pool_;  // null in inline mode
   std::atomic<std::uint64_t> states_{0};

@@ -25,6 +25,9 @@ class OnlineRaceDetector final : public TraceSink {
     EnumAlgorithm subroutine = EnumAlgorithm::kLexical;
     std::size_t async_workers = 0;  // 0 = enumerate inline (paper's setup)
     obs::Telemetry* telemetry = nullptr;
+    // One thread at a time calls on_event()/try_on_event(): the telemetry
+    // then needs 1 + async_workers shards (see OnlineParamount::Options).
+    bool single_submitter = false;
     // Sliding-window GC for long monitored runs (see OnlineParamount).
     OnlineParamount::WindowPolicy window_policy;
     // Per-interval completion hook, forwarded to OnlineParamount — the
@@ -35,8 +38,8 @@ class OnlineRaceDetector final : public TraceSink {
   OnlineRaceDetector(std::size_t num_threads, Options options)
       : paramount_(num_threads,
                    {options.subroutine, options.async_workers,
-                    options.telemetry, options.window_policy,
-                    std::move(options.interval_done)},
+                    options.telemetry, options.single_submitter,
+                    options.window_policy, std::move(options.interval_done)},
                    [this](const OnlinePoset& poset, EventId owner,
                           const Frontier& state) {
                      check_races(poset, *access_table_, owner, state, report_,
@@ -51,6 +54,16 @@ class OnlineRaceDetector final : public TraceSink {
     PM_CHECK_MSG(access_table_ != nullptr,
                  "attach() the runtime's access table before tracing");
     paramount_.submit(tid, kind, object, clock);
+  }
+
+  // on_event() for a clock from an untrusted source: a defective clock comes
+  // back as a verdict, with nothing inserted or enumerated, instead of
+  // aborting (OnlineParamount::try_submit).
+  ClockVerdict try_on_event(ThreadId tid, OpKind kind, std::uint32_t object,
+                            const VectorClock& clock) {
+    PM_CHECK_MSG(access_table_ != nullptr,
+                 "attach() the runtime's access table before tracing");
+    return paramount_.try_submit(tid, kind, object, clock);
   }
 
   // Waits for queued intervals in async mode; no-op inline.

@@ -1,11 +1,8 @@
 // Incremental validation of an externally produced vector-clock stream.
 //
-// Both untrusted event sources — the paramountd wire protocol
-// (src/service/session.cpp) and the on-disk trace replayer
-// (src/trace/trace_reader.cpp) — must enforce exactly the invariants
-// OnlinePoset::insert() PM_CHECKs, so hostile input yields a typed error
-// instead of an abort. This class is that shared check, factored out of the
-// Session so the two paths cannot drift apart:
+// Untrusted event sources must enforce exactly the invariants
+// OnlinePoset::insert() checks, so hostile input yields a typed error
+// instead of an abort:
 //
 //   1. the thread id names a real thread;
 //   2. the event's own component equals its 1-based index (published + 1);
@@ -14,6 +11,13 @@
 //
 // Together 2-4 imply the clock is a transitively closed happened-before
 // stamp over the accepted prefix, which is what insert() requires.
+//
+// ClockValidator is that check for the on-disk trace reader and writer
+// (src/trace/), which see clocks before any poset exists. The paramountd
+// session feeds the poset directly and takes the same verdict from
+// OnlinePoset::try_insert, whose insert pass checks the clock anyway; both
+// pick the verdict of a defective clock with classify_clock_defect() and
+// phrase it with describe(), so the two paths cannot drift apart.
 #pragma once
 
 #include <string>
@@ -24,15 +28,56 @@
 
 namespace paramount {
 
+enum class ClockVerdict : std::uint8_t {
+  kOk,
+  kBadThread,          // tid >= num_threads
+  kWrongOwnComponent,  // clock[tid] != published[tid] + 1
+  kRegression,         // not componentwise >= the thread's previous clock
+  kUnpublished,        // references an event no thread has produced yet
+};
+
+// Picks the verdict of a clock whose one-pass detection found a defect in
+// checks 3 or 4: it scans in component order, so the first defective
+// component decides. `prev` is the thread's previous clock; pass `clock`
+// itself when there is none to compare against (nothing regresses against
+// itself). published[tid] is never read.
+inline ClockVerdict classify_clock_defect(ThreadId tid,
+                                          const EventIndex* clock,
+                                          const EventIndex* prev,
+                                          const EventIndex* published,
+                                          std::size_t n) {
+  for (ThreadId j = 0; j < n; ++j) {
+    if (clock[j] < prev[j]) return ClockVerdict::kRegression;
+    if (j != tid && clock[j] > published[j]) return ClockVerdict::kUnpublished;
+  }
+  return ClockVerdict::kOk;
+}
+
+// Human-readable reason for a rejection, phrased for error messages.
+// `next_index` is the index the thread's next event must carry (its
+// published count + 1).
+inline std::string describe(ClockVerdict verdict, ThreadId tid,
+                            EventIndex next_index) {
+  switch (verdict) {
+    case ClockVerdict::kOk:
+      return "ok";
+    case ClockVerdict::kBadThread:
+      return "tid " + std::to_string(tid) + " out of range";
+    case ClockVerdict::kWrongOwnComponent:
+      return "own clock component must equal the event's index " +
+             std::to_string(next_index);
+    case ClockVerdict::kRegression:
+      return "clock not componentwise monotone on thread " +
+             std::to_string(tid);
+    case ClockVerdict::kUnpublished:
+      return "clock references unpublished event of another thread";
+  }
+  return "ok";  // unreachable
+}
+
 class ClockValidator {
  public:
-  enum class Verdict : std::uint8_t {
-    kOk,
-    kBadThread,        // tid >= num_threads
-    kWrongOwnComponent,  // clock[tid] != published[tid] + 1
-    kRegression,       // not componentwise >= the thread's previous clock
-    kUnpublished,      // references an event no thread has produced yet
-  };
+  using Verdict = ClockVerdict;
 
   explicit ClockValidator(std::size_t num_threads)
       : prev_(num_threads, VectorClock(num_threads)),
@@ -74,7 +119,7 @@ class ClockValidator {
       regressed |= static_cast<unsigned>(c[j] < prev[j]);
     }
     if (above == 1 && regressed == 0) return Verdict::kOk;
-    return classify(tid, clock);
+    return classify_clock_defect(tid, c, prev, published, n);
   }
 
   // Accepts a validated clock as the thread's newest event.
@@ -105,37 +150,11 @@ class ClockValidator {
 
   // Human-readable reason for a rejection, phrased for error messages.
   std::string describe(ThreadId tid, Verdict verdict) const {
-    switch (verdict) {
-      case Verdict::kOk:
-        return "ok";
-      case Verdict::kBadThread:
-        return "tid " + std::to_string(tid) + " out of range";
-      case Verdict::kWrongOwnComponent:
-        return "own clock component must equal the event's index " +
-               std::to_string(tid < published_.size() ? published_[tid] + 1
-                                                      : 0);
-      case Verdict::kRegression:
-        return "clock not componentwise monotone on thread " +
-               std::to_string(tid);
-      case Verdict::kUnpublished:
-        return "clock references unpublished event of another thread";
-    }
-    return "ok";  // unreachable
+    return paramount::describe(
+        verdict, tid, tid < published_.size() ? published_[tid] + 1 : 0);
   }
 
  private:
-  // Picks the verdict of a clock the detection pass flagged: checks 3 and 4
-  // in component order, so the first defective component decides.
-  Verdict classify(ThreadId tid, const VectorClock& clock) const {
-    const bool check_prev = has_prev_[tid] != 0;
-    const VectorClock& prev = prev_[tid];
-    for (ThreadId j = 0; j < published_.size(); ++j) {
-      if (check_prev && clock[j] < prev[j]) return Verdict::kRegression;
-      if (j != tid && clock[j] > published_[j]) return Verdict::kUnpublished;
-    }
-    return Verdict::kOk;
-  }
-
   std::vector<VectorClock> prev_;
   std::vector<EventIndex> published_;
   // Not vector<bool>: per-thread flags are written independently.

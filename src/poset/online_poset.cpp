@@ -1,6 +1,7 @@
 #include "poset/online_poset.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 namespace paramount {
 
@@ -32,27 +33,26 @@ Frontier OnlinePoset::published_frontier() const {
   return published_frontier_locked();
 }
 
-void OnlinePoset::insert(ThreadId tid, OpKind kind, std::uint32_t object,
-                         const VectorClock& clock, bool pin, Inserted* out) {
+ClockVerdict OnlinePoset::try_insert(ThreadId tid, OpKind kind,
+                                     std::uint32_t object,
+                                     const VectorClock& clock, bool pin,
+                                     Inserted* out) {
   const std::size_t n = num_threads();
-  PM_CHECK(tid < n);
+  if (tid >= n) return ClockVerdict::kBadThread;
   PM_CHECK(clock.size() == n);
 
   MutexLock guard(insert_mutex_);
 
   EventIndex* const published = published_.data();
   const EventId id{tid, published[tid] + 1};
-  PM_CHECK_MSG(clock[tid] == id.index,
-               "own clock component must equal the event's index");
+  if (clock[tid] != id.index) return ClockVerdict::kWrongOwnComponent;
   // Count the event first: published now holds Gbnd, and the one pass below
   // treats the own component like every other.
   published[tid] = id.index;
   // Per-thread clocks are monotone (e_t[i] happens-before e_t[i+1] and
-  // clocks are transitively closed). The sliding-window watermark *relies*
-  // on this to lower-bound future Gmins, so a violating trace must abort
-  // here rather than corrupt reclamation downstream. The thread's last row
-  // is always live (the watermark never passes a thread's newest event); a
-  // first event compares against itself, which never regresses.
+  // clocks are transitively closed). The thread's last row is always live
+  // (the watermark never passes a thread's newest event); a first event
+  // compares against itself, which never regresses.
   const EventIndex* const c = clock.data();
   const EventIndex* const prev = id.index > 1 ? row(tid, id.index - 1) : c;
   // One branch-free pass, which GCC vectorizes: the flags are integers
@@ -66,10 +66,12 @@ void OnlinePoset::insert(ThreadId tid, OpKind kind, std::uint32_t object,
     differs |= static_cast<unsigned>(c[j] != published[j]);
   }
   // The clock may only reference already published events (Property 1 is
-  // achieved by insertion order — §4.2).
-  PM_CHECK_MSG(unpublished == 0, "clock references an event not yet inserted");
-  PM_CHECK_MSG(regressed == 0,
-               "per-thread vector clocks must be componentwise monotone");
+  // achieved by insertion order — §4.2). A defective clock takes its count
+  // back, and the ordered scan picks its verdict.
+  if ((unpublished | regressed) != 0) {
+    published[tid] = id.index - 1;
+    return classify_clock_defect(tid, c, prev, published, n);
+  }
 
   // The one copy of the clock: into the event's row, published with it.
   threads_[tid].rows.push_row([&](EventIndex* row) {
@@ -92,6 +94,25 @@ void OnlinePoset::insert(ThreadId tid, OpKind kind, std::uint32_t object,
   // Registered before the insertion lock drops so no collect() can advance
   // the watermark between publication and the pin taking effect.
   out->pin_slot = pin ? register_pin_locked(out->gmin) : kNoPin;
+  return ClockVerdict::kOk;
+}
+
+void OnlinePoset::abort_on_defect(ClockVerdict verdict, ThreadId tid,
+                                  const VectorClock& clock) const {
+  PM_CHECK(tid < num_threads());
+  PM_CHECK_MSG(verdict != ClockVerdict::kWrongOwnComponent,
+               "own clock component must equal the event's index");
+  // A clock that also regresses still names its forward reference. The
+  // lock-free counts serve: a racing insert can only publish an event the
+  // clock references, which changes nothing but the message.
+  bool forward = verdict == ClockVerdict::kUnpublished;
+  for (ThreadId j = 0; j < num_threads(); ++j) {
+    forward = forward || (j != tid && clock[j] > num_events(j));
+  }
+  PM_CHECK_MSG(!forward, "clock references an event not yet inserted");
+  PM_CHECK_MSG(verdict != ClockVerdict::kRegression,
+               "per-thread vector clocks must be componentwise monotone");
+  std::abort();  // unreachable: every defective verdict is checked above
 }
 
 std::uint32_t OnlinePoset::register_pin_locked(const Frontier& gmin) {

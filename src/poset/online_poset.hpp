@@ -53,6 +53,7 @@
 #include <deque>
 #include <vector>
 
+#include "poset/clock_validator.hpp"
 #include "poset/event.hpp"
 #include "poset/vector_clock.hpp"
 #include "util/stable_vector.hpp"
@@ -214,12 +215,33 @@ class OnlinePoset {
   };
 
   // Inserts an event whose vector clock has already been computed by the
-  // tracing layer (Algorithm 3). The clock's own component must equal the
-  // event's 1-based index on its thread. With pin=true the interval's Gmin
-  // is pinned against reclamation before the insertion lock is dropped
-  // (atomically with the insert, so no collect() can slip in between); the
-  // caller adopts the pin into an EnumGuard and releases it when the
-  // interval's enumeration finishes.
+  // tracing layer (Algorithm 3), or reports why its clock is defective.
+  // The clock must pass ClockValidator's checks: its own component equals
+  // the event's 1-based index on its thread, it is componentwise monotone
+  // over the thread's previous clock (the sliding-window watermark relies
+  // on this to lower-bound future Gmins), and it references only inserted
+  // events. The one pass that computes the interval's shape checks them,
+  // under the insertion lock; a defect is classified as ClockValidator
+  // classifies it, so the first defective component decides. On any verdict
+  // but kOk nothing is inserted or pinned and *out is untouched. On kOk,
+  // *out's gmin and gbnd are copy-assigned, so an Inserted reused across
+  // inserts of one width allocates nothing after the first. With pin=true
+  // the interval's Gmin is pinned against reclamation before the insertion
+  // lock is dropped (atomically with the insert, so no collect() can slip
+  // in between); the caller adopts the pin into an EnumGuard and releases
+  // it when the interval's enumeration finishes.
+  ClockVerdict try_insert(ThreadId tid, OpKind kind, std::uint32_t object,
+                          const VectorClock& clock, bool pin, Inserted* out)
+      PM_EXCLUDES(insert_mutex_);
+
+  // try_insert() for a trusted clock: a defective one aborts, through
+  // check_insert().
+  void insert(ThreadId tid, OpKind kind, std::uint32_t object,
+              const VectorClock& clock, bool pin, Inserted* out)
+      PM_EXCLUDES(insert_mutex_) {
+    check_insert(try_insert(tid, kind, object, clock, pin, out), tid, clock);
+  }
+
   Inserted insert(ThreadId tid, OpKind kind, std::uint32_t object,
                   const VectorClock& clock, bool pin = false)
       PM_EXCLUDES(insert_mutex_) {
@@ -228,12 +250,14 @@ class OnlinePoset {
     return result;
   }
 
-  // The same insert, filling a caller-owned *out: its gmin and gbnd are
-  // copy-assigned, so an Inserted reused across inserts of one width
-  // allocates nothing after the first.
-  void insert(ThreadId tid, OpKind kind, std::uint32_t object,
-              const VectorClock& clock, bool pin, Inserted* out)
-      PM_EXCLUDES(insert_mutex_);
+  // Aborts on a defective try_insert() verdict for `clock` on `tid`, with
+  // the aborting insert's messages: a clock with both a regression and a
+  // forward reference reports the forward reference, wherever the two sit.
+  void check_insert(ClockVerdict verdict, ThreadId tid,
+                    const VectorClock& clock) const {
+    if (verdict == ClockVerdict::kOk) return;
+    abort_on_defect(verdict, tid, clock);
+  }
 
   // False when the next insert() on `tid` would overflow the thread's row
   // directory (see "Storage") and abort. Only collect() frees room, so a
@@ -268,6 +292,9 @@ class OnlinePoset {
     PM_DCHECK(is_live(tid, index));  // reclaimed slots must never be read
     return threads_[tid].rows.row(index - 1);
   }
+
+  [[noreturn]] void abort_on_defect(ClockVerdict verdict, ThreadId tid,
+                                    const VectorClock& clock) const;
 
   struct PinSlot {
     Frontier gmin;

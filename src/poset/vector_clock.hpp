@@ -113,6 +113,9 @@ class VectorClock {
     components_.assign(num_threads, 0);
   }
 
+  // Sets the clock to a copy of the viewed components, reusing the buffer.
+  void assign(ClockView view) { components_.assign(view.data(), view.size()); }
+
   EventIndex operator[](std::size_t i) const { return components_[i]; }
   EventIndex& operator[](std::size_t i) { return components_[i]; }
 

@@ -131,16 +131,19 @@ SessionCore::Disposition SessionCore::handle_hello(const HelloBody& body) {
   num_threads_ = body.num_threads;
   windowed_ = body.gc_every > 0 || body.window_bytes > 0;
   event_cost_ = event_cost_bytes(num_threads_);
+  // One shard for the thread that feeds this core, which alone submits,
+  // plus one per pool worker (OnlineParamount::Options::single_submitter).
   // Spans off: a session exports only the metrics snapshot (Stats), and
   // span buffers would keep up to 3 MiB per shard for the session's life.
   telemetry_ = std::make_unique<obs::Telemetry>(
-      num_threads_ + body.async_workers, /*trace_capacity_per_shard=*/0);
+      1 + body.async_workers, /*trace_capacity_per_shard=*/0);
   access_table_ = std::make_unique<AccessTable>(num_threads_);
   gate_ = gate_provider_ ? gate_provider_(body)
                          : std::make_shared<SubmitGate>(0);
   OnlineRaceDetector::Options options;
   options.async_workers = body.async_workers;
   options.telemetry = telemetry_.get();
+  options.single_submitter = true;
   options.window_policy = {body.gc_every,
                            static_cast<std::size_t>(body.window_bytes)};
   // The gate outlives the detector only through this shared_ptr copy: a
@@ -152,7 +155,6 @@ SessionCore::Disposition SessionCore::handle_hello(const HelloBody& body) {
   detector_ = std::make_unique<OnlineRaceDetector>(num_threads_,
                                                    std::move(options));
   detector_->attach(*access_table_);
-  validator_ = std::make_unique<ClockValidator>(num_threads_);
   state_ = State::kStreaming;
   result_.hello_seen = true;
   const auto ack = encode_hello_ack({kProtocolVersion, session_id_});
@@ -168,12 +170,18 @@ SessionCore::Disposition SessionCore::handle_event(const EventBody& body) {
   }
   const ThreadId tid = body.tid;
   // Reconstruct the absolute clock from the delta against this thread's
-  // previous event, then validate it via the shared ClockValidator — the
-  // same checks the trace replayer applies, as strict as
-  // OnlinePoset::insert(): a violation must yield an Error frame, never an
-  // abort. The copy reuses the scratch clock's buffer.
+  // previous clock: the poset's last row for the thread, which window GC
+  // never frees (the watermark stays at or below every thread's newest
+  // event). The copy reuses the scratch clock's buffer. The clock itself is
+  // checked once, by the insert in commit_event().
   VectorClock& clock = tls_clock;
-  clock = validator_->prev_clock(tid);
+  const OnlinePoset& poset = detector_->poset();
+  const EventIndex last = poset.num_events(tid);
+  if (last == 0) {
+    clock.assign_zero(num_threads_);
+  } else {
+    clock.assign(poset.vc(tid, last));
+  }
   for (const ClockDelta& d : body.delta) {
     if (d.component >= num_threads_) {
       send_error(ErrorCode::kBadEvent, "clock delta component out of range");
@@ -185,14 +193,6 @@ SessionCore::Disposition SessionCore::handle_event(const EventBody& body) {
     }
     clock[d.component] = static_cast<EventIndex>(d.value);
   }
-  const ClockValidator::Verdict verdict = validator_->validate(tid, clock);
-  if (verdict != ClockValidator::Verdict::kOk) {
-    send_error(verdict == ClockValidator::Verdict::kRegression
-                   ? ErrorCode::kClockRegression
-                   : ErrorCode::kBadEvent,
-               validator_->describe(tid, verdict));
-    return close();
-  }
   if (!body.accesses.empty() && body.kind != OpKind::kCollection) {
     send_error(ErrorCode::kBadEvent,
                "accesses are only valid on collection events");
@@ -201,22 +201,21 @@ SessionCore::Disposition SessionCore::handle_event(const EventBody& body) {
   // Storage that is never released (an unwindowed poset, the access table)
   // fills after 2^18 segments per thread; refuse the event rather than let
   // the append abort. This thread alone inserts, so the room holds.
-  if (!detector_->poset().has_room(tid) ||
+  if (!poset.has_room(tid) ||
       (body.kind == OpKind::kCollection && !access_table_->has_room(tid))) {
     send_error(ErrorCode::kStorageFull,
                "thread " + std::to_string(tid) +
                    " has no room for another event");
     return close();
   }
-  // The event is fully validated but nothing is committed yet: commit now
-  // if the gate admits it, or stash a copy until budget frees (retrying a
-  // stash repeats no side effects).
+  // Nothing is committed yet: commit now if the gate admits the event, or
+  // stash a copy until budget frees (retrying a stash repeats no side
+  // effects).
   if (!admit()) {
     pending_ = PendingEvent{body, clock};
     return Disposition::kBlocked;
   }
-  commit_event(body, clock);
-  return Disposition::kContinue;
+  return commit_event(body, clock);
 }
 
 bool SessionCore::admit() {
@@ -237,12 +236,11 @@ SessionCore::Disposition SessionCore::retry_pending() {
   if (!admit()) return Disposition::kBlocked;
   const PendingEvent pending = std::move(*pending_);
   pending_.reset();
-  commit_event(pending.body, pending.clock);
-  return Disposition::kContinue;
+  return commit_event(pending.body, pending.clock);
 }
 
-void SessionCore::commit_event(const EventBody& body,
-                               const VectorClock& clock) {
+SessionCore::Disposition SessionCore::commit_event(const EventBody& body,
+                                                   const VectorClock& clock) {
   // The wire `object` is never trusted: collection payloads are rebuilt in
   // the session's own AccessTable and the event points at that copy.
   std::uint32_t object = body.object;
@@ -253,9 +251,22 @@ void SessionCore::commit_event(const EventBody& body,
     }
     object = access_table_->append(body.tid, std::move(set));
   }
-  validator_->commit(body.tid, clock);
+  const ClockVerdict verdict =
+      detector_->try_on_event(body.tid, body.kind, object, clock);
+  if (verdict != ClockVerdict::kOk) {
+    // Nothing was inserted, so no interval will return the admission
+    // charge; an access set appended above stays unreferenced, and the
+    // session closes.
+    gate_->release(event_cost_);
+    send_error(verdict == ClockVerdict::kRegression
+                   ? ErrorCode::kClockRegression
+                   : ErrorCode::kBadEvent,
+               describe(verdict, body.tid,
+                        detector_->poset().num_events(body.tid) + 1));
+    return close();
+  }
   ++events_accepted_;
-  detector_->on_event(body.tid, body.kind, object, clock);
+  return Disposition::kContinue;
 }
 
 CountsBody SessionCore::current_counts() {

@@ -4,9 +4,10 @@
 // States: AwaitHello → Streaming → Closed. Every input byte is untrusted:
 // decode errors and semantic violations (bad tid, clock regression,
 // references to unpublished events, an event no storage has room for) are
-// answered with a typed Error frame and a clean close — the validation here
-// is deliberately at least as strong as OnlinePoset::insert()'s PM_CHECKs,
-// so no byte stream can reach an abort. Whatever way a session ends
+// answered with a typed Error frame and a clean close, so no byte stream
+// can reach an abort. The frame-level checks run here; the clock itself is
+// checked once, by OnlinePoset::try_insert's insert pass, whose verdict the
+// session turns into the Error. Whatever way a session ends
 // (Shutdown handshake, plain EOF, a protocol error, or the peer dying
 // mid-frame), finish() drains in-flight intervals and runs a final
 // collect(), so every EnumGuard pin is released and the final counts are
@@ -19,10 +20,11 @@
 // the reactor, which calls retry_pending() and resumes reading that
 // connection.
 //
-// A single thread (the reactor) feeds any given SessionCore, so the core
-// owns all program-thread telemetry shards (0..num_threads-1); pooled
-// enumeration workers write the shards above — the single-writer-per-shard
-// contract holds with one Telemetry per session.
+// A single thread (the reactor) feeds any given SessionCore, so the core's
+// Telemetry holds one shard for that thread, whatever the session's thread
+// count, and one per pooled enumeration worker above it (1 + async_workers
+// shards; OnlineParamount::Options::single_submitter) — the
+// single-writer-per-shard contract holds with one Telemetry per session.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +36,6 @@
 
 #include "detect/online_detector.hpp"
 #include "obs/telemetry.hpp"
-#include "poset/clock_validator.hpp"
 #include "service/channel.hpp"
 #include "service/frame.hpp"
 #include "util/submit_gate.hpp"
@@ -132,9 +133,9 @@ class SessionCore {
  private:
   enum class State { kAwaitHello, kStreaming, kClosed };
 
-  // A validated event waiting on submit budget, copied out of the frame
-  // scratch: clock already reconstructed and checked, but nothing
-  // committed — retry is idempotent.
+  // An event waiting on submit budget, copied out of the frame scratch:
+  // clock reconstructed and the frame checked, but nothing committed (the
+  // clock is checked at commit) — retry is idempotent.
   struct PendingEvent {
     EventBody body;
     VectorClock clock;
@@ -151,8 +152,10 @@ class SessionCore {
   // Charges one event against the gate; false (a stall, counted) when the
   // event must wait for gate_ready_.
   bool admit();
-  // The post-admission half: access-table append, clock commit, on_event.
-  void commit_event(const EventBody& body, const VectorClock& clock);
+  // The post-admission half: access-table append and the detector's
+  // insert, which checks the clock; a defective clock returns the
+  // admission charge and closes with the typed Error.
+  Disposition commit_event(const EventBody& body, const VectorClock& clock);
 
   // Sends a typed Error frame (best effort) and counts it.
   void send_error(ErrorCode code, const std::string& message);
@@ -179,9 +182,6 @@ class SessionCore {
   std::unique_ptr<AccessTable> access_table_;
   std::shared_ptr<SubmitGate> gate_;
   std::unique_ptr<OnlineRaceDetector> detector_;
-  // Shared wire/trace clock checker (poset/clock_validator.hpp): enforces
-  // the same invariants OnlinePoset::insert() PM_CHECKs, as typed errors.
-  std::unique_ptr<ClockValidator> validator_;
   std::uint64_t events_accepted_ = 0;
   std::optional<PendingEvent> pending_;
 };

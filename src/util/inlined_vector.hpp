@@ -46,13 +46,15 @@ class InlinedVector {
     for (const T& v : init) push_back(v);
   }
 
-  InlinedVector(const InlinedVector& other) { assign_from(other); }
+  InlinedVector(const InlinedVector& other) {
+    assign(other.data_, other.size_);
+  }
 
   InlinedVector(InlinedVector&& other) noexcept { steal_from(other); }
 
   // Reuses the current buffer, inline or heap, whenever other fits it.
   InlinedVector& operator=(const InlinedVector& other) {
-    if (this != &other) assign_from(other);
+    if (this != &other) assign(other.data_, other.size_);
     return *this;
   }
 
@@ -122,6 +124,18 @@ class InlinedVector {
     resize(count, value);
   }
 
+  // Copies `count` elements from `first`, reusing the current buffer,
+  // inline or heap, whenever they fit it.
+  void assign(const T* first, std::size_t count) {
+    if (count > capacity_) {
+      size_ = 0;  // nothing of the old contents survives: skip their copy
+      grow_to(count);
+    }
+    std::memcpy(static_cast<void*>(data_), static_cast<const void*>(first),
+                count * sizeof(T));
+    size_ = count;
+  }
+
   friend bool operator==(const InlinedVector& a, const InlinedVector& b) {
     return a.size_ == b.size_ &&
            std::equal(a.begin(), a.end(), b.begin());
@@ -157,17 +171,6 @@ class InlinedVector {
     data_ = inline_data();
     capacity_ = N;
     size_ = 0;
-  }
-
-  void assign_from(const InlinedVector& other) {
-    if (other.size_ > capacity_) {
-      size_ = 0;  // nothing of the old contents survives: skip their copy
-      grow_to(other.size_);
-    }
-    std::memcpy(static_cast<void*>(data_),
-                static_cast<const void*>(other.data_),
-                other.size_ * sizeof(T));
-    size_ = other.size_;
   }
 
   void steal_from(InlinedVector& other) {

@@ -48,15 +48,17 @@ class SubmitGate {
   SubmitGate& operator=(const SubmitGate&) = delete;
 
   // Charges and returns true if `bytes` is admissible now; otherwise queues
-  // `notify` (FIFO) to be invoked exactly once after a release() frees
-  // enough budget for it, and returns false WITHOUT charging. Every charge
-  // must be paired with exactly one release of the same size once the work
-  // retires. The callback re-attempts admission itself (capacity may have
-  // been taken again by the time it runs); it is invoked outside the gate
-  // lock. `owner` tags the queued waiter for cancel() — pass the session
-  // (or any stable address) that would re-attempt, so its teardown can
-  // retract the registration.
-  bool acquire_or_notify(std::size_t bytes, std::function<void()> notify,
+  // a copy of `notify` (FIFO; an admitted request copies nothing) to be
+  // invoked exactly once after a release() frees enough budget for it, and
+  // returns false WITHOUT charging. Every charge must be paired with
+  // exactly one release of the same size once the work retires. The
+  // callback re-attempts admission itself (capacity may have been taken
+  // again by the time it runs); it is invoked outside the gate lock.
+  // `owner` tags the queued waiter for cancel() — pass the session (or any
+  // stable address) that would re-attempt, so its teardown can retract the
+  // registration.
+  bool acquire_or_notify(std::size_t bytes,
+                         const std::function<void()>& notify,
                          const void* owner = nullptr) {
     if (budget_ == 0) return true;
     MutexLock lock(mutex_);
@@ -64,7 +66,7 @@ class SubmitGate {
       in_flight_ += bytes;
       return true;
     }
-    waiters_.push_back({bytes, std::move(notify), owner});
+    waiters_.push_back({bytes, notify, owner});
     return false;
   }
 

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "obs/telemetry.hpp"
+#include "poset/clock_validator.hpp"
 #include "poset/lattice.hpp"
 #include "poset/online_poset.hpp"
 #include "poset/poset_builder.hpp"
@@ -125,6 +126,92 @@ TEST(OnlinePoset, RejectsClockWithBothDefectsAsForwardReference) {
   // Forward reference in component 1, regression in component 2.
   EXPECT_DEATH(poset.insert(0, OpKind::kInternal, 0, VectorClock{2, 2, 0}),
                "not yet inserted");
+}
+
+// try_insert() checks the clock in its insert pass and must give, verdict
+// for verdict and message for message, what ClockValidator gives the same
+// stream: random streams at every width from 1 to 70 whose candidate clocks
+// carry zero to three defects (a regression, a forward reference, a wrong
+// own component) at random components, plus out-of-range thread ids. A
+// refused clock leaves the poset as it was, with no pin taken, and the next
+// clean clock on the thread gets the index the refused one would have had.
+TEST(OnlinePoset, TryInsertVerdictsMatchClockValidator) {
+  Rng rng(27);
+  std::vector<std::uint64_t> seen(5, 0);
+  for (std::size_t width = 1; width <= 70; ++width) {
+    OnlinePoset poset(width);
+    ClockValidator validator(width);
+    std::vector<VectorClock> last(width, VectorClock(width));
+    OnlinePoset::Inserted ins;
+    for (int step = 0; step < 120; ++step) {
+      const std::string where = "width " + std::to_string(width) + ", step " +
+                                std::to_string(step);
+      if (rng.next_below(40) == 0) {
+        const auto tid = static_cast<ThreadId>(width + rng.next_below(3));
+        const VectorClock clock(width);
+        const ClockVerdict want = validator.validate(tid, clock);
+        ASSERT_EQ(poset.try_insert(tid, OpKind::kInternal, 0, clock, false,
+                                   &ins),
+                  want)
+            << where;
+        ++seen[static_cast<std::size_t>(want)];
+        continue;
+      }
+      const auto tid = static_cast<ThreadId>(rng.next_below(width));
+      VectorClock clock = last[tid];
+      clock.join(last[rng.next_below(width)]);
+      clock[tid] = validator.published(tid) + 1;
+      const std::uint64_t defects =
+          rng.next_bool(0.5) ? 0 : 1 + rng.next_below(3);
+      for (std::uint64_t d = 0; d < defects; ++d) {
+        const auto j = static_cast<ThreadId>(rng.next_below(width));
+        switch (rng.next_below(3)) {
+          case 0:  // regression below the thread's last clock
+            if (last[tid][j] > 0) {
+              clock[j] = static_cast<EventIndex>(rng.next_below(last[tid][j]));
+            }
+            break;
+          case 1:  // reference past the published count
+            clock[j] = validator.published(j) + 1 +
+                       static_cast<EventIndex>(rng.next_below(3));
+            break;
+          default:  // wrong own component
+            clock[tid] = rng.next_bool(0.5)
+                             ? 0
+                             : validator.published(tid) + 2 +
+                                   static_cast<EventIndex>(rng.next_below(3));
+            break;
+        }
+      }
+      const ClockVerdict want = validator.validate(tid, clock);
+      const std::size_t before = poset.total_events();
+      const ClockVerdict got =
+          poset.try_insert(tid, OpKind::kInternal, 0, clock, /*pin=*/true,
+                           &ins);
+      ASSERT_EQ(got, want) << where;
+      ASSERT_EQ(describe(got, tid, poset.num_events(tid) + 1),
+                validator.describe(tid, want))
+          << where;
+      ++seen[static_cast<std::size_t>(want)];
+      if (want != ClockVerdict::kOk) {
+        ASSERT_EQ(poset.total_events(), before) << where;
+        ASSERT_EQ(poset.outstanding_pins(), 0u) << where;
+        continue;
+      }
+      const OnlinePoset::EnumGuard pin(&poset, ins.pin_slot);
+      ASSERT_TRUE(pin.active()) << where;
+      validator.commit(tid, clock);
+      last[tid] = clock;
+      ASSERT_EQ(ins.id, (EventId{tid, validator.published(tid)})) << where;
+      ASSERT_EQ(key_of(ins.gmin), key_of(clock)) << where;
+      for (ThreadId t = 0; t < width; ++t) {
+        ASSERT_EQ(ins.gbnd[t], validator.published(t)) << where;
+      }
+    }
+  }
+  for (std::size_t v = 0; v < seen.size(); ++v) {
+    EXPECT_GT(seen[v], 0u) << "verdict " << v << " never came up";
+  }
 }
 
 TEST(OnlinePoset, Figure8BoundaryDependsOnInsertionOrder) {
@@ -553,6 +640,75 @@ TEST(OnlineParamount, AsyncWorkersMatchOracle) {
     EXPECT_EQ(run.metrics.find_counter("pool.tasks")->total, multi_state);
     EXPECT_EQ(run.metrics.find_counter("paramount.intervals")->total,
               order.size());
+  }
+}
+
+// The driver's telemetry counts every event and every interval exactly
+// once, inline and pooled, in both shard layouts: a Gbnd snapshot and a
+// claim per event on the submitting side's shard, and per interval one
+// interval_ns and one interval_states observation, on whichever shard
+// enumerated it. With single_submitter the submitting side is shard 0
+// alone, so the sink holds 1 + async_workers shards.
+TEST(OnlineParamount, TelemetryCountsEveryEventAndIntervalOnce) {
+  const Poset poset = make_random(4, 26, 0.4, 11);
+  const auto order = topological_sort(poset, TopoPolicy::kInterleave);
+  for (const std::size_t workers : {0u, 3u}) {
+    for (const bool single : {false, true}) {
+      const std::string where = std::to_string(workers) + " workers, " +
+                                (single ? "single" : "per-thread") +
+                                " submitter shards";
+      const std::size_t submit_shards = single ? 1 : poset.num_threads();
+      obs::Telemetry telemetry(submit_shards + workers,
+                               /*trace_capacity_per_shard=*/0);
+      OnlineParamount::Options options;
+      options.async_workers = workers;
+      options.telemetry = &telemetry;
+      options.single_submitter = single;
+      options.window_policy.gc_every = 8;
+      OnlineParamount online(
+          poset.num_threads(), options,
+          [](const OnlinePoset&, EventId, const Frontier&) {});
+      for (const EventId id : order) {
+        online.submit(id.tid, OpKind::kInternal, 0, poset.event(id).vc);
+      }
+      online.drain();
+      ASSERT_EQ(online.intervals_processed(), order.size()) << where;
+      if constexpr (!obs::kTelemetryEnabled) continue;
+      const obs::MetricsSnapshot snap = telemetry.snapshot();
+      EXPECT_EQ(snap.find_histogram("paramount.interval_ns")->count,
+                online.intervals_processed())
+          << where;
+      EXPECT_EQ(snap.find_histogram("paramount.interval_states")->count,
+                online.intervals_processed())
+          << where;
+      EXPECT_EQ(snap.find_counter("paramount.intervals")->total,
+                online.intervals_processed())
+          << where;
+      EXPECT_EQ(snap.find_counter("paramount.states")->total,
+                online.states_enumerated())
+          << where;
+      const obs::HistogramSnapshot* gbnd =
+          snap.find_histogram("paramount.gbnd_ns");
+      const obs::CounterSnapshot* claims =
+          snap.find_counter("paramount.claims");
+      EXPECT_EQ(gbnd->count, order.size()) << where;
+      EXPECT_EQ(claims->total, order.size()) << where;
+      for (std::size_t shard = 0; shard < submit_shards; ++shard) {
+        const std::size_t want =
+            single ? order.size()
+                   : poset.num_events(static_cast<ThreadId>(shard));
+        EXPECT_EQ(claims->per_shard[shard], want)
+            << where << ", shard " << shard;
+        EXPECT_EQ(gbnd->per_shard_count[shard], want)
+            << where << ", shard " << shard;
+      }
+      // The pool's shards sit right above the submitting side's.
+      std::uint64_t pooled = 0;
+      for (std::size_t w = 0; w < workers; ++w) {
+        pooled += snap.find_counter("pool.tasks")->per_shard[submit_shards + w];
+      }
+      EXPECT_EQ(pooled, snap.find_counter("pool.tasks")->total) << where;
+    }
   }
 }
 

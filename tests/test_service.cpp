@@ -13,10 +13,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "detect/offline_bfs_detector.hpp"
+#include "poset/clock_validator.hpp"
 #include "poset/poset_builder.hpp"
 #include "service/epoll_server.hpp"
 #include "service/frame.hpp"
@@ -275,6 +278,196 @@ TEST(SessionCore, StreamedSessionRecordsNoSpansButEveryMetric) {
     EXPECT_NE(json.find('"' + name + '"'), std::string::npos) << name;
   }
   core.finish();
+}
+
+// A transport-free session whose replies are decoded into `replies`.
+std::unique_ptr<SessionCore> make_core(std::vector<DecodedFrame>& replies) {
+  return std::make_unique<SessionCore>(
+      1, SessionCore::Limits{},
+      [&replies](std::span<const std::uint8_t> payload) {
+        DecodedFrame frame;
+        EXPECT_FALSE(decode_frame(payload, &frame).has_value());
+        replies.push_back(std::move(frame));
+        return true;
+      });
+}
+
+// The session's telemetry counts every event and interval exactly once, in
+// one shard for the thread that feeds it plus one per pool worker.
+struct TelemetryCase {
+  std::uint32_t async_workers;
+  std::uint64_t gc_every;
+  const char* name;
+};
+
+class SessionTelemetry : public ::testing::TestWithParam<TelemetryCase> {};
+
+TEST_P(SessionTelemetry, TotalsAreExact) {
+  const TelemetryCase& c = GetParam();
+  std::vector<DecodedFrame> replies;
+  const std::unique_ptr<SessionCore> core = make_core(replies);
+  HelloBody h;
+  h.num_threads = 8;
+  h.async_workers = c.async_workers;
+  h.gc_every = c.gc_every;
+  ASSERT_EQ(core->on_payload(encode_hello(h)),
+            SessionCore::Disposition::kContinue);
+  SyntheticEventStream::Params params;
+  params.num_threads = 8;
+  params.num_locks = 2;
+  params.sync_probability = 0.8;
+  SyntheticEventStream stream(params);
+  std::vector<VectorClock> prev(8, VectorClock(8));
+  constexpr std::uint64_t kEvents = 3000;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    ASSERT_EQ(core->on_payload(encode_event(next_event(stream, prev))),
+              SessionCore::Disposition::kContinue);
+  }
+  ASSERT_EQ(core->on_payload(encode_drain()),
+            SessionCore::Disposition::kContinue);
+  ASSERT_EQ(replies.back().op, Op::kDrained);
+  const CountsBody counts = replies.back().counts;
+  ASSERT_EQ(counts.events, kEvents);
+  ASSERT_EQ(core->on_payload(encode_poll()),
+            SessionCore::Disposition::kContinue);
+  ASSERT_EQ(replies.back().op, Op::kStats);
+  const std::string& json = replies.back().stats.metrics_json;
+  const std::string shards =
+      "\"num_shards\":" + std::to_string(1 + c.async_workers) + ",";
+  EXPECT_NE(json.find(shards), std::string::npos) << json.substr(0, 64);
+
+  const obs::MetricsSnapshot snap = core->telemetry()->snapshot();
+  EXPECT_EQ(snap.num_shards, 1u + c.async_workers);
+  if constexpr (obs::kTelemetryEnabled) {
+    EXPECT_EQ(snap.find_counter("paramount.claims")->total, counts.events);
+    EXPECT_EQ(snap.find_histogram("paramount.gbnd_ns")->count, counts.events);
+    EXPECT_EQ(snap.find_counter("paramount.intervals")->total,
+              counts.intervals);
+    EXPECT_EQ(snap.find_histogram("paramount.interval_ns")->count,
+              counts.intervals);
+    EXPECT_EQ(snap.find_histogram("paramount.interval_states")->count,
+              counts.intervals);
+    EXPECT_EQ(snap.find_counter("paramount.states")->total, counts.states);
+  }
+  core->finish();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    InlineAndPooled, SessionTelemetry,
+    ::testing::Values(TelemetryCase{0, 0, "inline"},
+                      TelemetryCase{2, 64, "pooled_windowed"}),
+    [](const ::testing::TestParamInfo<TelemetryCase>& info) {
+      return info.param.name;
+    });
+
+// The session checks each clock once, in the poset's insert pass. Its typed
+// Error must stay what ClockValidator reports for the same stream, where
+// the first defective component decides.
+
+// Thread 0's last clock has seen the first events of threads 1 and 2. Each
+// defective next clock forgets one of them (a regression) and references
+// the other thread's second event (not yet published): the regression comes
+// first in {2, 0, 2}, the forward reference first in {2, 2, 0}.
+const std::vector<std::pair<ThreadId, VectorClock>> kCleanPrefix = {
+    {1, VectorClock{0, 1, 0}},
+    {2, VectorClock{0, 0, 1}},
+    {0, VectorClock{1, 1, 1}}};
+const std::vector<VectorClock> kBothDefects = {VectorClock{2, 0, 2},
+                                               VectorClock{2, 2, 0}};
+
+// `clock` as thread `tid`'s next Event, delta-encoded against `prev`.
+EventBody delta_event(ThreadId tid, const VectorClock& clock,
+                      std::vector<VectorClock>& prev) {
+  EventBody body;
+  body.tid = tid;
+  for (std::size_t j = 0; j < clock.size(); ++j) {
+    if (clock[j] != prev[tid][j]) {
+      body.delta.push_back({static_cast<std::uint32_t>(j), clock[j]});
+    }
+  }
+  prev[tid] = clock;
+  return body;
+}
+
+// Expects the last reply to be the Error ClockValidator's verdict on
+// thread 0's `clock` maps to.
+void expect_validator_error(const std::vector<DecodedFrame>& replies,
+                            const ClockValidator& validator,
+                            const VectorClock& clock) {
+  const ClockVerdict verdict = validator.validate(0, clock);
+  ASSERT_NE(verdict, ClockVerdict::kOk);
+  ASSERT_FALSE(replies.empty());
+  ASSERT_EQ(replies.back().op, Op::kError);
+  EXPECT_EQ(replies.back().error.code, verdict == ClockVerdict::kRegression
+                                           ? ErrorCode::kClockRegression
+                                           : ErrorCode::kBadEvent);
+  EXPECT_EQ(replies.back().error.message, validator.describe(0, verdict));
+}
+
+TEST(SessionCore, ClockWithBothDefectsGetsTheValidatorsError) {
+  std::vector<ClockVerdict> verdicts;
+  for (const VectorClock& bad : kBothDefects) {
+    std::vector<DecodedFrame> replies;
+    const std::unique_ptr<SessionCore> core = make_core(replies);
+    HelloBody h;
+    h.num_threads = 3;
+    ASSERT_EQ(core->on_payload(encode_hello(h)),
+              SessionCore::Disposition::kContinue);
+    ClockValidator validator(3);
+    std::vector<VectorClock> prev(3, VectorClock(3));
+    for (const auto& [tid, clock] : kCleanPrefix) {
+      ASSERT_EQ(validator.validate_and_commit(tid, clock), ClockVerdict::kOk);
+      ASSERT_EQ(core->on_payload(encode_event(delta_event(tid, clock, prev))),
+                SessionCore::Disposition::kContinue);
+    }
+    EXPECT_EQ(core->on_payload(encode_event(delta_event(0, bad, prev))),
+              SessionCore::Disposition::kClose);
+    expect_validator_error(replies, validator, bad);
+    verdicts.push_back(validator.validate(0, bad));
+    EXPECT_EQ(core->result().counts.events, kCleanPrefix.size());
+  }
+  EXPECT_EQ(verdicts, (std::vector<ClockVerdict>{ClockVerdict::kRegression,
+                                                 ClockVerdict::kUnpublished}));
+}
+
+// A defective clock that arrives while another holder has the whole submit
+// budget gets the same Error, once the budget frees, and returns its
+// admission charge.
+TEST(SessionCore, DefectiveClockWhileGateIsFullGetsTheValidatorsError) {
+  const std::size_t cost = event_cost_bytes(3);
+  for (const VectorClock& bad : kBothDefects) {
+    std::vector<DecodedFrame> replies;
+    const std::unique_ptr<SessionCore> core = make_core(replies);
+    const auto gate = std::make_shared<SubmitGate>(cost);
+    core->set_gate_provider([gate](const HelloBody&) { return gate; });
+    bool ready = false;
+    core->set_gate_ready([&ready] { ready = true; });
+    HelloBody h;
+    h.num_threads = 3;
+    ASSERT_EQ(core->on_payload(encode_hello(h)),
+              SessionCore::Disposition::kContinue);
+    ClockValidator validator(3);
+    std::vector<VectorClock> prev(3, VectorClock(3));
+    for (const auto& [tid, clock] : kCleanPrefix) {
+      ASSERT_EQ(validator.validate_and_commit(tid, clock), ClockVerdict::kOk);
+      ASSERT_EQ(core->on_payload(encode_event(delta_event(tid, clock, prev))),
+                SessionCore::Disposition::kContinue);
+    }
+    // Inline intervals returned their charges; now the budget is taken.
+    ASSERT_EQ(gate->in_flight_bytes(), 0u);
+    ASSERT_TRUE(gate->acquire_or_notify(cost, [] {}));
+    SessionCore::Disposition d =
+        core->on_payload(encode_event(delta_event(0, bad, prev)));
+    gate->release(cost);
+    if (d == SessionCore::Disposition::kBlocked) {
+      EXPECT_TRUE(ready);
+      d = core->retry_pending();
+    }
+    EXPECT_EQ(d, SessionCore::Disposition::kClose);
+    expect_validator_error(replies, validator, bad);
+    EXPECT_EQ(gate->in_flight_bytes(), 0u);
+    EXPECT_EQ(core->result().counts.events, kCleanPrefix.size());
+  }
 }
 
 // ---- protocol robustness: never abort, never leak a pin ----
