@@ -78,18 +78,14 @@ ClockVerdict OnlineParamount::try_submit(ThreadId tid, OpKind kind,
   obs::Telemetry* const tel = options_.telemetry;
   const std::uint64_t insert_ns =
       tel != nullptr ? tel->tracer().now_ns() : 0;
-  // Reused by every submit at this depth on this thread: insert()
-  // copy-assigns Gmin and Gbnd into its buffers, which stop allocating
-  // after the first event. Only its contents between this insert and the
-  // hand-off below matter.
+  // Reused by every submit at this depth on this thread: the insert core
+  // copies a multi-state box's Gbnd into its buffer, which stops allocating
+  // after the first, and leaves its Gmin alone (Gmin is `clock`). Only its
+  // contents between this insert and the hand-off below matter.
   const ScratchSlot slot;
   OnlinePoset::Inserted& ins = slot.get();
-  // With a window policy the interval's Gmin is pinned atomically with the
-  // insert; the pin travels to enumerate_interval via ins.pin_slot and is
-  // released when the enumeration finishes.
   const ClockVerdict verdict =
-      poset_.try_insert(tid, kind, object, clock,
-                        /*pin=*/options_.window_policy.enabled(), &ins);
+      poset_.try_append(tid, kind, object, clock, &ins);
   if (verdict != ClockVerdict::kOk) return verdict;
   if (id != nullptr) *id = ins.id;
   const std::size_t shard = options_.single_submitter ? 0 : tid;
@@ -106,19 +102,40 @@ ClockVerdict OnlineParamount::try_submit(ThreadId tid, OpKind kind,
   // Gmin == Gbnd: the event causally follows every event inserted before it,
   // so its box holds the single state Gmin. Visiting that one state costs
   // less than the hand-off (a task allocation, two queue locks and a wake on
-  // another CPU), so only multi-state boxes go to the pool, each with its
-  // own copy of the Inserted.
+  // another CPU), so only multi-state boxes go to the pool.
   if (pool_ != nullptr && !ins.one_state) {
-    pool_->submit([this, tel, ins = ins] {
+    // The task outlives this submit, so it takes its own copies of both
+    // bounds and, under a window policy, pins its Gmin while its event is
+    // still its thread's newest. The pin slot travels with the task.
+    const std::uint32_t pin = options_.window_policy.enabled()
+                                  ? poset_.pin_newest(ins.id)
+                                  : OnlinePoset::kNoPin;
+    pool_->submit([this, tel, ins = ins, gmin = clock, pin] {
+      // While this guard lives, collect() cannot advance the watermark
+      // past gmin, so every index inside [Gmin, Gbnd] stays resident.
+      OnlinePoset::EnumGuard guard(&poset_, pin);
       enumerate_interval(
-          ins, pool_shard_base_ + ThreadPool::current_worker_index(),
+          ins, gmin, pool_shard_base_ + ThreadPool::current_worker_index(),
           tel != nullptr ? tel->tracer().now_ns() : 0);
+      // Release the pin before announcing completion: once the callback
+      // fires, the interval no longer holds any storage against
+      // reclamation, so a collect() triggered by the listener sees the
+      // watermark it expects.
+      guard.release();
+      if (options_.interval_done) options_.interval_done(ins.id);
     });
   } else {
     // An interval enumerated here is timed from the moment its Gbnd
     // snapshot ended: one clock read closes the one span and opens the
-    // other.
-    enumerate_interval(ins, shard, done_ns);
+    // other. Its box is [clock, Gbnd], and it takes no pin: its event is
+    // its thread's newest until this submit returns, so the clock floor
+    // alone keeps the box resident. That rests on the one-at-a-time rule,
+    // so check that no other submit of this thread slipped in.
+    enumerate_interval(ins, clock, shard, done_ns);
+    PM_CHECK_MSG(poset_.num_events(tid) == ins.id.index,
+                 "events of one program thread must be submitted one at a "
+                 "time");
+    if (options_.interval_done) options_.interval_done(ins.id);
   }
   maybe_collect();
   return ClockVerdict::kOk;
@@ -164,12 +181,9 @@ void OnlineParamount::maybe_collect() {
 }
 
 void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins,
+                                         const Frontier& gmin,
                                          std::size_t shard,
                                          std::uint64_t start_ns) {
-  // Adopt the pin taken at insert time (inert without a window policy):
-  // while this guard lives, collect() cannot advance the watermark past
-  // ins.gmin, so every index inside [Gmin, Gbnd] stays resident.
-  OnlinePoset::EnumGuard guard(&poset_, ins.pin_slot);
   obs::Telemetry* const tel = options_.telemetry;
   std::uint64_t states = 0;
   // The empty state {0,…,0} belongs to the interval of the first event in
@@ -180,12 +194,12 @@ void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins,
   }
   if (ins.one_state) {
     // The box [Gmin, Gmin]: every subroutine would visit Gmin alone.
-    visit_(poset_, ins.id, ins.gmin);
+    visit_(poset_, ins.id, gmin);
     ++states;
   } else {
     // The lambda is compiled into the subroutine; visit_ remains one
     // std::function call per state.
-    states += enumerate_box(options_.subroutine, poset_, ins.gmin, ins.gbnd,
+    states += enumerate_box(options_.subroutine, poset_, gmin, ins.gbnd,
                             [&](const Frontier& state) {
                               visit_(poset_, ins.id, state);
                             })
@@ -204,11 +218,6 @@ void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins,
     tel->metrics().observe(tel->interval_states, shard, states);
     tel->metrics().observe(tel->interval_ns, shard, end_ns - start_ns);
   }
-  // Release the pin before announcing completion: once the callback fires,
-  // the interval no longer holds any storage against reclamation, so a
-  // collect() triggered by the listener sees the watermark it expects.
-  guard.release();
-  if (options_.interval_done) options_.interval_done(ins.id);
 }
 
 }  // namespace paramount

@@ -21,10 +21,19 @@
 //     visitor exception thrown from it propagates out of submit().
 //
 // In both modes a single-state interval is visited directly — its one state
-// is Gmin — without running the enumeration subroutine, and submit() fills
-// a per-thread reused Inserted, one per nesting depth, so the path of such
-// an event allocates nothing once its thread has submitted one event at
-// that depth.
+// is the submitted clock itself — without running the enumeration
+// subroutine or copying either bound, and submit() fills a per-thread
+// reused Inserted, one per nesting depth, so the path of such an event
+// allocates nothing once its thread has submitted one event at that depth.
+//
+// Events of one program thread are submitted one at a time: submit() for
+// thread t returns before the next submit() for t starts (the session's
+// single reactor, the traced runtime's per-thread sinks and a single reader
+// all do this). So while the submitting thread enumerates an interval, its
+// event is its thread's newest, and the sliding window's clock floor keeps
+// every event the box can reach resident: such an interval takes no window
+// pin. Only an interval handed to the pool, which outlives its submit(),
+// pins its Gmin (OnlinePoset::pin_newest) and copies its bounds.
 #pragma once
 
 #include <atomic>
@@ -40,10 +49,12 @@ namespace paramount {
 
 class OnlineParamount {
  public:
-  // Sliding-window reclamation policy (see OnlinePoset). When enabled, every
-  // interval pins its Gmin for the duration of its enumeration and submit()
-  // periodically runs OnlinePoset::collect() to retire settled prefix
-  // storage, keeping week-long monitored runs in bounded memory.
+  // Sliding-window reclamation policy (see OnlinePoset). When enabled, an
+  // interval handed to the pool pins its Gmin for the duration of its
+  // enumeration (one enumerated by the submitting thread needs no pin; see
+  // the file comment) and submit() periodically runs OnlinePoset::collect()
+  // to retire settled prefix storage, keeping week-long monitored runs in
+  // bounded memory.
   struct WindowPolicy {
     std::uint64_t gc_every = 0;   // collect() every N inserts (0 = off)
     std::size_t window_bytes = 0;  // collect() when heap_bytes() exceeds this
@@ -95,15 +106,20 @@ class OnlineParamount {
   OnlineParamount& operator=(const OnlineParamount&) = delete;
 
   // Inserts an event (clock already computed per Algorithm 3) and enumerates
-  // its interval per the execution mode. Thread-safe. Returns the event id.
-  // Aborts on a defective clock (OnlinePoset::check_insert).
+  // its interval per the execution mode. Thread-safe, with one rule: events
+  // of one program thread are submitted one at a time (see the file
+  // comment). An interval enumerated on the submitting thread checks, when
+  // it finishes, that its event is still its thread's newest, and aborts
+  // if not. Returns the event id. Aborts on a defective clock
+  // (OnlinePoset::check_insert).
   EventId submit(ThreadId tid, OpKind kind, std::uint32_t object,
                  const VectorClock& clock);
 
   // submit() for a clock from an untrusted source: a defective clock comes
-  // back as OnlinePoset::try_insert's verdict, with nothing inserted,
+  // back as OnlinePoset::try_append's verdict, with nothing inserted,
   // enumerated or recorded, instead of aborting. On kOk, *id (if given)
-  // receives the event id.
+  // receives the event id. The one-at-a-time rule of submit() holds here
+  // too.
   ClockVerdict try_submit(ThreadId tid, OpKind kind, std::uint32_t object,
                           const VectorClock& clock, EventId* id = nullptr);
 
@@ -126,10 +142,13 @@ class OnlineParamount {
   }
 
  private:
-  // `shard` is the telemetry shard of the calling thread (see
-  // Options::telemetry); `start_ns` is the tracer time the interval's
-  // timing starts from (unused without telemetry).
-  void enumerate_interval(const OnlinePoset::Inserted& ins, std::size_t shard,
+  // Visits every state of ins.id's interval: the box [gmin, ins.gbnd], or
+  // gmin alone when ins.one_state (ins.gmin is not read). `shard` is the
+  // telemetry shard of the calling thread (see Options::telemetry);
+  // `start_ns` is the tracer time the interval's timing starts from
+  // (unused without telemetry).
+  void enumerate_interval(const OnlinePoset::Inserted& ins,
+                          const Frontier& gmin, std::size_t shard,
                           std::uint64_t start_ns);
   void maybe_collect();
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <exception>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -135,7 +136,9 @@ ParamountResult run_paramount(const Poset& poset,
                      snapshot_done_ns, index);
 
         const EventId id = order[index];
-        WallTimer timer;
+        // The per-interval stats read the clock; without them, no read.
+        std::optional<WallTimer> timer;
+        if (options.collect_interval_stats) timer.emplace();
         const std::uint64_t start_ns =
             tel != nullptr ? tel->tracer().now_ns() : 0;
         std::uint64_t states = 0;
@@ -147,9 +150,9 @@ ParamountResult run_paramount(const Poset& poset,
         // workers join, which orders every contribution.
         total_states.fetch_add(states, std::memory_order_relaxed);
         record_interval(tel, worker_index, start_ns, states);
-        if (options.collect_interval_stats) {
+        if (timer.has_value()) {
           result.interval_stats[index] =
-              IntervalStat{id, states, timer.elapsed_ns()};
+              IntervalStat{id, states, timer->elapsed_ns()};
         }
       }
     } catch (...) {

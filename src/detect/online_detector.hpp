@@ -49,6 +49,12 @@ class OnlineRaceDetector final : public TraceSink {
   // Must be called with the runtime's access table before tracing starts.
   void attach(const AccessTable& table) { access_table_ = &table; }
 
+  // Events of one program thread arrive one at a time: on_event() for
+  // thread t returns before the next on_event() or try_on_event() for t
+  // starts, as the traced runtime delivers each thread's events from that
+  // thread. An interval checked on the calling thread takes no window pin
+  // and relies on this (OnlineParamount::submit aborts if it sees the rule
+  // broken).
   void on_event(ThreadId tid, OpKind kind, std::uint32_t object,
                 const VectorClock& clock) override {
     PM_CHECK_MSG(access_table_ != nullptr,
@@ -58,7 +64,8 @@ class OnlineRaceDetector final : public TraceSink {
 
   // on_event() for a clock from an untrusted source: a defective clock comes
   // back as a verdict, with nothing inserted or enumerated, instead of
-  // aborting (OnlineParamount::try_submit).
+  // aborting (OnlineParamount::try_submit). The same one-at-a-time rule
+  // holds: the service session's single reactor keeps it.
   ClockVerdict try_on_event(ThreadId tid, OpKind kind, std::uint32_t object,
                             const VectorClock& clock) {
     PM_CHECK_MSG(access_table_ != nullptr,

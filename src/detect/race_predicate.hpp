@@ -48,11 +48,13 @@ inline bool accesses_conflict(const Access& a, const Access& b) {
 //
 // Under a sliding window (OnlinePoset with GC), a candidate whose event has
 // been reclaimed cannot be examined; such pairs are dropped and counted in
-// `window_evictions` rather than silently missed. With the EnumGuard pin
-// protocol every state in [Gmin, Gbnd] stays resident for the enumeration's
-// lifetime, so evictions only occur when collect() is driven past unpinned
-// intervals (e.g. manual collect() calls between submit and a deferred
-// re-check).
+// `window_evictions` rather than silently missed. Under OnlineParamount's
+// window protocol every state in [Gmin, Gbnd] stays resident for the
+// enumeration's lifetime (a pooled interval holds an EnumGuard pin; one the
+// submitting thread enumerates is held by the clock floor, its event being
+// its thread's newest), so evictions only occur when collect() is driven
+// past intervals outside that protocol (e.g. manual collect() calls between
+// submit and a deferred re-check).
 template <typename PosetT>
 void check_races(const PosetT& poset, const AccessTable& table, EventId owner,
                  const Frontier& state, RaceReport& report,

@@ -15,7 +15,7 @@
 // ClockValidator is that check for the on-disk trace reader and writer
 // (src/trace/), which see clocks before any poset exists. The paramountd
 // session feeds the poset directly and takes the same verdict from
-// OnlinePoset::try_insert, whose insert pass checks the clock anyway; both
+// OnlinePoset::try_append, whose insert pass checks the clock anyway; both
 // pick the verdict of a defective clock with classify_clock_defect() and
 // phrase it with describe(), so the two paths cannot drift apart.
 #pragma once

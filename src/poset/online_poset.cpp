@@ -21,7 +21,8 @@ OnlinePoset::OnlinePoset(std::size_t num_threads)
         const std::vector<std::size_t> widths(num_threads, num_threads + 2);
         return std::vector<PerThread>(widths.begin(), widths.end());
       }()),
-      published_(num_threads, 0) {}
+      published_(num_threads, 0),
+      watermark_(num_threads) {}
 
 Frontier OnlinePoset::published_frontier() const {
   Frontier f(num_threads());
@@ -33,10 +34,9 @@ Frontier OnlinePoset::published_frontier() const {
   return published_frontier_locked();
 }
 
-ClockVerdict OnlinePoset::try_insert(ThreadId tid, OpKind kind,
+ClockVerdict OnlinePoset::try_append(ThreadId tid, OpKind kind,
                                      std::uint32_t object,
-                                     const VectorClock& clock, bool pin,
-                                     Inserted* out) {
+                                     const VectorClock& clock, Inserted* out) {
   const std::size_t n = num_threads();
   if (tid >= n) return ClockVerdict::kBadThread;
   PM_CHECK(clock.size() == n);
@@ -81,20 +81,26 @@ ClockVerdict OnlinePoset::try_insert(ThreadId tid, OpKind kind,
   });
 
   out->id = id;
-  out->gmin = clock;
   out->position = next_position_++;
   out->first = out->position == 0;
   out->one_state = differs == 0;
   // Gbnd(e): snapshot of maximal events after inserting e — exactly the
   // frontier of { f : f = e or f →p e } (Definition 1 via insertion order).
-  // Exact by construction: we hold the insertion lock.
-  if (out->gbnd.size() != n) out->gbnd = Frontier(n);
-  std::copy_n(published, n, out->gbnd.data());
-
-  // Registered before the insertion lock drops so no collect() can advance
-  // the watermark between publication and the pin taking effect.
-  out->pin_slot = pin ? register_pin_locked(out->gmin) : kNoPin;
+  // Exact by construction: we hold the insertion lock. A one-state box's
+  // Gbnd is the clock itself, which the caller already holds.
+  if (differs != 0) out->gbnd.assign(ClockView(published, n));
   return ClockVerdict::kOk;
+}
+
+ClockVerdict OnlinePoset::try_insert(ThreadId tid, OpKind kind,
+                                     std::uint32_t object,
+                                     const VectorClock& clock, Inserted* out) {
+  const ClockVerdict verdict = try_append(tid, kind, object, clock, out);
+  if (verdict == ClockVerdict::kOk) {
+    out->gmin = clock;
+    if (out->one_state) out->gbnd = clock;
+  }
+  return verdict;
 }
 
 void OnlinePoset::abort_on_defect(ClockVerdict verdict, ThreadId tid,
@@ -115,7 +121,7 @@ void OnlinePoset::abort_on_defect(ClockVerdict verdict, ThreadId tid,
   std::abort();  // unreachable: every defective verdict is checked above
 }
 
-std::uint32_t OnlinePoset::register_pin_locked(const Frontier& gmin) {
+std::uint32_t OnlinePoset::register_pin(ClockView gmin) {
   MutexLock guard(pin_mutex_);
   std::uint32_t slot;
   if (!free_pin_slots_.empty()) {
@@ -125,7 +131,7 @@ std::uint32_t OnlinePoset::register_pin_locked(const Frontier& gmin) {
     slot = static_cast<std::uint32_t>(pin_slots_.size());
     pin_slots_.emplace_back();
   }
-  pin_slots_[slot].gmin = gmin;
+  pin_slots_[slot].gmin.assign(gmin);
   pin_slots_[slot].active = true;
   return slot;
 }
@@ -142,7 +148,12 @@ OnlinePoset::EnumGuard OnlinePoset::pin_interval(const Frontier& gmin) {
   // Take the insertion lock so the pin is ordered against any in-progress
   // collect() (which holds it for the whole pass).
   MutexLock guard(insert_mutex_);
-  return EnumGuard(this, register_pin_locked(gmin));
+  return EnumGuard(this, register_pin(gmin));
+}
+
+std::uint32_t OnlinePoset::pin_newest(EventId owner) {
+  PM_DCHECK(num_events(owner.tid) == owner.index);
+  return register_pin(vc(owner.tid, owner.index));
 }
 
 std::size_t OnlinePoset::outstanding_pins() const {
@@ -162,8 +173,9 @@ OnlinePoset::CollectStats OnlinePoset::collect_locked() {
   // Clock floor: a future event of thread t carries a clock at or above the
   // clock of t's last event, so the componentwise minimum over all threads
   // lower-bounds every future Gmin. A thread with no events yet could still
-  // reference anything already published — the floor stays at zero.
-  Frontier watermark(n);
+  // reference anything already published — the floor stays at zero. The
+  // loop below overwrites every component of the reused frontier.
+  Frontier& watermark = watermark_;
   for (ThreadId t = 0; t < n; ++t) {
     if (published_[t] == 0) {
       stats.resident_bytes = heap_bytes();

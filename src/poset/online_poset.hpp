@@ -23,11 +23,16 @@
 // which an unwindowed poset fed by untrusted input must check.
 //
 // Sliding-window reclamation. Events strictly below the global watermark
-//   w[j] = min( min over in-flight intervals I of Gmin(I)[j],
+//   w[j] = min( min over pinned intervals I of Gmin(I)[j],
 //               min over program threads t of vc(last event of t)[j] )
-// can never be read again:
-//   * every in-flight enumeration works inside its box [Gmin, Gbnd] and only
-//     reads indices >= Gmin[j] on thread j — pinned by an EnumGuard;
+// can never be read again. Every in-flight enumeration works inside its box
+// [Gmin, Gbnd] and only reads indices >= Gmin[j] on thread j, and:
+//   * events of one program thread are submitted one at a time, so while
+//     the submitting thread enumerates its own event's interval that event
+//     is its thread's newest, whose clock (= Gmin) bounds the clock floor:
+//     such an interval needs no pin;
+//   * an interval handed to another thread outlives its submit and is
+//     pinned by an EnumGuard (pin_newest());
 //   * every *future* event e' of thread t satisfies e'.vc >= vc(last event
 //     of t) componentwise (per-thread clocks are monotone — insert() checks
 //     this), so Gmin(e')[j] >= w[j] and the future interval's box starts at
@@ -143,7 +148,7 @@ class OnlinePoset {
   class EnumGuard {
    public:
     EnumGuard() = default;
-    // Adopts a pin slot returned by insert(..., pin=true).
+    // Adopts a pin slot returned by pin_newest(); kNoPin adopts nothing.
     EnumGuard(OnlinePoset* poset, std::uint32_t slot)
         : poset_(slot == kNoPin ? nullptr : poset), slot_(slot) {}
     EnumGuard(EnumGuard&& other) noexcept
@@ -177,11 +182,22 @@ class OnlinePoset {
     std::uint32_t slot_ = 0;
   };
 
-  // Pins `gmin` against reclamation (test/tooling entry point; insert()'s
-  // pin flag is the atomic variant used by the drivers). Precondition:
-  // every component of gmin is at or above the current watermark, which
-  // holds for any Gmin derived from a live event.
+  // Pins `gmin` against reclamation (test/tooling entry point; the drivers
+  // use pin_newest()). Precondition: every component of gmin is at or above
+  // the current watermark, which holds for any Gmin derived from a live
+  // event.
   EnumGuard pin_interval(const Frontier& gmin) PM_EXCLUDES(insert_mutex_);
+
+  static constexpr std::uint32_t kNoPin = 0xffffffffu;
+
+  // Pins the Gmin of `owner`'s interval as it leaves the submitting thread,
+  // and returns the slot for an EnumGuard on the enumerating thread to
+  // adopt. `owner` must still be its thread's newest event, as it is until
+  // its submit returns, so the insertion lock is not needed: until that
+  // thread's next insert the clock floor keeps every collect() at or below
+  // the owner's clock, which is its Gmin, and every collect() after that
+  // insert sees the pin.
+  std::uint32_t pin_newest(EventId owner) PM_EXCLUDES(pin_mutex_);
 
   // Number of currently outstanding pins (diagnostics).
   std::size_t outstanding_pins() const PM_EXCLUDES(pin_mutex_);
@@ -200,8 +216,6 @@ class OnlinePoset {
 
   // ---- insertion (Algorithm 4's atomic block) ----
 
-  static constexpr std::uint32_t kNoPin = 0xffffffffu;
-
   struct Inserted {
     EventId id;
     Frontier gmin;       // = the event's vector clock
@@ -211,42 +225,48 @@ class OnlinePoset {
     // gmin == gbnd: the event causally follows every event inserted before
     // it, so its interval holds the single state gmin.
     bool one_state = false;
-    std::uint32_t pin_slot = kNoPin;  // adopt with EnumGuard{poset, pin_slot}
   };
 
-  // Inserts an event whose vector clock has already been computed by the
-  // tracing layer (Algorithm 3), or reports why its clock is defective.
-  // The clock must pass ClockValidator's checks: its own component equals
-  // the event's 1-based index on its thread, it is componentwise monotone
-  // over the thread's previous clock (the sliding-window watermark relies
-  // on this to lower-bound future Gmins), and it references only inserted
-  // events. The one pass that computes the interval's shape checks them,
-  // under the insertion lock; a defect is classified as ClockValidator
-  // classifies it, so the first defective component decides. On any verdict
-  // but kOk nothing is inserted or pinned and *out is untouched. On kOk,
-  // *out's gmin and gbnd are copy-assigned, so an Inserted reused across
-  // inserts of one width allocates nothing after the first. With pin=true
-  // the interval's Gmin is pinned against reclamation before the insertion
-  // lock is dropped (atomically with the insert, so no collect() can slip
-  // in between); the caller adopts the pin into an EnumGuard and releases
-  // it when the interval's enumeration finishes.
+  // The insert core: appends an event whose vector clock has already been
+  // computed by the tracing layer (Algorithm 3), or reports why its clock
+  // is defective. The clock must pass ClockValidator's checks: its own
+  // component equals the event's 1-based index on its thread, it is
+  // componentwise monotone over the thread's previous clock (the
+  // sliding-window watermark relies on this to lower-bound future Gmins),
+  // and it references only inserted events. The one pass that computes the
+  // interval's shape checks them, under the insertion lock; a defect is
+  // classified as ClockValidator classifies it, so the first defective
+  // component decides. On any verdict but kOk nothing is inserted and *out
+  // is untouched. On kOk it fills *out's id, position, first and one_state,
+  // and copies Gbnd into out->gbnd for a multi-state box only, reusing its
+  // buffer. It never writes out->gmin: Gmin is `clock`, and so is a
+  // one-state box's Gbnd, so a caller that keeps `clock` needs no copy.
+  ClockVerdict try_append(ThreadId tid, OpKind kind, std::uint32_t object,
+                          const VectorClock& clock, Inserted* out)
+      PM_EXCLUDES(insert_mutex_);
+
+  // try_append() that also fills both bounds for every event: *out's gmin
+  // and gbnd are copy-assigned, so an Inserted reused across inserts of
+  // one width allocates nothing after the first. Defined out of line on
+  // purpose: inline, its copies changed GCC 12's inlining into the
+  // enumeration kernels instantiated in the same translation unit, and
+  // perfbench's offline-hotvar ran about 10% slower.
   ClockVerdict try_insert(ThreadId tid, OpKind kind, std::uint32_t object,
-                          const VectorClock& clock, bool pin, Inserted* out)
+                          const VectorClock& clock, Inserted* out)
       PM_EXCLUDES(insert_mutex_);
 
   // try_insert() for a trusted clock: a defective one aborts, through
   // check_insert().
   void insert(ThreadId tid, OpKind kind, std::uint32_t object,
-              const VectorClock& clock, bool pin, Inserted* out)
+              const VectorClock& clock, Inserted* out)
       PM_EXCLUDES(insert_mutex_) {
-    check_insert(try_insert(tid, kind, object, clock, pin, out), tid, clock);
+    check_insert(try_insert(tid, kind, object, clock, out), tid, clock);
   }
 
   Inserted insert(ThreadId tid, OpKind kind, std::uint32_t object,
-                  const VectorClock& clock, bool pin = false)
-      PM_EXCLUDES(insert_mutex_) {
+                  const VectorClock& clock) PM_EXCLUDES(insert_mutex_) {
     Inserted result;
-    insert(tid, kind, object, clock, pin, &result);
+    insert(tid, kind, object, clock, &result);
     return result;
   }
 
@@ -310,10 +330,9 @@ class OnlinePoset {
     return f;
   }
 
-  // Holding insert_mutex_ is what makes the pin atomic with the insert (no
-  // collect() can slip between publication and pin registration).
-  std::uint32_t register_pin_locked(const Frontier& gmin)
-      PM_REQUIRES(insert_mutex_);
+  // What orders the pin against collect() is the caller's: pin_interval()
+  // holds insert_mutex_, pin_newest() relies on its owner being newest.
+  std::uint32_t register_pin(ClockView gmin) PM_EXCLUDES(pin_mutex_);
   void release_pin(std::uint32_t slot) PM_EXCLUDES(pin_mutex_);
   CollectStats collect_locked() PM_REQUIRES(insert_mutex_);
 
@@ -329,6 +348,8 @@ class OnlinePoset {
   // The locked paths read it instead of n atomic size counters that sit in
   // n separate PerThread objects; lock-free readers use those counters.
   std::vector<EventIndex> published_ PM_GUARDED_BY(insert_mutex_);
+  // collect()'s watermark, kept so that a pass allocates nothing.
+  Frontier watermark_ PM_GUARDED_BY(insert_mutex_);
 
   // Pin registry: slots have stable identity; structure and contents are
   // guarded by pin_mutex_ (locked after insert_mutex_ where both are held).

@@ -6,8 +6,8 @@
 // references to unpublished events, an event no storage has room for) are
 // answered with a typed Error frame and a clean close, so no byte stream
 // can reach an abort. The frame-level checks run here; the clock itself is
-// checked once, by OnlinePoset::try_insert's insert pass, whose verdict the
-// session turns into the Error. Whatever way a session ends
+// checked once, by the pass of OnlinePoset::try_append (the insert core),
+// whose verdict the session turns into the Error. Whatever way a session ends
 // (Shutdown handshake, plain EOF, a protocol error, or the peer dying
 // mid-frame), finish() drains in-flight intervals and runs a final
 // collect(), so every EnumGuard pin is released and the final counts are

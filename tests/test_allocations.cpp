@@ -1,10 +1,10 @@
 // Allocation counts on the ingest paths that promise to allocate nothing
 // once warm: TraceCursor::next into a reused TraceEvent, OnlinePoset::insert
-// into a reused Inserted, inline OnlineParamount::submit of one-state
-// intervals, nested submits included, SessionCore's Event path, and
-// FrameChannel::write_frame on a blocking socket. The poset's own storage
-// is the one allowance: an insert may open a row segment and, with it, a
-// directory leaf. The offline driver reuses one Gbnd frontier per worker,
+// into a reused Inserted, inline and pooled OnlineParamount::submit of
+// one-state intervals, nested submits and window GC included, SessionCore's
+// Event path, and FrameChannel::write_frame on a blocking socket. The
+// poset's own storage is the one allowance: an insert may open a row
+// segment and, with it, a directory leaf. The offline driver reuses one Gbnd frontier per worker,
 // so its own allocations do not grow with the number of events, and the
 // lexical kernel allocates nothing per box up to 16 threads.
 //
@@ -205,7 +205,7 @@ TEST(AllocationCount, OnlinePosetInsertAllocatesOnlyStorage) {
     // Warm-up: the first insert sizes Gmin and Gbnd, which live on the heap
     // past 16 threads; seeing those allocations shows the count is live.
     const std::uint64_t before_warm_up = allocations();
-    poset.insert(0, OpKind::kInternal, 0, clocks[0], false, &ins);
+    poset.insert(0, OpKind::kInternal, 0, clocks[0], &ins);
     if (width > 16) {
       EXPECT_GT(allocations(), before_warm_up);
     }
@@ -214,7 +214,7 @@ TEST(AllocationCount, OnlinePosetInsertAllocatesOnlyStorage) {
       const std::size_t bytes = poset.heap_bytes();
       const std::uint64_t allocs = allocations();
       poset.insert(static_cast<ThreadId>(k % width), OpKind::kInternal, 0,
-                   clocks[k], false, &ins);
+                   clocks[k], &ins);
       const std::uint64_t made = allocations() - allocs;
       const std::uint64_t allowed =
           storage_allowance(width, poset.heap_bytes() - bytes);
@@ -262,6 +262,59 @@ TEST(AllocationCount, OnlineParamountOneStateSubmitInlineAndNested) {
   EXPECT_EQ(outer.states_enumerated(), kEvents + 1);
   EXPECT_EQ(inner.states_enumerated(), kEvents + 2);
   EXPECT_EQ(inner_next, kEvents + 1);
+}
+
+// The pooled driver with window GC over one-state intervals at width 64:
+// every interval stays on the submitting thread, which visits the
+// submitted clock itself and takes no pin (its event is its thread's
+// newest until the submit returns). After warm-up a submit, its periodic
+// collect() included, allocates on no thread beyond what a twin poset fed
+// the same clocks opens (its segments and leaves), and no visit sees a
+// pin.
+TEST(AllocationCount, PooledOneStateSubmitAllocatesOnlyStorageAndTakesNoPin) {
+  SKIP_UNLESS_COUNTING();
+  constexpr std::size_t kWidth = 64;
+  constexpr std::uint64_t kEvents = 40 * kWidth;
+  const std::vector<VectorClock> clocks = chain_clocks(kWidth, kEvents);
+  std::uint64_t visits = 0;
+  std::uint64_t pins_seen = 0;
+  OnlineParamount::Options options;
+  options.async_workers = 2;
+  options.window_policy.gc_every = 16;
+  OnlineParamount driver(
+      kWidth, options,
+      [&](const OnlinePoset& poset, EventId, const Frontier&) {
+        ++visits;
+        pins_seen += poset.outstanding_pins();
+      });
+  OnlinePoset twin(kWidth);
+  // Warm-up: the first submit sizes this depth's Inserted and visits the
+  // empty state.
+  for (std::uint64_t k = 0; k < 2; ++k) {
+    twin.insert(static_cast<ThreadId>(k % kWidth), OpKind::kInternal, 0,
+                clocks[k]);
+    driver.submit(static_cast<ThreadId>(k % kWidth), OpKind::kInternal, 0,
+                  clocks[k]);
+  }
+  std::uint64_t storage_opens = 0;
+  for (std::uint64_t k = 2; k < kEvents; ++k) {
+    const std::size_t bytes = twin.heap_bytes();
+    twin.insert(static_cast<ThreadId>(k % kWidth), OpKind::kInternal, 0,
+                clocks[k]);
+    const std::uint64_t allowed =
+        storage_allowance(kWidth, twin.heap_bytes() - bytes);
+    const std::uint64_t allocs = all_threads_allocations();
+    driver.submit(static_cast<ThreadId>(k % kWidth), OpKind::kInternal, 0,
+                  clocks[k]);
+    ASSERT_LE(all_threads_allocations() - allocs, allowed) << "event " << k;
+    if (allowed > 0) ++storage_opens;
+  }
+  driver.drain();
+  EXPECT_LT(storage_opens * 8, kEvents);
+  EXPECT_EQ(visits, kEvents + 1);
+  EXPECT_EQ(pins_seen, 0u);
+  EXPECT_EQ(driver.poset().outstanding_pins(), 0u);
+  EXPECT_GT(driver.poset().reclaimed_events(), kEvents / 2);
 }
 
 // The offline driver over a convoy of one-state intervals: each worker
@@ -423,7 +476,7 @@ TEST(AllocationCount, SessionCoreEventPathAllocatesOnlyPosetStorage) {
   // and the validator's per-thread clocks.
   for (std::uint64_t k = 0; k < kWarm; ++k) {
     twin.insert(static_cast<ThreadId>(k % kWidth), OpKind::kInternal, 0,
-                clocks[k], false, &ins);
+                clocks[k], &ins);
     ASSERT_EQ(feed(k), service::SessionCore::Disposition::kContinue);
   }
   std::uint64_t made_total = 0;
@@ -431,7 +484,7 @@ TEST(AllocationCount, SessionCoreEventPathAllocatesOnlyPosetStorage) {
   for (std::uint64_t k = kWarm; k < kEvents; ++k) {
     const std::size_t bytes = twin.heap_bytes();
     twin.insert(static_cast<ThreadId>(k % kWidth), OpKind::kInternal, 0,
-                clocks[k], false, &ins);
+                clocks[k], &ins);
     const std::uint64_t allowed =
         storage_allowance(kWidth, twin.heap_bytes() - bytes);
     const std::uint64_t allocs = allocations();

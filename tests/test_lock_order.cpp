@@ -2,10 +2,11 @@
 //
 // The declared order (poset/online_poset.hpp) is insert_mutex_ before
 // pin_mutex_ (PM_ACQUIRED_AFTER). These tests drive every path that takes
-// both — insert(pin=true), pin_interval, collect, EnumGuard release — under
-// a ScheduleController so each (policy, seed) replays one deterministic
-// interleaving, plus a raw-thread hammer that gives TSan's lock-order
-// analysis real concurrent acquisitions to order-check.
+// either — insert, pin_interval (both), pin_newest, collect (both),
+// EnumGuard release — under a ScheduleController so each (policy, seed)
+// replays one deterministic interleaving, plus a raw-thread hammer that
+// gives TSan's lock-order analysis real concurrent acquisitions to
+// order-check.
 //
 // The deliberately inverted variant at the bottom (compiled only under
 // -DPARAMOUNT_LOCK_ORDER_INVERT) acquires two PM_ACQUIRED_AFTER-declared
@@ -37,13 +38,14 @@ void scheduled_worker(ScheduleController& controller, OnlinePoset& poset,
     VectorClock clock = poset.published_frontier();
     clock[tid] = i;
     const OnlinePoset::Inserted ins =
-        poset.insert(tid, OpKind::kInternal, 0, clock, /*pin=*/true);
-    OnlinePoset::EnumGuard guard(&poset, ins.pin_slot);
+        poset.insert(tid, OpKind::kInternal, 0, clock);
+    OnlinePoset::EnumGuard guard = poset.pin_interval(ins.gmin);
     controller.yield_point(tid);
 
     if (i % 4 == 0) {
-      // Second pin on the same interval via the tooling entry point.
-      OnlinePoset::EnumGuard extra = poset.pin_interval(ins.gmin);
+      // Second pin on the same interval via the drivers' hand-off entry
+      // point: the event is still its thread's newest.
+      OnlinePoset::EnumGuard extra(&poset, poset.pin_newest(ins.id));
       controller.yield_point(tid);
       extra.release();
     }
@@ -125,11 +127,11 @@ TEST(LockOrder, RawThreadHammer) {
         VectorClock clock(kThreads);
         clock[t] = i;
         const OnlinePoset::Inserted ins =
-            poset.insert(t, OpKind::kInternal, 0, clock, /*pin=*/true);
-        OnlinePoset::EnumGuard guard(&poset, ins.pin_slot);
+            poset.insert(t, OpKind::kInternal, 0, clock);
+        OnlinePoset::EnumGuard guard = poset.pin_interval(ins.gmin);
         if (i % 16 == 0) poset.collect();
         if (i % 5 == 0) {
-          OnlinePoset::EnumGuard extra = poset.pin_interval(ins.gmin);
+          OnlinePoset::EnumGuard extra(&poset, poset.pin_newest(ins.id));
           extra.release();
         }
       }

@@ -133,8 +133,9 @@ TEST(OnlinePoset, RejectsClockWithBothDefectsAsForwardReference) {
 // stream: random streams at every width from 1 to 70 whose candidate clocks
 // carry zero to three defects (a regression, a forward reference, a wrong
 // own component) at random components, plus out-of-range thread ids. A
-// refused clock leaves the poset as it was, with no pin taken, and the next
-// clean clock on the thread gets the index the refused one would have had.
+// refused clock leaves the poset as it was, with no pin outstanding, and
+// the next clean clock on the thread gets the index the refused one would
+// have had; an accepted event's Gmin pins through pin_interval().
 TEST(OnlinePoset, TryInsertVerdictsMatchClockValidator) {
   Rng rng(27);
   std::vector<std::uint64_t> seen(5, 0);
@@ -150,8 +151,7 @@ TEST(OnlinePoset, TryInsertVerdictsMatchClockValidator) {
         const auto tid = static_cast<ThreadId>(width + rng.next_below(3));
         const VectorClock clock(width);
         const ClockVerdict want = validator.validate(tid, clock);
-        ASSERT_EQ(poset.try_insert(tid, OpKind::kInternal, 0, clock, false,
-                                   &ins),
+        ASSERT_EQ(poset.try_insert(tid, OpKind::kInternal, 0, clock, &ins),
                   want)
             << where;
         ++seen[static_cast<std::size_t>(want)];
@@ -186,8 +186,7 @@ TEST(OnlinePoset, TryInsertVerdictsMatchClockValidator) {
       const ClockVerdict want = validator.validate(tid, clock);
       const std::size_t before = poset.total_events();
       const ClockVerdict got =
-          poset.try_insert(tid, OpKind::kInternal, 0, clock, /*pin=*/true,
-                           &ins);
+          poset.try_insert(tid, OpKind::kInternal, 0, clock, &ins);
       ASSERT_EQ(got, want) << where;
       ASSERT_EQ(describe(got, tid, poset.num_events(tid) + 1),
                 validator.describe(tid, want))
@@ -198,8 +197,9 @@ TEST(OnlinePoset, TryInsertVerdictsMatchClockValidator) {
         ASSERT_EQ(poset.outstanding_pins(), 0u) << where;
         continue;
       }
-      const OnlinePoset::EnumGuard pin(&poset, ins.pin_slot);
+      const OnlinePoset::EnumGuard pin = poset.pin_interval(ins.gmin);
       ASSERT_TRUE(pin.active()) << where;
+      ASSERT_EQ(poset.outstanding_pins(), 1u) << where;
       validator.commit(tid, clock);
       last[tid] = clock;
       ASSERT_EQ(ins.id, (EventId{tid, validator.published(tid)})) << where;
@@ -420,13 +420,22 @@ TEST(OnlinePoset, HeapBytesCountEveryClockRow) {
 }
 
 // Every Inserted against a count of inserted events the test keeps itself,
-// on random consistent streams. The widths straddle Frontier's inline
-// capacity (16, 17) and a 64-component block (63, 64, 65).
+// on random consistent streams, and the insert core's (try_append) against
+// insert()'s. The widths straddle Frontier's inline capacity (16, 17) and
+// a 64-component block (63, 64, 65).
 TEST(OnlinePoset, InsertedMatchesOwnCountsAtEveryWidth) {
   for (const std::size_t width : {1u, 2u, 6u, 16u, 17u, 63u, 64u, 65u}) {
     for (const bool gc : {false, true}) {
       Rng rng(width * 2 + (gc ? 1 : 0));
       OnlinePoset poset(width);
+      // A twin fed through the insert core alone, as OnlineParamount feeds
+      // it: its Inserted never gets Gmin, and Gbnd only for multi-state
+      // boxes, so the stale values below must survive.
+      OnlinePoset twin(width);
+      OnlinePoset::Inserted appended;
+      const VectorClock stale{7, 7, 7};
+      appended.gmin = stale;
+      appended.gbnd = stale;
       std::vector<VectorClock> last(width, VectorClock(width));
       Key counts(width, 0);
       OnlinePoset::Inserted ins;  // reused, as OnlineParamount does
@@ -445,7 +454,11 @@ TEST(OnlinePoset, InsertedMatchesOwnCountsAtEveryWidth) {
         }
         vc[t] = counts[t] + 1;
         poset.insert(t, OpKind::kInternal, static_cast<std::uint32_t>(k), vc,
-                     /*pin=*/false, &ins);
+                     &ins);
+        const VectorClock gbnd_before = appended.gbnd;
+        ASSERT_EQ(twin.try_append(t, OpKind::kInternal,
+                                  static_cast<std::uint32_t>(k), vc, &appended),
+                  ClockVerdict::kOk);
         ++counts[t];
         last[t] = vc;
 
@@ -459,8 +472,18 @@ TEST(OnlinePoset, InsertedMatchesOwnCountsAtEveryWidth) {
         ASSERT_TRUE(poset.is_consistent(ins.gbnd)) << where;
         ASSERT_EQ(ins.position, k) << where;
         ASSERT_EQ(ins.first, k == 0) << where;
+        ASSERT_EQ(appended.id, ins.id) << where;
+        ASSERT_EQ(appended.position, ins.position) << where;
+        ASSERT_EQ(appended.first, ins.first) << where;
+        ASSERT_EQ(appended.one_state, ins.one_state) << where;
+        ASSERT_EQ(appended.gmin, stale) << where;
+        ASSERT_EQ(appended.gbnd, ins.one_state ? gbnd_before : ins.gbnd)
+            << where;
         if (ins.one_state) ++one_state;
-        if (gc && k % 32 == 31) poset.collect();
+        if (gc && k % 32 == 31) {
+          poset.collect();
+          twin.collect();
+        }
       }
       EXPECT_GT(one_state, 0u) << "width " << width;
       if (width > 1) {
@@ -783,6 +806,38 @@ TEST(OnlineParamount, ConcurrentProducersMatchOracle) {
 
     EXPECT_TRUE(all_distinct(states));
     EXPECT_EQ(as_set(states), oracle);
+  }
+}
+
+// Events of one program thread are submitted one at a time: an interval the
+// submitting thread enumerates takes no pin because its event stays its
+// thread's newest. Here a second OS thread submits thread 0's next event
+// while the first event's visitor blocks, and the first interval aborts
+// when it finishes, inline and pooled (a one-state interval stays on the
+// submitting thread in both).
+TEST(OnlineParamountDeathTest, SecondSubmitterOfOneThreadAborts) {
+  for (const std::size_t workers : {0u, 2u}) {
+    const auto race = [workers] {
+      std::atomic<int> phase{0};
+      OnlineParamount::Options options;
+      options.async_workers = workers;
+      options.window_policy.gc_every = 1;
+      OnlineParamount online(
+          1, options, [&phase](const OnlinePoset&, EventId owner,
+                               const Frontier& state) {
+            if (owner.index != 1 || state[0] != 1) return;
+            phase.store(1);
+            while (phase.load() != 2) std::this_thread::yield();
+          });
+      std::thread second([&] {
+        while (phase.load() != 1) std::this_thread::yield();
+        online.submit(0, OpKind::kInternal, 0, VectorClock{2});
+        phase.store(2);
+      });
+      online.submit(0, OpKind::kInternal, 0, VectorClock{1});
+      second.join();
+    };
+    EXPECT_DEATH(race(), "one at a time") << workers << " workers";
   }
 }
 

@@ -6,15 +6,22 @@
 #include <atomic>
 #include <cstddef>
 #include <iostream>
+#include <optional>
 #include <semaphore>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/online_paramount.hpp"
+#include "detect/offline_bfs_detector.hpp"
 #include "detect/race_predicate.hpp"
+#include "poset/lattice.hpp"
 #include "poset/online_poset.hpp"
+#include "poset/poset_builder.hpp"
 #include "runtime/access.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 #include "util/sync.hpp"
 #include "workloads/event_stream.hpp"
 
@@ -135,22 +142,33 @@ TEST(WindowGc, EnumGuardPinsAndReleaseUnpins) {
   EXPECT_GT(poset.window_base(0), 2u);
 }
 
+// An insert takes no pin. The drivers' hand-off pin (pin_newest, the
+// newest event's Gmin) and the tooling one (pin_interval) both hold the
+// watermark once the thread moves on, until their guard lets go.
 TEST(WindowGc, InsertWithPinIsAdoptedByGuard) {
   OnlinePoset poset(1);
-  const auto plain = poset.insert(0, OpKind::kInternal, 0, VectorClock{1},
-                                  /*pin=*/false);
-  EXPECT_EQ(plain.pin_slot, OnlinePoset::kNoPin);
+  poset.insert(0, OpKind::kInternal, 0, VectorClock{1});
+  EXPECT_EQ(poset.outstanding_pins(), 0u);
+  EXPECT_FALSE(OnlinePoset::EnumGuard(&poset, OnlinePoset::kNoPin).active());
 
-  const auto pinned = poset.insert(0, OpKind::kInternal, 0, VectorClock{2},
-                                   /*pin=*/true);
-  ASSERT_NE(pinned.pin_slot, OnlinePoset::kNoPin);
+  const auto pinned = poset.insert(0, OpKind::kInternal, 0, VectorClock{2});
+  EXPECT_EQ(poset.outstanding_pins(), 0u);
+  const std::uint32_t slot = poset.pin_newest(pinned.id);
+  ASSERT_NE(slot, OnlinePoset::kNoPin);
   EXPECT_EQ(poset.outstanding_pins(), 1u);
   {
-    OnlinePoset::EnumGuard guard(&poset, pinned.pin_slot);
+    OnlinePoset::EnumGuard guard(&poset, slot);
     EXPECT_TRUE(guard.active());
-    // The pin holds the watermark at the pinned Gmin {2} => base 1, even
+    OnlinePoset::EnumGuard tooling = poset.pin_interval(pinned.gmin);
+    EXPECT_TRUE(tooling.active());
+    EXPECT_EQ(poset.outstanding_pins(), 2u);
+    // The pins hold the watermark at the pinned Gmin {2} => base 1, even
     // though the clock floor would allow base 2.
     poset.insert(0, OpKind::kInternal, 0, VectorClock{3});
+    poset.collect();
+    EXPECT_EQ(poset.window_base(0), 1u);
+    guard.release();
+    EXPECT_EQ(poset.outstanding_pins(), 1u);
     poset.collect();
     EXPECT_EQ(poset.window_base(0), 1u);
   }
@@ -347,6 +365,207 @@ TEST(WindowGc, ConcurrentCollectEnumerateStress) {
 
   EXPECT_EQ(states.load(), oracle.states.size());
   EXPECT_GT(driver.poset().reclaimed_events(), 0u);
+}
+
+// A stream of collection events, round-robin over `threads` threads, each
+// with one or two accesses: half to 16 shared variables, of which only the
+// first 8 are ever written (one access in three), half to 8 variables of
+// the event's own thread, so some variables race and some cannot. Seven
+// events in eight join one other thread's last clock half the time, which
+// leaves most of their boxes multi-state; every eighth joins every
+// thread's last clock, so its interval holds the one state Gmin.
+struct CollectionStream {
+  struct Event {
+    ThreadId tid;
+    std::uint32_t object;
+    VectorClock clock;
+    bool one_state;
+  };
+  std::vector<Event> events;
+  std::vector<std::vector<std::size_t>> by_thread;  // index - 1 -> events[]
+  Poset poset;
+};
+
+CollectionStream make_collection_stream(std::size_t threads,
+                                        std::uint64_t count,
+                                        std::uint64_t seed,
+                                        AccessTable& table) {
+  Rng rng(seed);
+  PosetBuilder builder(threads);
+  OnlinePoset shadow(threads);  // says which boxes hold one state
+  std::vector<CollectionStream::Event> events;
+  std::vector<std::vector<std::size_t>> by_thread(threads);
+  std::vector<VectorClock> last(threads, VectorClock(threads));
+  for (std::uint64_t k = 0; k < count; ++k) {
+    const auto t = static_cast<ThreadId>(k % threads);
+    VectorClock clock = last[t];
+    if (k % 8 == 7) {
+      for (const VectorClock& other : last) clock.join(other);
+    } else if (rng.next_bool(0.5)) {
+      clock.join(last[rng.next_below(threads)]);
+    }
+    clock[t] += 1;
+    AccessSet set;
+    for (std::uint64_t a = 0; a <= rng.next_below(2); ++a) {
+      const auto var = static_cast<VarId>(
+          rng.next_bool(0.5) ? rng.next_below(16)
+                             : 16 + 8 * t + rng.next_below(8));
+      const bool is_write = (var < 8 || var >= 16) && rng.next_below(3) == 0;
+      set.merge(var, is_write, /*is_init=*/false);
+    }
+    const std::uint32_t object = table.append(t, std::move(set));
+    builder.add_event_with_clock(t, OpKind::kCollection, object, clock);
+    const bool one_state =
+        shadow.insert(t, OpKind::kCollection, object, clock).one_state;
+    by_thread[t].push_back(events.size());
+    events.push_back({t, object, clock, one_state});
+    last[t] = clock;
+  }
+  return {std::move(events), std::move(by_thread),
+          std::move(builder).build()};
+}
+
+// The window pin covers only the intervals handed to the pool. An interval
+// the submitting thread enumerates takes none: its event is its thread's
+// newest until submit() returns, which keeps the clock floor at or below
+// its Gmin. Here a second thread runs collect() in a loop while inline and
+// pooled race detectors with a small gc_every take a stream of one-state
+// and multi-state intervals, and the visitor reads the whole row (kind,
+// object, clock) of every frontier event of every state. Every row must be
+// live and intact, the states and racy variables must equal the oracle's
+// (count_ideals and the offline BFS detector), no pair may be evicted, and
+// a visit on the submitting thread must see no pin beyond the pooled
+// intervals in flight (none at all inline), a pooled one at least its own.
+TEST(WindowGc, SubmitterIntervalsNeedNoPinUnderConcurrentCollect) {
+  constexpr std::size_t kThreads = 4;
+  AccessTable table(kThreads);
+  const CollectionStream stream =
+      make_collection_stream(kThreads, 1600, 17, table);
+  std::uint64_t one_state = 0;
+  for (const CollectionStream::Event& e : stream.events) {
+    if (e.one_state) ++one_state;
+  }
+  ASSERT_GT(one_state, 0u);
+  ASSERT_LT(one_state, stream.events.size());
+
+  const std::optional<std::uint64_t> ideals = count_ideals(stream.poset);
+  ASSERT_TRUE(ideals.has_value());
+  RaceReport offline;
+  ASSERT_FALSE(
+      detect_races_offline_bfs(stream.poset, table, offline).out_of_memory);
+  const std::set<VarId> oracle = [&] {
+    std::set<VarId> vars;
+    for (const RaceFinding& f : offline.findings()) vars.insert(f.var);
+    return vars;
+  }();
+  ASSERT_FALSE(oracle.empty());
+  ASSERT_LE(*oracle.rbegin(), 7u);  // shared and written
+
+  for (const std::size_t workers : {0u, 3u}) {
+    const std::string where = std::to_string(workers) + " workers";
+    // Pooled intervals handed off and finished; their pins are registered
+    // after the first count moves and released before the second does.
+    std::atomic<std::uint64_t> handed{0};
+    std::atomic<std::uint64_t> finished{0};
+    // A bounded backlog, as in ConcurrentCollectEnumerateStress, so the
+    // collects reclaim while pooled intervals run.
+    std::counting_semaphore<> slots(16);
+    std::atomic<std::uint64_t> states{0};
+    std::atomic<std::uint64_t> bad_rows{0};
+    std::atomic<std::uint64_t> bad_pins{0};
+    std::atomic<std::uint64_t> unpinned_visits{0};
+    std::atomic<std::uint64_t> evictions{0};
+    RaceReport report;
+    const std::thread::id submitter = std::this_thread::get_id();
+
+    OnlineParamount::Options options;
+    options.async_workers = workers;
+    options.window_policy.gc_every = 4;
+    options.interval_done = [&](EventId id) {
+      const CollectionStream::Event& e =
+          stream.events[stream.by_thread[id.tid][id.index - 1]];
+      if (workers > 0 && !e.one_state) {
+        // Sequentially consistent, like every counter here: a visitor that
+        // reads this count then sees the pin released before it.
+        finished.fetch_add(1);
+        slots.release();
+      }
+    };
+    OnlineParamount driver(
+        kThreads, options,
+        [&](const OnlinePoset& poset, EventId owner, const Frontier& state) {
+          check_races(poset, table, owner, state, report, &evictions);
+          for (ThreadId t = 0; t < kThreads; ++t) {
+            if (state[t] == 0) continue;
+            const CollectionStream::Event& want =
+                stream.events[stream.by_thread[t][state[t] - 1]];
+            if (!poset.is_live(t, state[t])) {
+              bad_rows.fetch_add(1);
+              continue;
+            }
+            const EventView row = poset.event(t, state[t]);
+            if (row.kind != OpKind::kCollection || row.object != want.object ||
+                !(row.vc == ClockView(want.clock))) {
+              bad_rows.fetch_add(1);
+            }
+          }
+          if (std::this_thread::get_id() == submitter) {
+            // Read the finished count before the pins: the pins then cannot
+            // exceed the pooled intervals still in flight.
+            const std::uint64_t done = finished.load();
+            const std::size_t pins = poset.outstanding_pins();
+            const std::uint64_t in_flight = handed.load() - done;
+            if (pins > in_flight) {
+              bad_pins.fetch_add(1);
+            }
+            if (in_flight == 0) {
+              unpinned_visits.fetch_add(1);
+            }
+          } else if (poset.outstanding_pins() == 0) {
+            bad_pins.fetch_add(1);
+          }
+          states.fetch_add(1);
+        });
+
+    std::atomic<bool> done{false};
+    std::thread collector([&] {
+      while (!done.load()) {
+        driver.collect();
+        std::this_thread::yield();
+      }
+    });
+    for (const CollectionStream::Event& e : stream.events) {
+      if (workers > 0 && !e.one_state) {
+        slots.acquire();
+        handed.fetch_add(1);
+      }
+      driver.submit(e.tid, OpKind::kCollection, e.object, e.clock);
+    }
+    driver.drain();
+    done.store(true);
+    collector.join();
+
+    EXPECT_EQ(states.load(), *ideals) << where;
+    EXPECT_EQ(driver.states_enumerated(), *ideals) << where;
+    std::set<VarId> racy;
+    for (const RaceFinding& f : report.findings()) racy.insert(f.var);
+    EXPECT_EQ(racy, oracle) << where;
+    EXPECT_EQ(evictions.load(), 0u) << where;
+    EXPECT_EQ(bad_rows.load(), 0u) << where;
+    EXPECT_EQ(bad_pins.load(), 0u) << where;
+    EXPECT_GT(unpinned_visits.load(), 0u) << where;
+    EXPECT_EQ(finished.load(), handed.load()) << where;
+    if (workers == 0) {
+      EXPECT_EQ(handed.load(), 0u);
+    }
+    EXPECT_EQ(driver.poset().outstanding_pins(), 0u) << where;
+    EXPECT_GT(driver.poset().reclaimed_events(), 0u) << where;
+    std::cout << where << ": states=" << states.load()
+              << " one_state=" << one_state << " handed=" << handed.load()
+              << " unpinned_visits=" << unpinned_visits.load()
+              << " reclaimed=" << driver.poset().reclaimed_events()
+              << " racy=" << racy.size() << "\n";
+  }
 }
 
 TEST(WindowGc, DetectorCountsWindowEvictions) {
