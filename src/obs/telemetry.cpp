@@ -33,8 +33,6 @@ Telemetry::Telemetry(std::size_t num_shards,
   claims = metrics_.counter("paramount.claims");
   predicate_evals = metrics_.counter("detect.predicate_evals");
   pool_tasks = metrics_.counter("pool.tasks");
-  steals = metrics_.counter("pool.steals");
-  steal_fail = metrics_.counter("pool.steal_fail");
   spans_dropped = metrics_.counter("tracer.spans_dropped");
   window_evictions = metrics_.counter("detect.window_evictions");
   poset_resident_bytes = metrics_.gauge("poset.resident_bytes");

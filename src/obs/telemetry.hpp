@@ -47,19 +47,16 @@ class Telemetry {
   MetricId claims;           // work acquisitions (cursor claims, submits)
   MetricId predicate_evals;  // detector predicate evaluations
   MetricId pool_tasks;       // thread-pool tasks executed
-  MetricId steals;           // acquisitions satisfied by stealing (thief shard)
-  MetricId steal_fail;       // steal probes that found a victim empty
   MetricId spans_dropped;    // trace spans lost to a full shard buffer
   MetricId window_evictions;  // detector pairs dropped: event left the window
   // Gauges. Poset-wide values (not per-worker); gauge totals sum across
   // shards, so the drivers write these on shard 0 only.
   MetricId poset_resident_bytes;    // event storage resident after last GC
   MetricId poset_reclaimed_events;  // cumulative events reclaimed by GC
-  // Per-queue gauge: live depth of each pool worker's task queue, refreshed
-  // at every submit and take (the total sums to the pool-wide backlog).
-  // Unlike the counters this cell may be written by whichever thread last
-  // touched the queue; writes are pure relaxed stores, so the race is a
-  // benign last-writer-wins between equally fresh samples.
+  // Live depth of the thread pool's one task queue, written on the pool's
+  // first shard at every push and pop. Unlike the counters this cell is
+  // written by whichever thread last touched the queue, the submitter or a
+  // worker, but always under the pool's lock, so one at a time.
   MetricId queue_depth;
   // Histograms.
   MetricId interval_states;  // states per interval (log2 buckets)

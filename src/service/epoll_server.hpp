@@ -1,7 +1,7 @@
 // EpollServer: paramountd's front end. One reactor thread runs every
 // connection: non-blocking FrameChannels, sessions as readiness-driven
 // SessionCore state machines, interval work still handed to each
-// detector's work-stealing pool. The v2 frame header's stream id lets one
+// detector's thread pool. The v2 frame header's stream id lets one
 // connection carry many logical sessions — a fleet-wide collector can
 // multiplex thousands of enumeration streams over a few sockets.
 //

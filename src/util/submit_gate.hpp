@@ -3,7 +3,7 @@
 // The sliding-window GC bounds the *poset*, but in pooled online mode the
 // submit queue itself can become the resident-memory driver — a client
 // streaming events faster than the enumeration workers retire them grows
-// the ThreadPool's task queues without bound. The gate charges a byte cost
+// the ThreadPool's task queue without bound. The gate charges a byte cost
 // per submission and refuses admission once the in-flight total would
 // exceed the budget, so paramountd's reactor stops reading that connection
 // and the *client* absorbs the backlog instead of the server ballooning.

@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include "util/check.hpp"
-#include "util/work_stealing.hpp"
 
 namespace paramount {
 
@@ -16,10 +15,6 @@ ThreadPool::ThreadPool(std::size_t num_threads, obs::Telemetry* telemetry,
   PM_CHECK_MSG(telemetry == nullptr ||
                    telemetry->num_shards() >= shard_base + num_threads,
                "telemetry needs one shard per pool worker");
-  queues_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -39,11 +34,12 @@ std::size_t ThreadPool::current_worker_index() {
   return tls_pool_worker_index;
 }
 
-void ThreadPool::sample_queue_depth(std::size_t queue_index,
-                                    std::size_t depth) {
+void ThreadPool::sample_queue_depth() {
+  // Written under mutex_, so the gauge's one cell has one writer at a time
+  // and always holds the depth after the latest push or pop.
   if (telemetry_ != nullptr) {
-    telemetry_->metrics().set(telemetry_->queue_depth,
-                              shard_base_ + queue_index, depth);
+    telemetry_->metrics().set(telemetry_->queue_depth, shard_base_,
+                              queue_.size());
   }
 }
 
@@ -52,153 +48,63 @@ void ThreadPool::submit(std::function<void()> task) {
   if (telemetry_ != nullptr) {
     entry.enqueue_ns = telemetry_->tracer().now_ns();
   }
-  // Least-loaded placement from the racy size estimates; a stale read just
-  // costs one task a slightly longer queue, and stealing evens it out.
-  std::size_t target = 0;
-  // relaxed: the size fields are advisory load estimates, see WorkerQueue.
-  std::size_t best = queues_[0]->size.load(std::memory_order_relaxed);
-  for (std::size_t i = 1; i < queues_.size() && best > 0; ++i) {
-    // relaxed: advisory load estimate, see WorkerQueue.
-    const std::size_t load = queues_[i]->size.load(std::memory_order_relaxed);
-    if (load < best) {
-      best = load;
-      target = i;
-    }
-  }
-  std::size_t depth;
   {
-    WorkerQueue& q = *queues_[target];
-    MutexLock guard(q.mutex);
-    q.tasks.push_back(std::move(entry));
-    depth = q.tasks.size();
-    // relaxed: advisory load estimate, see WorkerQueue.
-    q.size.store(depth, std::memory_order_relaxed);
-  }
-  sample_queue_depth(target, depth);
-  {
-    // pending_ is bumped under mutex_ so a worker between its sleep check
-    // and cv wait cannot miss the wakeup.
     MutexLock guard(mutex_);
     PM_CHECK_MSG(!shutting_down_, "submit after shutdown");
-    pending_.fetch_add(1, std::memory_order_seq_cst);
+    queue_.push_back(std::move(entry));
+    ++in_flight_;
+    sample_queue_depth();
   }
   work_available_.notify_one();
 }
 
 void ThreadPool::wait_idle() {
   MutexLock lock(mutex_);
-  while (pending_.load(std::memory_order_seq_cst) != 0 ||
-         active_.load(std::memory_order_seq_cst) != 0) {
-    all_idle_.wait(mutex_);
-  }
+  while (in_flight_ != 0) all_idle_.wait(mutex_);
 }
 
-bool ThreadPool::try_take(std::size_t queue_index, Task& out) {
-  WorkerQueue& q = *queues_[queue_index];
-  std::size_t depth;
-  {
-    MutexLock guard(q.mutex);
-    if (q.tasks.empty()) return false;
-    out = std::move(q.tasks.front());
-    q.tasks.pop_front();
-    depth = q.tasks.size();
-    // relaxed: advisory load estimate, see WorkerQueue.
-    q.size.store(depth, std::memory_order_relaxed);
-    // active_ rises before pending_ falls so (pending_ + active_) never dips
-    // to zero while this task is in flight — wait_idle keys off that sum.
-    active_.fetch_add(1, std::memory_order_seq_cst);
-    pending_.fetch_sub(1, std::memory_order_seq_cst);
+bool ThreadPool::next_task(Task& out, bool finished_one) {
+  MutexLock lock(mutex_);
+  // Under the lock, so a wait_idle caller is either before its predicate
+  // check (it will see zero) or inside its wait (it will get the notify).
+  if (finished_one && --in_flight_ == 0) all_idle_.notify_all();
+  while (queue_.empty()) {
+    if (shutting_down_) return false;
+    work_available_.wait(mutex_);
   }
-  sample_queue_depth(queue_index, depth);
+  out = std::move(queue_.front());
+  queue_.pop_front();
+  sample_queue_depth();
   return true;
 }
 
-void ThreadPool::run_task(Task& task, std::size_t worker_index, bool stolen,
-                          std::uint64_t failed_probes) {
+void ThreadPool::run_task(Task& task, std::size_t worker_index) {
   if (telemetry_ != nullptr) {
     const std::size_t shard = shard_base_ + worker_index;
     const std::uint64_t start = telemetry_->tracer().now_ns();
     telemetry_->metrics().observe(telemetry_->queue_wait_ns, shard,
                                   start - task.enqueue_ns);
     telemetry_->metrics().add(telemetry_->pool_tasks, shard);
-    if (stolen) telemetry_->metrics().add(telemetry_->steals, shard);
-    if (failed_probes > 0) {
-      telemetry_->metrics().add(telemetry_->steal_fail, shard, failed_probes);
-    }
     task.fn();
     telemetry_->tracer().record(shard, "task", "pool", start,
                                 telemetry_->tracer().now_ns() - start);
   } else {
     task.fn();
   }
-  active_.fetch_sub(1, std::memory_order_seq_cst);
-  if (pending_.load(std::memory_order_seq_cst) == 0 &&
-      active_.load(std::memory_order_seq_cst) == 0) {
-    // The empty critical section pins any wait_idle caller either before
-    // its predicate check (it will see the zeros) or inside the wait (it
-    // will get the notify).
-    { MutexLock guard(mutex_); }
-    all_idle_.notify_all();
-  }
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
   tls_pool_worker_index = worker_index;
-  Rng rng(detail::worker_seed(0x706f6f6cULL /* "pool" */, worker_index));
+  bool finished_one = false;
   while (true) {
+    // Scoped to one iteration: a task's captures are destroyed before the
+    // next next_task() counts it finished, so wait_idle() never returns
+    // while they are still alive.
     Task task;
-    bool have = try_take(worker_index, task);
-    bool stolen = false;
-    std::uint64_t failed_probes = 0;
-    if (!have) {
-      // Own queue dry: sweep the other queues in seeded-random order.
-      VictimSequence victims(worker_index, queues_.size(), rng);
-      std::size_t victim;
-      while (!have && victims.next(victim)) {
-        have = try_take(victim, task);
-        if (!have) ++failed_probes;
-      }
-      stolen = have;
-    }
-    if (!have) {
-      MutexLock lock(mutex_);
-      while (!shutting_down_ &&
-             pending_.load(std::memory_order_seq_cst) == 0) {
-        work_available_.wait(mutex_);
-      }
-      if (shutting_down_ && pending_.load(std::memory_order_seq_cst) == 0) {
-        return;
-      }
-      continue;  // re-scan the queues
-    }
-    run_task(task, worker_index, stolen, failed_probes);
+    if (!next_task(task, finished_one)) return;
+    run_task(task, worker_index);
+    finished_one = true;
   }
-}
-
-void parallel_for(std::size_t num_threads, std::size_t count,
-                  const std::function<void(std::size_t)>& body) {
-  PM_CHECK(num_threads > 0);
-  if (count == 0) return;
-  if (num_threads == 1 || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  auto run = [&] {
-    while (true) {
-      // relaxed: the fetch_add is the only shared state; each index is
-      // claimed exactly once and the join below orders the bodies' effects.
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      body(i);
-    }
-  };
-  std::vector<std::thread> threads;
-  const std::size_t spawned = std::min(num_threads, count) - 1;
-  threads.reserve(spawned);
-  for (std::size_t t = 0; t < spawned; ++t) threads.emplace_back(run);
-  run();
-  for (std::thread& t : threads) t.join();
 }
 
 }  // namespace paramount

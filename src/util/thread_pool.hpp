@@ -1,32 +1,28 @@
-// Fixed-size worker pool with distributed, work-stealing task queues.
+// Fixed-size worker pool over one FIFO task queue.
 //
-// Used by OnlineParamount's async mode and by benchmark harnesses. Earlier
-// revisions kept one mutex-guarded central queue; with enough submitters and
-// workers every push and pop serialized on that lock (visible as a growing
-// pool.queue_wait_ns histogram). Now each worker owns a small task queue:
-// submit() appends to the least-loaded queue, workers drain their own queue
-// first and steal from a seeded-random victim sequence when it runs dry
-// (see util/work_stealing.hpp for the policy; the queues here are
-// mutex-guarded rather than Chase–Lev deques because submission is
-// multi-producer — external program threads push, so there is no single
-// owner to give the lock-free fast path to).
+// Used by OnlineParamount's async mode. Every pool belongs to one
+// OnlineParamount, whose submits come from one thread (the session reactor,
+// a replay loop, a bench's reader), so there is no submit contention for
+// per-worker queues to spread. Nor would they save this lock: a submit must
+// take it anyway to wake a sleeping worker, so a queue per worker would add
+// a second lock per task and up to n-1 probe locks per idle worker. One
+// mutex guards the queue, the in-flight count and shutdown: a submit is one
+// push under it plus a notify_one, and a worker reports its last task
+// finished, pops its next one or goes to sleep in one critical section.
+// Tasks start in submission order.
 //
 // When a Telemetry bundle is attached, each worker records how long every
-// task sat in a queue (pool.queue_wait_ns histogram, sharded by worker
-// index), counts executed tasks (pool.tasks) and tasks taken from a sibling
-// (pool.steals; empty probes land in pool.steal_fail), and emits a "task"
-// span per execution. Every submit and take also refreshes the live
-// pool.queue_depth gauge for the touched queue's shard, so a poll of the
-// metrics snapshot sees the current backlog per worker — enough to see queue
-// backlog, worker idleness, and steal traffic in Perfetto.
+// task sat in the queue (pool.queue_wait_ns histogram, sharded by worker
+// index), counts executed tasks (pool.tasks) and emits a "task" span per
+// execution. Every push and pop also refreshes the pool.queue_depth gauge on
+// the pool's first shard, so a poll of the metrics snapshot sees the live
+// backlog.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -39,9 +35,9 @@ class ThreadPool {
  public:
   // `telemetry` (optional) must outlive the pool and have at least
   // `shard_base + num_threads` shards; pool worker w writes only shard
-  // `shard_base + w`. A non-zero base lets an owner that also reports on its
-  // own threads (e.g. OnlineParamount's submitters) keep shard writers
-  // disjoint.
+  // `shard_base + w`, and the queue-depth gauge lives on `shard_base`. A
+  // non-zero base lets an owner that also reports on its own threads (e.g.
+  // OnlineParamount's submitters) keep shard writers disjoint.
   explicit ThreadPool(std::size_t num_threads,
                       obs::Telemetry* telemetry = nullptr,
                       std::size_t shard_base = 0);
@@ -50,14 +46,11 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t num_threads() const { return workers_.size(); }
-
-  // Enqueues a task onto the least-loaded worker's queue. Thread-safe from
-  // any thread, including pool workers. Tasks must not throw; an escaping
-  // exception terminates.
+  // Appends a task to the queue. Thread-safe from any thread, including pool
+  // workers. Tasks must not throw; an escaping exception terminates.
   void submit(std::function<void()> task);
 
-  // Blocks until every queue is empty and every worker is idle.
+  // Blocks until every submitted task has finished.
   void wait_idle();
 
   // Index of the pool worker running the calling thread, or `npos` when the
@@ -72,42 +65,23 @@ class ThreadPool {
     std::uint64_t enqueue_ns = 0;  // tracer timestamp; 0 if untracked
   };
 
-  // One per worker; submitters and thieves take the lock briefly, so
-  // contention is spread across workers instead of a single hot mutex.
-  struct alignas(64) WorkerQueue {
-    Mutex mutex;
-    std::deque<Task> tasks PM_GUARDED_BY(mutex);  // owner takes front; so do
-                                                  // thieves
-    // relaxed: load estimate for submit()'s least-loaded placement; a stale
-    // read costs one task a slightly longer queue, and stealing evens it out.
-    std::atomic<std::size_t> size{0};
-  };
-
   void worker_loop(std::size_t worker_index);
-  bool try_take(std::size_t queue_index, Task& out);
-  void run_task(Task& task, std::size_t worker_index, bool stolen,
-                std::uint64_t failed_probes);
-  // Mirrors queue `queue_index`'s depth into the pool.queue_depth gauge on
-  // that queue's shard. Gauge writes are pure relaxed stores, so concurrent
-  // samplers of the same queue race benignly (last writer wins, both fresh).
-  void sample_queue_depth(std::size_t queue_index, std::size_t depth);
+  // Retires the caller's previous task (if `finished_one`), then pops the
+  // next one, sleeping while the queue is empty. False once the pool shuts
+  // down with nothing left to run.
+  bool next_task(Task& out, bool finished_one) PM_EXCLUDES(mutex_);
+  void run_task(Task& task, std::size_t worker_index);
+  void sample_queue_depth() PM_REQUIRES(mutex_);
 
   obs::Telemetry* telemetry_;
   std::size_t shard_base_ = 0;
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::atomic<std::size_t> pending_{0};  // queued, not yet taken
-  std::atomic<std::size_t> active_{0};   // taken, still running
-  Mutex mutex_;                          // sleep/wake + shutdown + wait_idle
+  Mutex mutex_;
   CondVar work_available_;
   CondVar all_idle_;
+  std::deque<Task> queue_ PM_GUARDED_BY(mutex_);
+  std::size_t in_flight_ PM_GUARDED_BY(mutex_) = 0;  // queued or running
   bool shutting_down_ PM_GUARDED_BY(mutex_) = false;
   std::vector<std::thread> workers_;
 };
-
-// Runs body(i) for i in [0, count) on `num_threads` transient threads with
-// dynamic (work-queue) scheduling. Convenience for tests and benches that do
-// not want to keep a pool alive.
-void parallel_for(std::size_t num_threads, std::size_t count,
-                  const std::function<void(std::size_t)>& body);
 
 }  // namespace paramount

@@ -6,14 +6,18 @@
 // poset's own storage is the one allowance: an insert may open a row
 // segment and, with it, a directory leaf. The offline driver reuses one Gbnd frontier per worker,
 // so its own allocations do not grow with the number of events, and the
-// lexical kernel allocates nothing per box up to 16 threads.
+// lexical kernel allocates nothing per box up to 16 threads. Over inserts
+// and a window GC pass, OnlinePoset::heap_bytes() moves with the bytes the
+// allocator really holds.
 //
 // This binary replaces the global operator new and operator delete with
-// counting ones (thread-local tallies over malloc/free, plus a process-wide
-// allocation count for the multi-worker driver). A sanitizer build brings
+// counting ones (thread-local tallies over malloc/free, live bytes by
+// malloc_usable_size included, plus a process-wide allocation count for the
+// multi-worker driver). A sanitizer build brings
 // its own allocator, so there the replacement is compiled out and every
 // test skips.
 #include <gtest/gtest.h>
+#include <malloc.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -46,6 +50,7 @@
 namespace {
 thread_local std::uint64_t tl_allocations = 0;
 thread_local std::uint64_t tl_deallocations = 0;
+thread_local std::int64_t tl_live_bytes = 0;
 std::atomic<std::uint64_t> process_allocations{0};
 
 void* counted_alloc(std::size_t size, std::size_t alignment) {
@@ -59,12 +64,14 @@ void* counted_alloc(std::size_t size, std::size_t alignment) {
                                      (size + alignment - 1) / alignment *
                                          alignment);
   if (p == nullptr) throw std::bad_alloc();
+  tl_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
   return p;
 }
 
 void counted_free(void* p) {
   if (p == nullptr) return;
   ++tl_deallocations;
+  tl_live_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
   std::free(p);
 }
 }  // namespace
@@ -90,11 +97,14 @@ namespace {
 constexpr bool kCounting = false;
 std::uint64_t allocations() { return 0; }
 std::uint64_t deallocations() { return 0; }
+std::int64_t live_bytes() { return 0; }
 std::uint64_t all_threads_allocations() { return 0; }
 #else
 constexpr bool kCounting = true;
 std::uint64_t allocations() { return tl_allocations; }
 std::uint64_t deallocations() { return tl_deallocations; }
+// Usable bytes this thread allocated minus those it freed.
+std::int64_t live_bytes() { return tl_live_bytes; }
 // Every thread's allocations so far; exact once the threads that allocate
 // have joined.
 std::uint64_t all_threads_allocations() {
@@ -223,6 +233,55 @@ TEST(AllocationCount, OnlinePosetInsertAllocatesOnlyStorage) {
     }
     // Most inserts open nothing, so the bound above is mostly zero.
     EXPECT_LT(storage_opens * 8, events) << "width " << width;
+  }
+}
+
+// heap_bytes() drives the window_bytes GC trigger and the memory figures,
+// so it must follow what the allocator holds. Each thread takes four full
+// segments of rows: its inline ramp and three segments behind a directory
+// leaf. Over those inserts, and over a collect() that retires the ramp and
+// two segments per thread, the change in heap_bytes() matches the change in
+// live bytes to within one segment.
+TEST(AllocationCount, OnlinePosetHeapBytesTracksAllocatorLiveBytes) {
+  SKIP_UNLESS_COUNTING();
+  for (const std::size_t width : {6u, 64u}) {
+    const std::size_t rows = StableVector<EventIndex>(width + 2).segment_rows();
+    const auto full_segment =
+        static_cast<std::int64_t>(rows * (width + 2) * sizeof(EventIndex));
+    const std::uint64_t events = 4 * rows * width;
+    const std::vector<VectorClock> clocks = chain_clocks(width, events);
+    OnlinePoset poset(width);
+    OnlinePoset::Inserted ins;
+    // Warm-up: the first insert sizes Gmin and Gbnd.
+    poset.insert(0, OpKind::kInternal, 0, clocks[0], &ins);
+
+    const std::int64_t live_before = live_bytes();
+    const auto heap_before = static_cast<std::int64_t>(poset.heap_bytes());
+    for (std::uint64_t k = 1; k < events; ++k) {
+      poset.insert(static_cast<ThreadId>(k % width), OpKind::kInternal, 0,
+                   clocks[k], &ins);
+    }
+    const std::int64_t live_grown = live_bytes() - live_before;
+    const std::int64_t heap_grown =
+        static_cast<std::int64_t>(poset.heap_bytes()) - heap_before;
+    EXPECT_GE(heap_grown, 3 * full_segment * static_cast<std::int64_t>(width))
+        << "width " << width;
+    EXPECT_LE(std::abs(live_grown - heap_grown), full_segment)
+        << "width " << width << ": heap_bytes() grew by " << heap_grown
+        << ", the allocator's live bytes by " << live_grown;
+
+    const std::int64_t live_full = live_bytes();
+    const auto heap_full = static_cast<std::int64_t>(poset.heap_bytes());
+    const OnlinePoset::CollectStats stats = poset.collect();
+    EXPECT_GT(stats.reclaimed_events, 0u) << "width " << width;
+    const std::int64_t live_freed = live_full - live_bytes();
+    const std::int64_t heap_freed =
+        heap_full - static_cast<std::int64_t>(poset.heap_bytes());
+    EXPECT_GE(heap_freed, 2 * full_segment * static_cast<std::int64_t>(width))
+        << "width " << width;
+    EXPECT_LE(std::abs(live_freed - heap_freed), full_segment)
+        << "width " << width << ": heap_bytes() fell by " << heap_freed
+        << ", the allocator's live bytes by " << live_freed;
   }
 }
 

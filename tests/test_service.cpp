@@ -273,7 +273,7 @@ TEST(SessionCore, StreamedSessionRecordsNoSpansButEveryMetric) {
   for (const auto& c : names.counters) expected.push_back(c.name);
   for (const auto& g : names.gauges) expected.push_back(g.name);
   for (const auto& hist : names.histograms) expected.push_back(hist.name);
-  EXPECT_GE(expected.size(), 16u);
+  EXPECT_GE(expected.size(), 14u);
   for (const std::string& name : expected) {
     EXPECT_NE(json.find('"' + name + '"'), std::string::npos) << name;
   }

@@ -2,11 +2,17 @@
 // memory meter, function_ref.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <numeric>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "obs/telemetry.hpp"
 #include "util/cli.hpp"
 #include "util/function_ref.hpp"
 #include "util/mem_meter.hpp"
@@ -203,7 +209,7 @@ TEST(Cli, HelpListsFlags) {
   EXPECT_NE(h.find("how many times"), std::string::npos);
 }
 
-// ---- ThreadPool / parallel_for ----
+// ---- ThreadPool ----
 
 TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(4);
@@ -232,21 +238,69 @@ TEST(ThreadPool, TasksCanSubmitMoreTasks) {
   EXPECT_EQ(count.load(), 2);
 }
 
-TEST(ParallelFor, CoversAllIndicesOnce) {
-  constexpr std::size_t kCount = 1000;
-  std::vector<std::atomic<int>> hits(kCount);
-  parallel_for(4, kCount, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1);
+// Park every worker, each on its own flag, submit a burst, then free one
+// worker: it alone runs the whole burst from the one queue, in submission
+// order. While all are parked the queue-depth gauge holds the backlog.
+TEST(ThreadPool, LoneFreeWorkerRunsBurstInSubmissionOrder) {
+  constexpr std::size_t kWorkers = 4;
+  constexpr int kBurst = 32;
+  obs::Telemetry telemetry(kWorkers, /*trace_capacity_per_shard=*/64);
+  ThreadPool pool(kWorkers, &telemetry);
+  const auto queue_depth = [&telemetry] {
+    return telemetry.snapshot().find_gauge("pool.queue_depth")->total;
+  };
+
+  std::atomic<std::size_t> parked{0};
+  std::array<std::atomic<bool>, kWorkers> release{};
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    pool.submit([&, w] {
+      parked.fetch_add(1);
+      while (!release[w].load()) std::this_thread::yield();
+    });
+  }
+  while (parked.load() < kWorkers) std::this_thread::yield();
+
+  std::vector<int> order(kBurst, -1);
+  std::atomic<int> started{0};
+  for (int i = 0; i < kBurst; ++i) {
+    pool.submit(
+        [&, i] { order[static_cast<std::size_t>(started.fetch_add(1))] = i; });
+  }
+  if constexpr (obs::kTelemetryEnabled) {
+    EXPECT_EQ(queue_depth(), static_cast<std::uint64_t>(kBurst));
+  }
+
+  release[0].store(true);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (started.load() < kBurst &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const int started_alone = started.load();
+  for (std::atomic<bool>& flag : release) flag.store(true);
+  pool.wait_idle();
+
+  EXPECT_EQ(started_alone, kBurst)
+      << "burst stalled with " << started_alone << "/" << kBurst
+      << " tasks run by the one free worker";
+  std::vector<int> submission_order(kBurst);
+  std::iota(submission_order.begin(), submission_order.end(), 0);
+  EXPECT_EQ(order, submission_order);
+  if constexpr (obs::kTelemetryEnabled) {
+    EXPECT_EQ(queue_depth(), 0u);
+  }
 }
 
-TEST(ParallelFor, SingleThreadPath) {
-  std::vector<int> order;
-  parallel_for(1, 5, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ParallelFor, ZeroCountIsNoop) {
-  parallel_for(4, 0, [](std::size_t) { FAIL(); });
+TEST(ThreadPool, BurstRunsEveryTaskAcrossWorkers) {
+  constexpr std::size_t kWorkers = 8;
+  ThreadPool pool(kWorkers);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 2000; ++i) {
+    pool.submit([&] { ran.fetch_add(1); });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 2000);
 }
 
 // ---- MemoryMeter ----

@@ -91,10 +91,10 @@ int export_telemetry(const obs::Telemetry& telemetry, const CliFlags& flags) {
 }
 
 // Per-worker summary plus the interval-size histogram, from one snapshot.
-// `pool_columns` keeps the steals and queue-depth columns, which only online
-// mode's pool writes: the offline driver has no queues and never steals.
+// `pool_column` keeps the queue-depth column, which only online mode's pool
+// writes: the offline driver has no queue.
 void print_telemetry_summary(const obs::Telemetry& telemetry,
-                             double elapsed_seconds, bool pool_columns) {
+                             double elapsed_seconds, bool pool_column) {
   const obs::MetricsSnapshot snap = telemetry.snapshot();
   const obs::CounterSnapshot* states = snap.find_counter("paramount.states");
   const obs::CounterSnapshot* intervals =
@@ -108,23 +108,18 @@ void print_telemetry_summary(const obs::Telemetry& telemetry,
     return;
   }
 
-  const obs::CounterSnapshot* steals = snap.find_counter("pool.steals");
   const obs::CounterSnapshot* drops = snap.find_counter("tracer.spans_dropped");
-  // Live gauge: each pool worker's queue depth as of its last submit or
-  // take, so a snapshot taken mid-run shows where the remaining work sits.
+  // Live gauge: the pool queue's depth as of its last push or pop, on the
+  // pool's first shard, so a snapshot taken mid-run shows the backlog.
   const obs::CounterSnapshot* depth = snap.find_gauge("pool.queue_depth");
-  // Drops the pool's columns, steals (3) and queue-depth (7), if unwanted.
-  const auto columns = [pool_columns](std::vector<std::string> cells) {
-    if (!pool_columns) {
-      cells.erase(cells.begin() + 7);
-      cells.erase(cells.begin() + 3);
-    }
+  // Drops the pool's column, queue-depth (the last), if unwanted.
+  const auto columns = [pool_column](std::vector<std::string> cells) {
+    if (!pool_column) cells.pop_back();
     return cells;
   };
 
-  Table workers(columns({"worker", "states", "intervals", "steals",
-                         "spans-drop", "states/s", "queue-wait",
-                         "queue-depth"}));
+  Table workers(columns({"worker", "states", "intervals", "spans-drop",
+                         "states/s", "queue-wait", "queue-depth"}));
   for (std::size_t w = 0; w < snap.num_shards; ++w) {
     const double wait_mean =
         queue_wait->per_shard_count[w] == 0
@@ -134,7 +129,6 @@ void print_telemetry_summary(const obs::Telemetry& telemetry,
     workers.add_row(columns(
         {std::to_string(w), format_count(states->per_shard[w]),
          format_count(intervals->per_shard[w]),
-         steals == nullptr ? "-" : format_count(steals->per_shard[w]),
          drops == nullptr ? "-" : format_count(drops->per_shard[w]),
          format_si(static_cast<double>(states->per_shard[w]) /
                    elapsed_seconds),
@@ -144,7 +138,6 @@ void print_telemetry_summary(const obs::Telemetry& telemetry,
   workers.add_separator();
   workers.add_row(columns(
       {"all", format_count(states->total), format_count(intervals->total),
-       steals == nullptr ? "-" : format_count(steals->total),
        drops == nullptr ? "-" : format_count(drops->total),
        format_si(static_cast<double>(states->total) / elapsed_seconds),
        format_ns(queue_wait->quantile(0.5)),
@@ -199,7 +192,7 @@ int run_count(const Poset& poset, const CliFlags& flags) {
       to_string(options.topo_policy), format_seconds(elapsed).c_str());
 
   if constexpr (obs::kTelemetryEnabled) {
-    print_telemetry_summary(telemetry, elapsed, /*pool_columns=*/false);
+    print_telemetry_summary(telemetry, elapsed, /*pool_column=*/false);
   } else {
     std::printf("(telemetry compiled out: PARAMOUNT_NO_TELEMETRY)\n");
   }
@@ -292,7 +285,7 @@ int run_online(const CliFlags& flags) {
   std::printf("peak_rss_bytes: %zu\n", peak_rss_bytes());
 
   if constexpr (obs::kTelemetryEnabled) {
-    print_telemetry_summary(telemetry, elapsed, /*pool_columns=*/true);
+    print_telemetry_summary(telemetry, elapsed, /*pool_column=*/true);
   }
 
   int status = export_telemetry(telemetry, flags);
