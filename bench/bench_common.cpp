@@ -1,6 +1,10 @@
 #include "bench_common.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <thread>
 
 #include "poset/topo_sort.hpp"
 #include "util/stats.hpp"
@@ -21,8 +25,8 @@ struct DSpec {
 };
 
 // Random distributed posets: 10 processes like the paper's d-* inputs. The
-// default event counts were calibrated so the whole Table-1 sweep runs in
-// minutes on one core (paper counts reach 10^9..10^10 states).
+// default event counts keep each Table-1 row to minutes (paper counts reach
+// 10^9..10^10 states).
 constexpr DSpec kDSpecs[] = {
     {"d-300", 36, 48, 300, 300},
     {"d-500", 44, 60, 500, 500},
@@ -114,52 +118,145 @@ SeqRun run_sequential(EnumAlgorithm algorithm, const Poset& poset,
   return run;
 }
 
-double ParaRun::simulated_seconds(std::size_t workers) const {
-  return simulate_list_schedule(interval_seconds, workers).makespan;
-}
-
-ParaRun measure_paramount(EnumAlgorithm subroutine, const Poset& poset,
-                          const std::vector<EventId>& order,
-                          std::uint64_t budget_bytes) {
-  ParaRun run;
-  MemoryMeter meter(budget_bytes);
-  ParamountOptions options;
-  options.subroutine = subroutine;
-  options.num_workers = 1;
-  options.meter = &meter;
-  options.collect_interval_stats = true;
-
-  WallTimer timer;
-  try {
-    const ParamountResult result = enumerate_paramount_streaming(
-        poset, order, options, [](const Frontier&) {});
-    run.states = result.states;
-    run.interval_seconds.reserve(result.interval_stats.size());
-    for (const IntervalStat& s : result.interval_stats) {
-      run.interval_seconds.push_back(static_cast<double>(s.nanos) * 1e-9);
-    }
-  } catch (const MemoryBudgetExceeded&) {
-    run.out_of_memory = true;
-  }
-  run.t1_seconds = timer.elapsed_seconds();
-  run.peak_bytes = meter.peak_bytes();
-  return run;
-}
-
-double run_paramount_real(EnumAlgorithm subroutine, const Poset& poset,
-                          const std::vector<EventId>& order,
-                          std::size_t workers) {
-  ParamountOptions options;
-  options.subroutine = subroutine;
-  options.num_workers = workers;
-  WallTimer timer;
-  enumerate_paramount_streaming(poset, order, options, [](const Frontier&) {});
-  return timer.elapsed_seconds();
-}
-
 std::string time_cell(double seconds, bool out_of_memory) {
   if (out_of_memory) return "o.o.m.";
   return format_seconds(seconds);
+}
+
+std::size_t usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+void print_provenance() {
+#if defined(__GNUC__) && !defined(__clang__)
+  const char* compiler = "GCC ";  // GCC's __VERSION__ is the number alone
+#else
+  const char* compiler = "";
+#endif
+#ifdef NDEBUG
+  const char* ndebug = "set";
+#else
+  const char* ndebug = "unset";
+#endif
+  std::printf(
+      "provenance: hardware_concurrency=%u, usable CPUs=%zu, compiler "
+      "%s%s, NDEBUG %s\n",
+      std::thread::hardware_concurrency(), usable_cpus(), compiler,
+      __VERSION__, ndebug);
+}
+
+ParaTimes time_paramount(EnumAlgorithm subroutine, const Poset& poset,
+                         const std::vector<EventId>& order,
+                         const std::vector<std::size_t>& workers,
+                         std::uint64_t budget_bytes) {
+  ParaTimes run;
+  run.para.resize(workers.size());
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      Timing& timing = run.para[i];
+      if (timing.out_of_memory) continue;
+      MemoryMeter meter(budget_bytes);
+      ParamountOptions options;
+      options.subroutine = subroutine;
+      options.num_workers = workers[i];
+      if (budget_bytes != MemoryMeter::kUnlimited) options.meter = &meter;
+      WallTimer timer;
+      try {
+        const std::uint64_t states =
+            enumerate_paramount_streaming(poset, order, options,
+                                          [](const Frontier&) {})
+                .states;
+        timing.seconds.push_back(timer.elapsed_seconds());
+        PM_CHECK_MSG(run.states == 0 || states == run.states,
+                     "runs of one row disagree on the state count");
+        run.states = states;
+      } catch (const MemoryBudgetExceeded&) {
+        timing.out_of_memory = true;
+      }
+    }
+  }
+  return run;
+}
+
+std::vector<double> speedups(const std::vector<double>& base_seconds,
+                             const Timing& timing) {
+  PM_CHECK(base_seconds.size() == 1 ||
+           base_seconds.size() == timing.seconds.size());
+  std::vector<double> out;
+  for (std::size_t r = 0; r < timing.seconds.size(); ++r) {
+    out.push_back(base_seconds[base_seconds.size() == 1 ? 0 : r] /
+                  timing.seconds[r]);
+  }
+  return out;
+}
+
+std::vector<double> host_parallelism(const Poset& poset,
+                                     const std::vector<EventId>& order) {
+  const std::size_t copies = usable_cpus();
+  const std::vector<Poset> posets(copies, poset);
+  const std::vector<std::vector<EventId>> orders(copies, order);
+  auto run_copy = [&](std::size_t c) {
+    enumerate_paramount_streaming(posets[c], orders[c], ParamountOptions{},
+                                  [](const Frontier&) {});
+  };
+  std::vector<double> ratios;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    WallTimer alone;
+    run_copy(0);
+    const double alone_seconds = alone.elapsed_seconds();
+    WallTimer together;
+    std::vector<std::thread> threads;
+    for (std::size_t c = 1; c < copies; ++c) threads.emplace_back(run_copy, c);
+    run_copy(0);
+    for (std::thread& t : threads) t.join();
+    ratios.push_back(static_cast<double>(copies) * alone_seconds /
+                     together.elapsed_seconds());
+  }
+  return ratios;
+}
+
+namespace {
+
+// `median` (already formatted), then the interquartile range as a share of
+// the median, then the oversubscription mark.
+std::string spread_cell(const std::vector<double>& samples,
+                        const std::string& median, std::size_t workers) {
+  const double iqr = percentile(samples, 0.75) - percentile(samples, 0.25);
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%s iqr %.0f%%%s", median.c_str(),
+                100.0 * iqr / percentile(samples, 0.5),
+                workers > usable_cpus() ? "*" : "");
+  return buf;
+}
+
+}  // namespace
+
+std::string time_cell(const Timing& timing, std::size_t workers) {
+  if (timing.out_of_memory) return "o.o.m.";
+  return spread_cell(timing.seconds,
+                     format_seconds(percentile(timing.seconds, 0.5)), workers);
+}
+
+std::string ratio_cell(const std::vector<double>& ratios,
+                       std::size_t workers) {
+  if (ratios.size() < kRounds) return "o.o.m.";
+  char median[32];
+  std::snprintf(median, sizeof(median), "%.2fx", percentile(ratios, 0.5));
+  return spread_cell(ratios, median, workers);
+}
+
+void print_cell_legend() {
+  std::printf(
+      "\nTimed cells: the median of %zu rounds, then the interquartile range\n"
+      "as a share of the median; * marks more workers than the %zu usable\n"
+      "CPUs (oversubscribed). host xN: N independent 1-worker L-Para runs at\n"
+      "once, their throughput over one run's alone.\n",
+      kRounds, usable_cpus());
 }
 
 }  // namespace paramount::bench

@@ -1,21 +1,21 @@
 // Shared machinery for the reproduction benches (Tables 1-2, Figures 10-12,
 // ablations).
 //
-// Hardware note (DESIGN.md §5, substitution 3): this container has a single
-// core, so a p-worker run's wall clock cannot drop below the 1-worker time.
-// Speedup columns are therefore produced by measuring every interval's cost
-// once (1 worker) and replaying the costs through greedy list scheduling —
-// the exact schedule Algorithm 1's shared work queue induces on p cores.
-// Real multi-threaded runs are still executed where marked, as a correctness
-// exercise.
+// Every k-worker cell of the speedup benches (Table 1, Figures 10-11,
+// ablations A-B) is a real run of the offline driver with k worker threads:
+// the median of kRounds runs, the worker counts alternating within each
+// round, printed with its interquartile range. A cell whose k exceeds the
+// CPUs this process may use is marked as oversubscribed. Beside each row the
+// benches print the host's own parallelism on it (host_parallelism), since
+// a multi-core host does not always deliver one core per worker.
 #pragma once
 
-#include <optional>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/paramount.hpp"
-#include "core/schedule_sim.hpp"
 #include "poset/poset.hpp"
 #include "util/cli.hpp"
 #include "util/mem_meter.hpp"
@@ -54,29 +54,64 @@ struct SeqRun {
 SeqRun run_sequential(EnumAlgorithm algorithm, const Poset& poset,
                       std::uint64_t budget_bytes = MemoryMeter::kUnlimited);
 
-struct ParaRun {
-  double t1_seconds = 0.0;  // measured with one worker
-  std::vector<double> interval_seconds;  // per-interval costs, →p order
-  std::uint64_t states = 0;
-  std::uint64_t peak_bytes = 0;
-  bool out_of_memory = false;
+// "o.o.m." or formatted seconds: the cell of a single run.
+std::string time_cell(double seconds, bool out_of_memory);
 
-  // Greedy list-schedule makespan for `workers` cores (seconds).
-  double simulated_seconds(std::size_t workers) const;
+// ---- real parallel runs ----
+
+// Runs behind every timed cell of the speedup benches.
+inline constexpr std::size_t kRounds = 5;
+
+// The worker counts of the paper's speedup columns.
+inline const std::vector<std::size_t> kPaperWorkers = {1, 2, 4, 8};
+
+// CPUs this process may run on, as `nproc` counts them.
+std::size_t usable_cpus();
+
+// Prints the line naming how the numbers below were produced:
+// std::thread::hardware_concurrency(), usable_cpus(), the compiler version
+// and whether NDEBUG is set.
+void print_provenance();
+
+// The per-round wall times of one configuration.
+struct Timing {
+  std::vector<double> seconds;  // one per round the run completed
+  bool out_of_memory = false;   // a round crossed the budget; later ones skip
 };
 
-// Measures ParaMount with the given subroutine: one 1-worker pass that
-// records per-interval costs (feeding the simulated speedups).
-ParaRun measure_paramount(EnumAlgorithm subroutine, const Poset& poset,
-                          const std::vector<EventId>& order,
-                          std::uint64_t budget_bytes = MemoryMeter::kUnlimited);
+struct ParaTimes {
+  std::uint64_t states = 0;  // the same in every completed run (checked)
+  std::vector<Timing> para;  // para[i] ran with the i-th worker count
+};
 
-// A real multi-threaded run (correctness exercise on a 1-core host).
-double run_paramount_real(EnumAlgorithm subroutine, const Poset& poset,
-                          const std::vector<EventId>& order,
-                          std::size_t workers);
+// Times the offline driver with `subroutine` over `order` at each count of
+// `workers`, alternating them within each of kRounds rounds. A finite
+// budget attaches one meter per run, which all of its workers charge; an
+// unlimited one attaches none, so the timings carry no accounting.
+ParaTimes time_paramount(EnumAlgorithm subroutine, const Poset& poset,
+                         const std::vector<EventId>& order,
+                         const std::vector<std::size_t>& workers,
+                         std::uint64_t budget_bytes = MemoryMeter::kUnlimited);
 
-// "o.o.m." / "skip" / formatted seconds — the Table-1 cell convention.
-std::string time_cell(double seconds, bool out_of_memory);
+// Per-round speedups base / timing. `base_seconds` holds one baseline time
+// for every round, or one per round (paired by round).
+std::vector<double> speedups(const std::vector<double>& base_seconds,
+                             const Timing& timing);
+
+// The host's parallelism on one row: usable_cpus() independent 1-worker
+// lexical runs of the driver at once, each on its own copy of the poset and
+// →p, copy 0 on the calling thread as the driver runs its worker 0. Per
+// round, the copies' throughput over one copy's alone.
+std::vector<double> host_parallelism(const Poset& poset,
+                                     const std::vector<EventId>& order);
+
+// "<median> iqr <interquartile range as % of the median>", with a trailing
+// "*" when `workers` exceeds usable_cpus(); "o.o.m." for a timing that lost
+// rounds to the budget, or for its speedups.
+std::string time_cell(const Timing& timing, std::size_t workers);
+std::string ratio_cell(const std::vector<double>& ratios, std::size_t workers);
+
+// The legend under a table of such cells.
+void print_cell_legend();
 
 }  // namespace paramount::bench

@@ -1,13 +1,12 @@
-// Tour of the predicate-detection interfaces beyond data races: the
-// possibly/definitely modalities of Cooper-Marzullo and the polynomial
-// weak-conjunctive detector of Garg-Waldecker — all over one distributed
-// computation.
+// Predicate detection beyond data races: the polynomial weak-conjunctive
+// detector of Garg-Waldecker over a small distributed computation. It finds
+// the least consistent state satisfying a conjunction of local predicates
+// without enumerating the lattice.
 //
 //   $ ./build/examples/predicate_zoo
 #include <cstdio>
 
 #include "detect/conjunctive.hpp"
-#include "detect/modalities.hpp"
 #include "poset/global_state.hpp"
 #include "poset/poset_builder.hpp"
 
@@ -35,40 +34,12 @@ int main() {
   std::printf("Two-phase computation: %zu threads, %zu events\n\n",
               poset.num_threads(), poset.total_events());
 
-  // possibly: could both participants be mid-vote at the same time?
-  auto both_voting = [&](const Frontier& g) {
-    return g[1] == 1 && g[2] == 1;
-  };
-  const auto poss = detect_possibly(poset, both_voting, /*workers=*/2);
-  std::printf("possibly(both participants voting): %s (witness %s)\n",
-              poss.holds ? "YES" : "no",
-              poss.holds ? poss.witness.to_string().c_str() : "-");
-
-  // definitely: does every schedule pass a state where the coordinator has
-  // prepared but not yet committed?
-  auto prepared_uncommitted = [&](const Frontier& g) {
-    return g[0] >= 1 && g[0] < 4;
-  };
-  const auto def = detect_definitely(poset, prepared_uncommitted);
-  std::printf("definitely(prepared-but-uncommitted): %s\n",
-              def.holds ? "YES" : "no");
-
-  // ...and one that is avoidable: "participant 1 voted while participant 2
-  // has not received prepare" can be dodged by schedules that run
-  // participant 2 first.
-  auto skewed = [&](const Frontier& g) { return g[1] >= 2 && g[2] == 0; };
-  const auto avoidable = detect_definitely(poset, skewed);
-  std::printf("definitely(participant skew): %s (counterexample path ends "
-              "at %s)\n",
-              avoidable.holds ? "YES" : "no",
-              avoidable.witness.to_string().c_str());
-
   // Conjunctive: the least state where every thread has taken its first
   // step — found without enumerating the lattice.
   auto first_steps = [](ThreadId, EventIndex i) { return i >= 1; };
   const auto conj = detect_conjunctive(poset, first_steps);
   std::printf(
-      "\nconjunctive(every thread started): %s at least cut %s, after "
+      "conjunctive(every thread started): %s at least cut %s, after "
       "examining %llu events\n",
       conj.detected ? "detected" : "absent", conj.cut.to_string().c_str(),
       static_cast<unsigned long long>(conj.events_examined));

@@ -2,13 +2,11 @@
 
 #include <atomic>
 #include <exception>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "util/check.hpp"
 #include "util/sync.hpp"
-#include "util/timer.hpp"
 
 namespace paramount {
 
@@ -81,10 +79,6 @@ ParamountResult run_paramount(const Poset& poset,
     result.states = enumerate(empty, empty).states;
     return result;
   }
-  if (options.collect_interval_stats) {
-    result.interval_stats.resize(order.size());
-  }
-
   std::atomic<std::uint64_t> total_states{0};
   std::atomic<bool> abort_flag{false};
   Mutex error_mutex;
@@ -136,9 +130,6 @@ ParamountResult run_paramount(const Poset& poset,
                      snapshot_done_ns, index);
 
         const EventId id = order[index];
-        // The per-interval stats read the clock; without them, no read.
-        std::optional<WallTimer> timer;
-        if (options.collect_interval_stats) timer.emplace();
         const std::uint64_t start_ns =
             tel != nullptr ? tel->tracer().now_ns() : 0;
         std::uint64_t states = 0;
@@ -150,10 +141,6 @@ ParamountResult run_paramount(const Poset& poset,
         // workers join, which orders every contribution.
         total_states.fetch_add(states, std::memory_order_relaxed);
         record_interval(tel, worker_index, start_ns, states);
-        if (timer.has_value()) {
-          result.interval_stats[index] =
-              IntervalStat{id, states, timer->elapsed_ns()};
-        }
       }
     } catch (...) {
       fail(std::current_exception());

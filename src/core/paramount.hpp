@@ -33,9 +33,6 @@ struct ParamountOptions {
   // Optional shared memory meter (thread-safe); lets B-Para reproduce the
   // bounded-memory behaviour of Table 1.
   MemoryMeter* meter = nullptr;
-  // When true, per-interval state counts and wall times are recorded; used
-  // by the speedup benches to feed the schedule simulator.
-  bool collect_interval_stats = false;
   // Optional telemetry sink (see src/obs/). Must have at least `num_workers`
   // shards; worker w writes only shard w. Per interval the driver records an
   // "interval" span plus states/intervals counters and the interval-size and
@@ -46,16 +43,9 @@ struct ParamountOptions {
   obs::Telemetry* telemetry = nullptr;
 };
 
-struct IntervalStat {
-  EventId event;
-  std::uint64_t states = 0;
-  std::uint64_t nanos = 0;
-};
-
 struct ParamountResult {
   std::uint64_t states = 0;
   std::uint64_t peak_bytes = 0;
-  std::vector<IntervalStat> interval_stats;  // empty unless requested
 };
 
 namespace detail {
@@ -103,9 +93,9 @@ auto box_enumerator(const Poset& poset, const ParamountOptions& options,
 // substitution 8).
 
 // Over the →p of a precomputed interval partition: the intervals' events in
-// order (the benches reuse one partition across worker-count sweeps so the
-// →p order is held fixed). The driver recomputes each box from that order,
-// which must be a linear extension; the intervals' own boxes are not read.
+// order, so a caller that holds a partition reuses its →p. The driver
+// recomputes each box from that order, which must be a linear extension;
+// the intervals' own boxes are not read.
 template <typename Visit>
 ParamountResult enumerate_paramount(const Poset& poset,
                                     const std::vector<Interval>& intervals,

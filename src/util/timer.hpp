@@ -1,8 +1,7 @@
-// Wall-clock and CPU timers used by the benchmark harnesses.
+// Wall-clock stopwatch used by the benchmark harnesses.
 #pragma once
 
 #include <chrono>
-#include <ctime>
 
 namespace paramount {
 
@@ -18,38 +17,10 @@ class WallTimer {
   }
 
   double elapsed_ms() const { return elapsed_seconds() * 1e3; }
-  std::uint64_t elapsed_ns() const {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             start_)
-            .count());
-  }
 
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-// Process CPU-time stopwatch: total CPU seconds consumed by every thread of
-// the process. On the single-core benchmark container, wall time of a
-// parallel run cannot drop below CPU time; reporting both makes that visible.
-class CpuTimer {
- public:
-  CpuTimer() : start_(now()) {}
-
-  void reset() { start_ = now(); }
-
-  double elapsed_seconds() const { return now() - start_; }
-
- private:
-  static double now() {
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-  }
-
-  double start_;
 };
 
 }  // namespace paramount

@@ -15,8 +15,8 @@
 //   * bounded lexical and bounded BFS, each run on every box alone, visit
 //     exactly the oracle's states of that box, each once;
 //   * the offline driver at one worker, with the lexical and with the BFS
-//     subroutine, visits every state exactly once, each within its own
-//     interval's count;
+//     subroutine, visits every state exactly once, and each box it
+//     enumerates yields the oracle's count for the claim it belongs to;
 //   * inline online ParaMount fed in →p order does the same per owner.
 // A seeded sample of the pairs also runs the driver at 2-4 workers and
 // pooled online ParaMount at 2-3 workers, which start threads.
@@ -24,8 +24,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/interval.hpp"
@@ -299,24 +301,54 @@ std::string check_visits(const char* what, std::vector<Key> visited,
   return "";
 }
 
+// States of [∅, ∅] boxes that a worker enumerated and has not yet credited.
+// The driver enumerates that box in the same claim as the box at →p
+// position 0, just before it, so the worker's next box takes them.
+thread_local std::uint64_t empty_box_carry = 0;
+
+// Runs the driver core with a box enumerator that credits each box's states
+// to the →p position of the event whose clock is the box's lo, so the
+// per-interval counts come from the driver's own claims and need no
+// telemetry.
 std::string check_driver(const Poset& poset, const std::vector<EventId>& order,
                          const ParamountOptions& options,
                          const std::vector<Key>& states,
                          const Attribution& oracle) {
+  std::map<Key, std::size_t> position_of_lo;
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    position_of_lo[key_of(poset.vc(order[p].tid, order[p].index))] = p;
+  }
+  const Key empty(poset.num_threads(), 0);
   Mutex mutex;
   std::vector<Key> visited;
-  const ParamountResult result = enumerate_paramount_streaming(
-      poset, order, options, [&](const Frontier& f) {
-        MutexLock guard(mutex);
-        visited.push_back(key_of(f));
-      });
-  std::vector<std::uint64_t> per_interval;
-  for (std::size_t p = 0; p < result.interval_stats.size(); ++p) {
-    if (result.interval_stats[p].event != order[p]) {
-      return "driver: interval " + std::to_string(p) + " has the wrong event";
+  std::vector<std::uint64_t> per_interval(order.size(), 0);
+  bool unknown_box = false;
+  auto visit = [&](const Frontier& f) {
+    MutexLock guard(mutex);
+    visited.push_back(key_of(f));
+  };
+  auto enumerate = detail::box_enumerator(poset, options, visit);
+  auto credit = [&](const Frontier& lo, const Frontier& hi) {
+    const EnumStats stats = enumerate(lo, hi);
+    const Key key = key_of(lo);
+    if (key == empty && key_of(hi) == empty) {
+      empty_box_carry += stats.states;
+      return stats;
     }
-    per_interval.push_back(result.interval_stats[p].states);
-  }
+    const auto it = position_of_lo.find(key);
+    MutexLock guard(mutex);
+    if (it == position_of_lo.end()) {
+      unknown_box = true;
+    } else {
+      per_interval[it->second] +=
+          stats.states + std::exchange(empty_box_carry, 0);
+    }
+    return stats;
+  };
+  empty_box_carry = 0;  // worker 0 runs on this thread
+  const ParamountResult result =
+      detail::run_paramount(poset, order, options, credit);
+  if (unknown_box) return "driver: a box's lo is no event's clock";
   if (result.states != states.size()) return "driver: wrong state total";
   return check_visits("driver", std::move(visited), per_interval, states,
                       oracle);
@@ -372,7 +404,6 @@ SweepCounts sweep(std::size_t threads, std::size_t events) {
       const Attribution oracle = attribute(states, order, threads);
       const std::vector<Interval> intervals = compute_intervals(poset, order);
       ParamountOptions options;
-      options.collect_interval_stats = true;
       failure = check_boxes(intervals, states, oracle);
       if (failure.empty()) {
         failure = check_kernels(poset, intervals, states, oracle);

@@ -1,11 +1,10 @@
 // End-to-end integration: trace a real concurrent program, capture its
-// poset, and cross-check every enumeration configuration plus the schedule
-// simulator on it — the full pipeline each bench binary exercises.
+// poset, and cross-check every enumeration configuration on it — the full
+// pipeline each bench binary exercises.
 #include <gtest/gtest.h>
 
 #include "core/online_paramount.hpp"
 #include "core/paramount.hpp"
-#include "core/schedule_sim.hpp"
 #include "poset/lattice.hpp"
 #include "test_helpers.hpp"
 #include "util/sync.hpp"
@@ -53,27 +52,6 @@ TEST(Integration, RecordedProgramPosetEnumeratesConsistently) {
     EXPECT_EQ(result.states, *expected);
     EXPECT_TRUE(all_distinct(states));
   }
-}
-
-TEST(Integration, IntervalStatsFeedScheduleSimulator) {
-  const Poset poset = testing::make_random(6, 80, 0.35, 42);
-  ParamountOptions options;
-  options.collect_interval_stats = true;
-  const ParamountResult result =
-      enumerate_paramount(poset, options, [](const Frontier&) {});
-
-  std::vector<double> costs;
-  for (const IntervalStat& s : result.interval_stats) {
-    costs.push_back(static_cast<double>(s.states));
-  }
-  const auto t1 = simulate_list_schedule(costs, 1);
-  const auto t8 = simulate_list_schedule(costs, 8);
-  EXPECT_DOUBLE_EQ(t1.makespan, static_cast<double>(result.states));
-  EXPECT_LE(t8.makespan, t1.makespan);
-  // Speedup is bounded by 8 and by total/max-task.
-  const double speedup = t1.makespan / t8.makespan;
-  EXPECT_LE(speedup, 8.0 + 1e-9);
-  EXPECT_GE(speedup, 1.0);
 }
 
 TEST(Integration, OnlineAndOfflineSeeTheSamePoset) {

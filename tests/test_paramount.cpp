@@ -1,6 +1,6 @@
 // Offline ParaMount (Algorithm 1 + Theorem 2): exactly-once parallel
 // enumeration that matches the sequential algorithms for every subroutine,
-// worker count and topological policy; plus the schedule simulator.
+// worker count and topological policy.
 #include "core/paramount.hpp"
 
 #include <gtest/gtest.h>
@@ -13,11 +13,9 @@
 #include <thread>
 #include <utility>
 
-#include "core/schedule_sim.hpp"
 #include "enumeration/bfs_enumerator.hpp"
 #include "poset/lattice.hpp"
 #include "test_helpers.hpp"
-#include "util/rng.hpp"
 #include "util/sync.hpp"
 
 namespace paramount {
@@ -101,8 +99,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          TopoPolicy::kRandom)));
 
 // Over a caller-supplied →p (the entry point trace replay uses), the driver
-// must match the oracle for every worker count and policy, and its
-// per-interval counts must add up to the total.
+// must match the oracle for every worker count and policy.
 class ParamountStreaming
     : public ::testing::TestWithParam<std::tuple<std::size_t, TopoPolicy>> {};
 
@@ -115,7 +112,6 @@ TEST_P(ParamountStreaming, MatchesOracle) {
   const auto order = topological_sort(poset, policy, 8);
   ParamountOptions options;
   options.num_workers = workers;
-  options.collect_interval_stats = true;
   Mutex mutex;
   std::vector<Key> states;
   const ParamountResult result = enumerate_paramount_streaming(
@@ -126,9 +122,6 @@ TEST_P(ParamountStreaming, MatchesOracle) {
   EXPECT_TRUE(all_distinct(states));
   EXPECT_EQ(as_set(states), oracle);
   EXPECT_EQ(result.states, oracle.size());
-  std::uint64_t per_interval = 0;
-  for (const IntervalStat& s : result.interval_stats) per_interval += s.states;
-  EXPECT_EQ(per_interval, result.states);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -423,19 +416,6 @@ TEST(Paramount, PrecomputedIntervalsMustBeALinearExtension) {
                "linear extension");
 }
 
-TEST(Paramount, IntervalStatsCoverAllStates) {
-  const Poset poset = make_random(4, 24, 0.4, 6);
-  ParamountOptions options;
-  options.collect_interval_stats = true;
-  options.num_workers = 2;
-  ParamountResult result;
-  collect_paramount(poset, options, &result);
-  ASSERT_EQ(result.interval_stats.size(), poset.total_events());
-  std::uint64_t total = 0;
-  for (const IntervalStat& s : result.interval_stats) total += s.states;
-  EXPECT_EQ(total, result.states);
-}
-
 TEST(Paramount, MemoryBudgetPropagatesAsOom) {
   const Poset poset = make_antichain(14);  // very wide lattice
   MemoryMeter meter(/*budget=*/1024);
@@ -539,57 +519,6 @@ TEST(ParamountVisitors, MutableLambdaAndStdFunctionMatchPlainLambda) {
         << driver;
     EXPECT_EQ(via_function, expected) << driver;
   }
-}
-
-// ---- schedule simulator ----
-
-TEST(ScheduleSim, SingleWorkerIsSum) {
-  const auto r = simulate_list_schedule({1.0, 2.0, 3.0}, 1);
-  EXPECT_DOUBLE_EQ(r.makespan, 6.0);
-  EXPECT_DOUBLE_EQ(r.total_work, 6.0);
-  EXPECT_DOUBLE_EQ(r.imbalance(), 1.0);
-}
-
-TEST(ScheduleSim, PerfectSplit) {
-  const auto r = simulate_list_schedule({1.0, 1.0, 1.0, 1.0}, 2);
-  EXPECT_DOUBLE_EQ(r.makespan, 2.0);
-}
-
-TEST(ScheduleSim, GreedyAssignsToEarliestFree) {
-  // Tasks 3,1,1,1 on 2 workers: w0 gets 3; w1 gets 1,1,1 → makespan 3.
-  const auto r = simulate_list_schedule({3.0, 1.0, 1.0, 1.0}, 2);
-  EXPECT_DOUBLE_EQ(r.makespan, 3.0);
-  EXPECT_DOUBLE_EQ(r.worker_busy[0], 3.0);
-  EXPECT_DOUBLE_EQ(r.worker_busy[1], 3.0);
-}
-
-TEST(ScheduleSim, StragglerBoundsMakespan) {
-  // Tasks 1,1,10,1,1 on 4 workers: the 10 lands on worker 2 at t=0 and
-  // dominates; worker 0 additionally gets the last task.
-  const auto r = simulate_list_schedule({1.0, 1.0, 10.0, 1.0, 1.0}, 4);
-  EXPECT_DOUBLE_EQ(r.makespan, 10.0);
-  EXPECT_DOUBLE_EQ(r.worker_busy[2], 10.0);
-  EXPECT_GT(r.imbalance(), 1.5);
-}
-
-TEST(ScheduleSim, MoreWorkersNeverSlower) {
-  std::vector<double> tasks;
-  Rng rng(77);
-  for (int i = 0; i < 200; ++i) {
-    tasks.push_back(static_cast<double>(rng.next_below(100)) + 1.0);
-  }
-  double prev = simulate_list_schedule(tasks, 1).makespan;
-  for (std::size_t w = 2; w <= 16; w *= 2) {
-    const double m = simulate_list_schedule(tasks, w).makespan;
-    EXPECT_LE(m, prev + 1e-9);
-    prev = m;
-  }
-}
-
-TEST(ScheduleSim, EmptyTaskList) {
-  const auto r = simulate_list_schedule({}, 4);
-  EXPECT_DOUBLE_EQ(r.makespan, 0.0);
-  EXPECT_DOUBLE_EQ(r.total_work, 0.0);
 }
 
 }  // namespace
