@@ -21,25 +21,11 @@ namespace paramount {
 
 class OnlineRaceDetector final : public TraceSink {
  public:
-  struct Options {
-    EnumAlgorithm subroutine = EnumAlgorithm::kLexical;
-    std::size_t async_workers = 0;  // 0 = enumerate inline (paper's setup)
-    obs::Telemetry* telemetry = nullptr;
-    // One thread at a time calls on_event()/try_on_event(): the telemetry
-    // then needs 1 + async_workers shards (see OnlineParamount::Options).
-    bool single_submitter = false;
-    // Sliding-window GC for long monitored runs (see OnlineParamount).
-    OnlineParamount::WindowPolicy window_policy;
-    // Per-interval completion hook, forwarded to OnlineParamount — the
-    // service session releases submit-queue budget here.
-    std::function<void(EventId)> interval_done;
-  };
+  // The driver's options, passed through whole (see OnlineParamount).
+  using Options = OnlineParamount::Options;
 
   OnlineRaceDetector(std::size_t num_threads, Options options)
-      : paramount_(num_threads,
-                   {options.subroutine, options.async_workers,
-                    options.telemetry, options.single_submitter,
-                    options.window_policy, std::move(options.interval_done)},
+      : paramount_(num_threads, std::move(options),
                    [this](const OnlinePoset& poset, EventId owner,
                           const Frontier& state) {
                      check_races(poset, *access_table_, owner, state, report_,

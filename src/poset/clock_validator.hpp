@@ -9,8 +9,15 @@
 //   3. the clock is componentwise monotone over the thread's previous event;
 //   4. every cross-thread component references an already published event.
 //
-// Together 2-4 imply the clock is a transitively closed happened-before
-// stamp over the accepted prefix, which is what insert() requires.
+// Together 2-4 imply that a clock counts its own thread's events exactly,
+// never moves backwards on its thread, and names only events that already
+// exist, so every accepted prefix is a valid file or insert order. They do
+// not imply that the clock is transitively closed: e0[1]=[1,0,0],
+// e1[1]=[1,1,0], e2[1]=[0,1,1] passes all four checks, yet e2[1] names
+// e1[1] without e0[1], which e1[1] follows. Closure is checked when a
+// Poset is built (Poset::first_defect, run by PosetBuilder::build and by
+// trace::replay_to_poset, which reports it as a typed error); the online
+// paths, which build no Poset, do not check it.
 //
 // ClockValidator is that check for the on-disk trace reader and writer
 // (src/trace/), which see clocks before any poset exists. The paramountd

@@ -24,20 +24,25 @@ std::size_t Poset::heap_bytes() const {
   return bytes;
 }
 
-void Poset::check_invariants() const {
+Poset::Defect Poset::first_defect() const {
   const std::size_t n = num_threads();
   for (ThreadId t = 0; t < n; ++t) {
     for (EventIndex i = 1; i <= num_events(t); ++i) {
+      const auto broken = [t, i](const char* rule) {
+        return Defect{rule, EventId{t, i}};
+      };
       const Event& e = event(t, i);
-      PM_CHECK_MSG(e.id.tid == t && e.id.index == i,
-                   "event id does not match its position");
-      PM_CHECK_MSG(e.vc.size() == n, "vector clock width mismatch");
-      PM_CHECK_MSG(e.vc[t] == i,
-                   "own component of the vector clock must equal the index");
+      if (e.id.tid != t || e.id.index != i) {
+        return broken("event id does not match its position");
+      }
+      if (e.vc.size() != n) return broken("vector clock width mismatch");
+      if (e.vc[t] != i) {
+        return broken(
+            "own component of the vector clock must equal the index");
+      }
       const Event* prev = i > 1 ? &event(t, i - 1) : nullptr;
-      if (prev != nullptr) {
-        PM_CHECK_MSG(prev->vc.leq(e.vc),
-                     "process order must be reflected in vector clocks");
+      if (prev != nullptr && !prev->vc.leq(e.vc)) {
+        return broken("process order must be reflected in vector clocks");
       }
       // Every claimed predecessor must exist and itself be dominated:
       // vc(e)[j] = k implies vc of e_j[k] ≤ vc(e) (transitive closure).
@@ -48,13 +53,21 @@ void Poset::check_invariants() const {
       for (ThreadId j = 0; j < n; ++j) {
         if (j == t || e.vc[j] == 0) continue;
         if (prev != nullptr && prev->vc[j] == e.vc[j]) continue;
-        PM_CHECK_MSG(e.vc[j] <= num_events(j),
-                     "vector clock points past the end of a thread");
-        PM_CHECK_MSG(vc(j, e.vc[j]).leq(e.vc),
-                     "vector clocks must be transitively closed");
+        if (e.vc[j] > num_events(j)) {
+          return broken("vector clock points past the end of a thread");
+        }
+        if (!vc(j, e.vc[j]).leq(e.vc)) {
+          return broken("vector clocks must be transitively closed");
+        }
       }
     }
   }
+  return {};
+}
+
+void Poset::check_invariants() const {
+  const Defect found = first_defect();
+  PM_CHECK_MSG(found.rule == nullptr, found.rule);
 }
 
 }  // namespace paramount

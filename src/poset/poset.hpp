@@ -69,8 +69,18 @@ class Poset {
   // Approximate heap footprint of the stored poset, for Figure 12.
   std::size_t heap_bytes() const;
 
-  // Validates vector-clock invariants (see .cpp); aborts on violation.
-  // Intended for tests and debug builds over freshly constructed posets.
+  // The first defective event of a thread-major scan and the rule its clock
+  // breaks; `rule` is null when every clock is valid.
+  struct Defect {
+    const char* rule = nullptr;
+    EventId event;
+  };
+
+  // Scans every clock for the vector-clock invariants (see .cpp) without
+  // aborting: the check for clocks from an untrusted source.
+  Defect first_defect() const;
+
+  // The same scan for trusted builders; aborts on the first defect.
   void check_invariants() const;
 
  private:

@@ -44,4 +44,10 @@ EventId PosetBuilder::add_event_with_clock(ThreadId tid, OpKind kind,
   return seq.back().id;
 }
 
+Poset::Defect PosetBuilder::try_build(Poset* out) && {
+  const Poset::Defect found = poset_.first_defect();
+  if (found.rule == nullptr) *out = std::move(poset_);
+  return found;
+}
+
 }  // namespace paramount

@@ -51,6 +51,11 @@ class PosetBuilder {
     return std::move(poset_);
   }
 
+  // Finalizes clocks from an untrusted source: the same scan as build(),
+  // but its first defect comes back instead of aborting, and the poset
+  // moves into *out only when there is none.
+  Poset::Defect try_build(Poset* out) &&;
+
  private:
   Poset poset_;
 };

@@ -16,6 +16,7 @@ const char* to_string(TraceErrorCode code) {
     case TraceErrorCode::kBadThread: return "bad-thread";
     case TraceErrorCode::kClockRegression: return "clock-regression";
     case TraceErrorCode::kStorageFull: return "storage-full";
+    case TraceErrorCode::kClockNotClosed: return "clock-not-closed";
   }
   return "unknown";
 }

@@ -125,6 +125,8 @@ enum class TraceErrorCode : std::uint8_t {
   kBadThread = 10,    // record names a thread >= num_threads
   kClockRegression = 11,  // clock fails the ClockValidator invariants
   kStorageFull = 12,  // a thread's online-poset storage is full
+  kClockNotClosed = 13,  // a clock is not transitively closed (found when
+                         // a replay builds a Poset, after the cursor)
 };
 
 const char* to_string(TraceErrorCode code);

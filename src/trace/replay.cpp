@@ -4,6 +4,8 @@
 #include <utility>
 
 #include "poset/poset_builder.hpp"
+#include "poset/topo_sort.hpp"
+#include "trace/trace_writer.hpp"
 
 namespace paramount::trace {
 
@@ -24,8 +26,31 @@ bool replay_to_poset(const TraceReader& reader, Poset* poset,
         event.tid, event.kind, event.object, std::move(event.clock));
     if (order != nullptr) order->push_back(id);
   }
-  *poset = std::move(builder).build();
-  return true;
+  const Poset::Defect found = std::move(builder).try_build(poset);
+  if (found.rule == nullptr) return true;
+  // The cursor has checked every other rule the scan covers, so only
+  // closure can fail here.
+  *error = TraceError{TraceErrorCode::kClockNotClosed,
+                      "event " + found.event.to_string() + ": " + found.rule};
+  return false;
+}
+
+bool write_poset_trace(const Poset& poset, const std::string& path,
+                       TraceError* error) {
+  if (poset.num_threads() == 0 || poset.num_threads() > kMaxThreads) {
+    *error = TraceError{TraceErrorCode::kBadHeader,
+                        "a .pmt holds 1 to " + std::to_string(kMaxThreads) +
+                            " threads, the poset has " +
+                            std::to_string(poset.num_threads())};
+    return false;
+  }
+  TraceWriter writer;
+  if (!writer.open(path, poset.num_threads(), {}, error)) return false;
+  for (const EventId id : topological_sort(poset, TopoPolicy::kInterleave)) {
+    const Event& e = poset.event(id);
+    writer.append(id.tid, e.kind, e.object, e.vc);
+  }
+  return writer.finish(error);
 }
 
 bool replay_count_offline(const TraceReader& reader,

@@ -1,7 +1,8 @@
 // Replay drivers: feed a .pmt trace (trace_reader.hpp) to the enumeration
-// engines. One implementation shared by paramount-trace, perfbench's
-// pmbench, and the tests, so "replay through mode X" means the same thing
-// everywhere.
+// engines. One implementation shared by paramount, paramount-trace,
+// paramount-client, perfbench's pmbench, and the tests, so "replay through
+// mode X" means the same thing everywhere. write_poset_trace is the inverse
+// of replay_to_poset: .pmt is the one file format for posets.
 //
 // The file order of a .pmt written by TraceFileSink or `paramount-trace gen`
 // is a valid →p (delivery/generation order respects happened-before), so:
@@ -14,10 +15,14 @@
 //
 // Every function returns false with a typed *error if the trace is
 // defective, or if an online replay would overflow a thread's poset
-// storage; a hostile file can fail a replay but never abort it.
+// storage; a hostile file can fail a replay but never abort it. A replay
+// that builds a Poset (offline, streaming) also reports a clock that is not
+// transitively closed, which the cursor does not check, as kClockNotClosed;
+// the online replay accepts such clocks.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/online_paramount.hpp"
@@ -31,6 +36,13 @@ namespace paramount::trace {
 // the file order of event ids — a valid →p for the driver.
 bool replay_to_poset(const TraceReader& reader, Poset* poset,
                      std::vector<EventId>* order, TraceError* error);
+
+// Writes `poset` to a .pmt at `path`, its events in the interleave →p, so
+// that replay_to_poset reads back the same poset. False with a typed *error
+// if the file cannot be written, or kBadHeader if the poset has no threads
+// or more than kMaxThreads.
+bool write_poset_trace(const Poset& poset, const std::string& path,
+                       TraceError* error);
 
 // Counts consistent global states via the offline driver, over the
 // interleave →p.

@@ -245,6 +245,15 @@ bool TraceReader::open(const std::string& path, TraceError* error) {
                          " payload overruns the footer index");
       break;
     }
+    // Callers size buffers from total_events(): a chunk may not claim more
+    // events than its payload has bytes, which bounds it by the file size.
+    if (info.event_count > payload_bytes) {
+      ok = set_error(&defect, TraceErrorCode::kBadChunk,
+                     "chunk " + std::to_string(i) + " claims " +
+                         std::to_string(info.event_count) + " events in " +
+                         std::to_string(payload_bytes) + " bytes");
+      break;
+    }
     chunks.push_back(std::move(info));
   }
   if (ok && p != index_end) {

@@ -9,7 +9,8 @@
 // the readers use — with PM_CHECK, not typed errors: writer inputs come from
 // in-process recorders (TraceFileSink, the scenario generators), where a bad
 // clock is a programming error, not hostile input. A .pmt produced by this
-// class is therefore valid by construction.
+// class therefore passes the reader's checks by construction; those do not
+// include transitive closure (see clock_validator.hpp).
 //
 // Not thread-safe; wrap with a mutex to record from concurrent threads
 // (runtime/trace_file_sink.hpp does exactly that).

@@ -1,6 +1,8 @@
 // Shared fixtures and helpers for the ParaMount test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <set>
@@ -55,6 +57,19 @@ inline auto counting_visitor(std::vector<Key>& seen) {
     count += sizeof...(state);
     return count;
   };
+}
+
+// Same threads and, event by event, the same kind, object and clock.
+inline void expect_posets_equal(const Poset& a, const Poset& b) {
+  ASSERT_EQ(a.num_threads(), b.num_threads());
+  for (ThreadId t = 0; t < a.num_threads(); ++t) {
+    ASSERT_EQ(a.num_events(t), b.num_events(t)) << "thread " << t;
+    for (EventIndex i = 1; i <= a.num_events(t); ++i) {
+      EXPECT_EQ(a.event(t, i).kind, b.event(t, i).kind);
+      EXPECT_EQ(a.event(t, i).object, b.event(t, i).object);
+      EXPECT_EQ(a.vc(t, i), b.vc(t, i));
+    }
+  }
 }
 
 // True iff the sequence has no duplicate entries.

@@ -15,6 +15,8 @@
 //      online drivers and through an in-process paramountd yields state
 //      counts bit-identical to enumerating the same events directly from
 //      memory, for every scenario and for a traced-program recording.
+// .pmt is also the one file format for posets: write_poset_trace and
+// replay_to_poset round-trip them (the PosetIo suite).
 #include "trace/format.hpp"
 
 #include <gtest/gtest.h>
@@ -27,12 +29,14 @@
 #include <vector>
 
 #include "core/paramount.hpp"
+#include "poset/lattice.hpp"
 #include "poset/poset_builder.hpp"
 #include "runtime/recording_sink.hpp"
 #include "runtime/trace_file_sink.hpp"
 #include "runtime/tracer.hpp"
 #include "service/epoll_server.hpp"
 #include "service/frame.hpp"
+#include "test_helpers.hpp"
 #include "trace/crc32.hpp"
 #include "trace/replay.hpp"
 #include "trace/trace_reader.hpp"
@@ -597,6 +601,14 @@ TEST(TraceHostile, MalformedRecords) {
     c.payload.push_back(0x80);
     cases.push_back(std::move(c));
   }
+  {
+    // A count no payload of this size can hold: open() must refuse it
+    // before a replay reserves room for 2^32 - 1 events.
+    Case c{"count_beyond_payload", TraceErrorCode::kBadChunk, {},
+           0xFFFFFFFFu};
+    put_record(c.payload, 0, 0, kAbsoluteClock, 0, {{0, 1}});
+    cases.push_back(std::move(c));
+  }
 
   for (const Case& c : cases) {
     expect_rejected(FileBuilder(2).build(c.payload, c.events), c.code, c.tag);
@@ -629,7 +641,13 @@ TEST(TraceHostile, MutationFuzzNeverAborts) {
     // The mutation may have missed every live byte (or restored one);
     // success is fine — the decoder just must not trip the sanitizer.
     std::uint64_t count = 0;
-    scan_all(reader, &count, &error);
+    if (scan_all(reader, &count, &error) != TraceCursor::Status::kEnd) {
+      continue;
+    }
+    // A mutant that decodes can still break a rule only a built poset
+    // checks; that must come back as an error too.
+    Poset poset{0};
+    replay_to_poset(reader, &poset, nullptr, &error);
   }
 }
 
@@ -653,6 +671,131 @@ TEST(TraceHostile, MissingFileIsIoError) {
   TraceError error;
   EXPECT_FALSE(reader.open("/nonexistent/definitely_missing.pmt", &error));
   EXPECT_EQ(error.code, TraceErrorCode::kIoError);
+}
+
+TraceEvent internal_event(ThreadId tid, VectorClock clock) {
+  TraceEvent event;
+  event.tid = tid;
+  event.clock = std::move(clock);
+  return event;
+}
+
+// e2[1] names e1[1] but not e0[1], which e1[1] follows. Each clock names
+// only published events and counts its own thread right, so the writer and
+// the cursor accept all three, but they are not transitively closed: no
+// poset has these clocks.
+TEST(TraceHostile, UnclosedClockFailsEveryPosetReplay) {
+  TempTrace file("unclosed");
+  write_trace(file.path(), 3,
+              {internal_event(0, VectorClock{1, 0, 0}),
+               internal_event(1, VectorClock{1, 1, 0}),
+               internal_event(2, VectorClock{0, 1, 1})});
+  TraceReader reader;
+  TraceError error;
+  ASSERT_TRUE(reader.open(file.path(), &error)) << error.to_string();
+  std::uint64_t count = 0;
+  EXPECT_EQ(scan_all(reader, &count, &error), TraceCursor::Status::kEnd)
+      << error.to_string();
+  EXPECT_EQ(count, 3u);
+
+  Poset poset{0};
+  error = TraceError{};
+  EXPECT_FALSE(replay_to_poset(reader, &poset, nullptr, &error));
+  EXPECT_EQ(error.code, TraceErrorCode::kClockNotClosed) << error.to_string();
+  EXPECT_NE(error.message.find("e2[1]"), std::string::npos) << error.message;
+
+  ParamountOptions options;
+  options.num_workers = 2;
+  std::uint64_t states = 0;
+  error = TraceError{};
+  EXPECT_FALSE(replay_count_offline(reader, options, &states, &error));
+  EXPECT_EQ(error.code, TraceErrorCode::kClockNotClosed) << error.to_string();
+  error = TraceError{};
+  EXPECT_FALSE(replay_count_streaming(reader, options, &states, &error));
+  EXPECT_EQ(error.code, TraceErrorCode::kClockNotClosed) << error.to_string();
+}
+
+// ---- posets through .pmt ----
+
+using testing::expect_posets_equal;
+
+// Writes `poset` with write_poset_trace and reads it back.
+Poset round_trip(const Poset& poset) {
+  TempTrace file("poset");
+  TraceError error;
+  EXPECT_TRUE(write_poset_trace(poset, file.path(), &error))
+      << error.to_string();
+  TraceReader reader;
+  EXPECT_TRUE(reader.open(file.path(), &error)) << error.to_string();
+  Poset reloaded{0};
+  EXPECT_TRUE(replay_to_poset(reader, &reloaded, nullptr, &error))
+      << error.to_string();
+  return reloaded;
+}
+
+TEST(PosetIo, RoundTripFigure4) {
+  const Poset original = testing::make_figure4_poset();
+  expect_posets_equal(original, round_trip(original));
+}
+
+TEST(PosetIo, RoundTripRandomPosets) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const Poset original = testing::make_random(5, 50, 0.5, seed);
+    const Poset reloaded = round_trip(original);
+    expect_posets_equal(original, reloaded);
+    EXPECT_EQ(count_ideals(original), count_ideals(reloaded));
+  }
+}
+
+TEST(PosetIo, RoundTripEmptyPoset) {
+  PosetBuilder builder(3);
+  const Poset reloaded = round_trip(std::move(builder).build());
+  EXPECT_EQ(reloaded.num_threads(), 3u);
+  EXPECT_EQ(reloaded.total_events(), 0u);
+}
+
+// Figure 4 in the interleave order e0[1], e1[1], e0[2], e1[2], byte for
+// byte: one chunk, each thread's first record absolute and its second a
+// delta, framed by the test's own FileBuilder.
+TEST(PosetIo, FormatIsStable) {
+  std::vector<std::uint8_t> payload;
+  put_record(payload, 0, 0, kAbsoluteClock, 0, {{0, 1}});
+  put_record(payload, 1, 0, kAbsoluteClock, 0, {{1, 1}});
+  put_record(payload, 0, 0, 0, 0, {{0, 1}, {0, 1}});
+  put_record(payload, 1, 0, 0, 0, {{0, 1}, {0, 1}});
+  TempTrace file("figure4");
+  TraceError error;
+  ASSERT_TRUE(
+      write_poset_trace(testing::make_figure4_poset(), file.path(), &error))
+      << error.to_string();
+  EXPECT_EQ(read_file(file.path()), FileBuilder(2).build(payload, 4));
+}
+
+TEST(PosetIo, PreservesKindsAndObjects) {
+  PosetBuilder builder(2);
+  builder.add_event(0, OpKind::kAcquire, {}, 42);
+  builder.add_event(1, OpKind::kCollection, {}, 7);
+  const Poset reloaded = round_trip(std::move(builder).build());
+  EXPECT_EQ(reloaded.event(0, 1).kind, OpKind::kAcquire);
+  EXPECT_EQ(reloaded.event(0, 1).object, 42u);
+  EXPECT_EQ(reloaded.event(1, 1).kind, OpKind::kCollection);
+  EXPECT_EQ(reloaded.event(1, 1).object, 7u);
+}
+
+// A saved poset loads back equal; a path that cannot be written and a poset
+// wider than the format are typed errors, not aborts.
+TEST(PosetIo, SaveAndLoadFile) {
+  const Poset original = testing::make_random(4, 30, 0.5, 11);
+  expect_posets_equal(original, round_trip(original));
+
+  TraceError error;
+  EXPECT_FALSE(
+      write_poset_trace(original, "/nonexistent/dir/poset.pmt", &error));
+  EXPECT_EQ(error.code, TraceErrorCode::kIoError) << error.to_string();
+  TempTrace file("too_wide");
+  EXPECT_FALSE(
+      write_poset_trace(Poset{kMaxThreads + 1}, file.path(), &error));
+  EXPECT_EQ(error.code, TraceErrorCode::kBadHeader) << error.to_string();
 }
 
 // ---- replay oracle ----

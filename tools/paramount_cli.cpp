@@ -1,13 +1,15 @@
 // paramount — command-line front end to the enumeration library.
 //
-// Load a poset from a file (see poset_io.hpp for the format) or generate a
-// random distributed computation, then count or print its consistent global
-// states with any algorithm, inspect the interval partition, or run the
-// weak-conjunctive detector.
+// Load a poset from a .pmt trace (src/trace/format.hpp; `paramount --save`
+// and `paramount-trace gen|record` write one) or generate a random
+// distributed computation, then count or print its consistent global states
+// with any algorithm, inspect the interval partition, or run the
+// weak-conjunctive detector. A file that cannot be read or written, or
+// whose clocks do not form a poset, exits 1 with one `error:` line.
 //
-//   paramount --generate-events=60 --mode=count --workers=8
-//   paramount --input=trace.poset --mode=print --algorithm=lexical
-//   paramount --input=trace.poset --mode=intervals
+//   paramount --generate-events=60 --save=g.pmt --mode=count --workers=8
+//   paramount --input=g.pmt --mode=print --algorithm=lexical
+//   paramount --input=trace.pmt --mode=intervals
 //   paramount --generate-events=300 --mode=conjunctive --modulus=3
 //
 // Observability (see README "Observability"): count mode prints a per-worker
@@ -25,8 +27,8 @@
 #include "detect/conjunctive.hpp"
 #include "obs/telemetry.hpp"
 #include "poset/lattice.hpp"
-#include "poset/poset_io.hpp"
 #include "poset/topo_sort.hpp"
+#include "trace/replay.hpp"
 #include "util/cli.hpp"
 #include "util/mem_meter.hpp"
 #include "util/stats.hpp"
@@ -385,7 +387,7 @@ int main(int argc, char** argv) {
   CliFlags flags(
       "paramount — enumerate and analyse consistent global states of a "
       "concurrent execution.");
-  flags.add_string("input", "", "poset file to load (empty = generate)");
+  flags.add_string("input", "", ".pmt trace to load (empty = generate)");
   flags.add_int("generate-processes", 10, "generator: number of processes");
   flags.add_int("generate-events", 60, "generator: total events");
   flags.add_double("generate-prob", 0.9, "generator: message density");
@@ -406,7 +408,7 @@ int main(int argc, char** argv) {
                  "instead of dropping new ones when full");
   flags.add_int("limit", 50, "max states/intervals to print");
   flags.add_int("modulus", 3, "conjunctive mode: index % modulus == 0");
-  flags.add_string("save", "", "also save the poset to this file");
+  flags.add_string("save", "", "also save the poset to this .pmt file");
   flags.add_int("stream-events", 100000,
                 "online mode: events to stream through the monitor");
   flags.add_int("stream-threads", 8, "online mode: program threads");
@@ -439,12 +441,29 @@ int main(int argc, char** argv) {
   }
 
   // Online mode monitors a generated stream; the offline poset inputs do not
-  // apply.
-  if (mode == "online") return run_online(flags);
+  // apply, and ignoring them would hide that.
+  const std::string input = flags.get_string("input");
+  const std::string save = flags.get_string("save");
+  if (mode == "online") {
+    if (!input.empty() || !save.empty()) {
+      std::fprintf(stderr,
+                   "error: --input/--save are not supported by --mode=online "
+                   "(it monitors a generated stream)\n");
+      return 2;
+    }
+    return run_online(flags);
+  }
 
   Poset poset{0};
-  if (!flags.get_string("input").empty()) {
-    poset = load_poset(flags.get_string("input"));
+  trace::TraceError error;
+  if (!input.empty()) {
+    trace::TraceReader reader;
+    if (!reader.open(input, &error) ||
+        !trace::replay_to_poset(reader, &poset, nullptr, &error)) {
+      std::fprintf(stderr, "error: %s: %s\n", input.c_str(),
+                   error.to_string().c_str());
+      return 1;
+    }
   } else {
     RandomPosetParams params;
     params.num_processes = static_cast<std::size_t>(
@@ -459,9 +478,13 @@ int main(int argc, char** argv) {
   std::printf("poset: %zu threads, %s events\n", poset.num_threads(),
               format_count(poset.total_events()).c_str());
 
-  if (!flags.get_string("save").empty()) {
-    save_poset(flags.get_string("save"), poset);
-    std::printf("saved to %s\n", flags.get_string("save").c_str());
+  if (!save.empty()) {
+    if (!trace::write_poset_trace(poset, save, &error)) {
+      std::fprintf(stderr, "error: %s: %s\n", save.c_str(),
+                   error.to_string().c_str());
+      return 1;
+    }
+    std::printf("saved to %s\n", save.c_str());
   }
 
   if (mode == "count") return run_count(poset, flags);

@@ -14,8 +14,8 @@
 // session per connection, which the session's end closes.
 //
 // Output is `key: value` lines so shell checks can grep exact fields.
-// Exit codes: 0 success, 1 protocol/transport failure or oracle mismatch,
-// 2 flag usage error.
+// Exit codes: 0 success, 1 protocol/transport failure, defective trace or
+// oracle mismatch (one `error:` line on stderr), 2 flag usage error.
 #include <cinttypes>
 #include <cstdio>
 #include <limits>
@@ -38,7 +38,7 @@ using namespace paramount::service;
 namespace {
 
 [[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "paramount-client: %s\n", message.c_str());
+  std::fprintf(stderr, "error: %s\n", message.c_str());
   std::exit(1);
 }
 
