@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <thread>
 
+#include "obs/json_writer.hpp"
 #include "poset/topo_sort.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -148,6 +150,34 @@ void print_provenance() {
       "%s%s, NDEBUG %s\n",
       std::thread::hardware_concurrency(), usable_cpus(), compiler,
       __VERSION__, ndebug);
+}
+
+namespace {
+
+// The "model name" of /proc/cpuinfo's first CPU, or "unknown".
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t value = line.find_first_not_of(" \t", line.find(':') + 1);
+    if (value != std::string::npos) return line.substr(value);
+  }
+  return "unknown";
+}
+
+}  // namespace
+
+std::string provenance_json(const std::string& commit) {
+  obs::JsonWriter w;
+  w.begin_object();
+  w.key("usable_cpus").value(static_cast<std::uint64_t>(usable_cpus()));
+  w.key("cpu_model").value(cpu_model());
+  w.key("compiler").value(PARAMOUNT_BENCH_COMPILER);
+  w.key("build_type").value(PARAMOUNT_BENCH_BUILD_TYPE);
+  w.key("commit").value(commit);
+  w.end_object();
+  return std::move(w).take();
 }
 
 ParaTimes time_paramount(EnumAlgorithm subroutine, const Poset& poset,

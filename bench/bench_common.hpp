@@ -73,6 +73,12 @@ std::size_t usable_cpus();
 // and whether NDEBUG is set.
 void print_provenance();
 
+// The host and build behind a bench's numbers as one JSON object, with the
+// fields of perfbench's provenance: usable CPUs, the CPU model, the
+// compiler, the CMake build type and `commit`, which the caller names
+// since a build cannot know it.
+std::string provenance_json(const std::string& commit);
+
 // The per-round wall times of one configuration.
 struct Timing {
   std::vector<double> seconds;  // one per round the run completed

@@ -11,10 +11,13 @@
 // service-scale job runs with --check).
 //
 // Output: one JSON object (--out=BENCH_service.json) in the same shape as
-// the other BENCH_*.json trajectories:
-//   {"bench":"service","quick":false,"runs":[
-//     {"sessions":100,"poll_p50_ns":...,"poll_p99_ns":...,"poll_max_ns":...,
-//      "rss_bytes":...,"polls":2000}, ...]}
+// the other BENCH_*.json trajectories, with the host and build it ran on
+// (--commit names the commit; CI passes its checkout's):
+//   {"bench":"service","quick":false,
+//    "provenance":{"usable_cpus":4,"cpu_model":"...","compiler":"GNU 12.2.0",
+//                  "build_type":"Release","commit":"..."},
+//    "runs":[{"sessions":100,"poll_p50_ns":...,"poll_p99_ns":...,
+//             "poll_max_ns":...,"rss_bytes":...,"polls":2000}, ...]}
 //
 // The probe session carries a real (small) event stream before polling so
 // Stats replies exercise the full telemetry path, not an empty session.
@@ -28,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "service/epoll_server.hpp"
 #include "service/frame.hpp"
 #include "util/cli.hpp"
@@ -109,6 +113,9 @@ int main(int argc, char** argv) {
   flags.add_int("probe-events", 400,
                 "events streamed on the probe session before timing");
   flags.add_string("out", "", "write the JSON trajectory here");
+  flags.add_string("commit", "none",
+                   "commit the binary was built from, for the JSON's "
+                   "provenance");
   flags.add_bool("quick", false, "CI-sized run: scales 100,500,2000 and 500 polls");
   flags.add_bool("check", false,
                  "exit 1 unless p99 at the largest plateau stays within 2x "
@@ -302,8 +309,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bench_service: cannot write %s\n", out.c_str());
       return 1;
     }
-    std::fprintf(f, "{\"bench\":\"service\",\"quick\":%s,\"runs\":[",
-                 quick ? "true" : "false");
+    std::fprintf(f,
+                 "{\"bench\":\"service\",\"quick\":%s,\"provenance\":%s,"
+                 "\"runs\":[",
+                 quick ? "true" : "false",
+                 bench::provenance_json(flags.get_string("commit")).c_str());
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const Run& r = runs[i];
       std::fprintf(f,

@@ -76,8 +76,11 @@ ClockVerdict OnlineParamount::try_submit(ThreadId tid, OpKind kind,
                                          const VectorClock& clock,
                                          EventId* id) {
   obs::Telemetry* const tel = options_.telemetry;
-  const std::uint64_t insert_ns =
-      tel != nullptr ? tel->tracer().now_ns() : 0;
+  const std::size_t shard = options_.single_submitter ? 0 : tid;
+  // Decided before the insert, whose first clock read starts a timed
+  // event's gbnd_ns and event_to_done_ns. An untimed event reads no clock.
+  const bool timed = tel != nullptr && tel->time_next_event(shard);
+  const std::uint64_t insert_ns = timed ? tel->tracer().now_ns() : 0;
   // Reused by every submit at this depth on this thread: the insert core
   // copies a multi-state box's Gbnd into its buffer, which stops allocating
   // after the first, and leaves its Gmin alone (Gmin is `clock`). Only its
@@ -88,16 +91,16 @@ ClockVerdict OnlineParamount::try_submit(ThreadId tid, OpKind kind,
       poset_.try_append(tid, kind, object, clock, &ins);
   if (verdict != ClockVerdict::kOk) return verdict;
   if (id != nullptr) *id = ins.id;
-  const std::size_t shard = options_.single_submitter ? 0 : tid;
-  std::uint64_t done_ns = 0;
-  if (tel != nullptr) {
+  Stamps stamps{insert_ns, 0};
+  if (tel != nullptr) tel->metrics().add(tel->claims, shard);
+  if (timed) {
     // The insert is Algorithm 4's atomic block: it appends to →p and
     // snapshots the maximal frontier (Gbnd).
-    done_ns = tel->tracer().now_ns();
-    tel->metrics().add(tel->claims, shard);
-    tel->metrics().observe(tel->gbnd_ns, shard, done_ns - insert_ns);
+    stamps.start_ns = tel->tracer().now_ns();
+    tel->metrics().observe(tel->gbnd_ns, shard, stamps.start_ns - insert_ns,
+                           obs::Telemetry::kTimedEventEvery);
     tel->tracer().record(shard, "gbnd_snapshot", "online", insert_ns,
-                         done_ns - insert_ns);
+                         stamps.start_ns - insert_ns);
   }
   // Gmin == Gbnd: the event causally follows every event inserted before it,
   // so its box holds the single state Gmin. Visiting that one state costs
@@ -110,13 +113,17 @@ ClockVerdict OnlineParamount::try_submit(ThreadId tid, OpKind kind,
     const std::uint32_t pin = options_.window_policy.enabled()
                                   ? poset_.pin_newest(ins.id)
                                   : OnlinePoset::kNoPin;
-    pool_->submit([this, tel, ins = ins, gmin = clock, pin] {
+    pool_->submit([this, tel, ins = ins, gmin = clock, pin, timed,
+                   stamps]() mutable {
       // While this guard lives, collect() cannot advance the watermark
       // past gmin, so every index inside [Gmin, Gbnd] stays resident.
       OnlinePoset::EnumGuard guard(&poset_, pin);
+      // A timed interval's own timing starts here, after its queue wait,
+      // which the pool times for every task.
+      if (timed) stamps.start_ns = tel->tracer().now_ns();
       enumerate_interval(
           ins, gmin, pool_shard_base_ + ThreadPool::current_worker_index(),
-          tel != nullptr ? tel->tracer().now_ns() : 0);
+          timed ? &stamps : nullptr);
       // Release the pin before announcing completion: once the callback
       // fires, the interval no longer holds any storage against
       // reclamation, so a collect() triggered by the listener sees the
@@ -125,13 +132,13 @@ ClockVerdict OnlineParamount::try_submit(ThreadId tid, OpKind kind,
       if (options_.interval_done) options_.interval_done(ins.id);
     });
   } else {
-    // An interval enumerated here is timed from the moment its Gbnd
+    // A timed interval enumerated here is timed from the moment its Gbnd
     // snapshot ended: one clock read closes the one span and opens the
     // other. Its box is [clock, Gbnd], and it takes no pin: its event is
     // its thread's newest until this submit returns, so the clock floor
     // alone keeps the box resident. That rests on the one-at-a-time rule,
     // so check that no other submit of this thread slipped in.
-    enumerate_interval(ins, clock, shard, done_ns);
+    enumerate_interval(ins, clock, shard, timed ? &stamps : nullptr);
     PM_CHECK_MSG(poset_.num_events(tid) == ins.id.index,
                  "events of one program thread must be submitted one at a "
                  "time");
@@ -183,7 +190,7 @@ void OnlineParamount::maybe_collect() {
 void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins,
                                          const Frontier& gmin,
                                          std::size_t shard,
-                                         std::uint64_t start_ns) {
+                                         const Stamps* stamps) {
   obs::Telemetry* const tel = options_.telemetry;
   std::uint64_t states = 0;
   // The empty state {0,…,0} belongs to the interval of the first event in
@@ -210,13 +217,20 @@ void OnlineParamount::enumerate_interval(const OnlinePoset::Inserted& ins,
   states_.fetch_add(states, std::memory_order_relaxed);
   intervals_.fetch_add(1, std::memory_order_relaxed);
   if (tel != nullptr) {
-    const std::uint64_t end_ns = tel->tracer().now_ns();
-    tel->tracer().record(shard, "interval", "enumerate", start_ns,
-                         end_ns - start_ns, "states", states);
     tel->metrics().add(tel->states, shard, states);
     tel->metrics().add(tel->intervals, shard);
     tel->metrics().observe(tel->interval_states, shard, states);
-    tel->metrics().observe(tel->interval_ns, shard, end_ns - start_ns);
+  }
+  if (stamps != nullptr) {
+    // The interval's end read also ends its event's event_to_done_ns.
+    constexpr std::uint64_t kWeight = obs::Telemetry::kTimedEventEvery;
+    const std::uint64_t end_ns = tel->tracer().now_ns();
+    tel->tracer().record(shard, "interval", "enumerate", stamps->start_ns,
+                         end_ns - stamps->start_ns, "states", states);
+    tel->metrics().observe(tel->interval_ns, shard, end_ns - stamps->start_ns,
+                           kWeight);
+    tel->metrics().observe(tel->event_to_done_ns, shard,
+                           end_ns - stamps->insert_ns, kWeight);
   }
 }
 

@@ -70,6 +70,12 @@ class OnlineParamount {
     // plus w. The submitting side holds one shard per program thread
     // (thread t writes shard t; num_threads + async_workers shards), or
     // one shard alone with single_submitter (1 + async_workers shards).
+    // The counters and interval_states count every event and interval.
+    // Only one event in obs::Telemetry::kTimedEventEvery per submitting
+    // shard reads the clock, as decided before its insert. A timed event
+    // records gbnd_ns and a "gbnd_snapshot" span, then interval_ns,
+    // event_to_done_ns and an "interval" span wherever its interval runs,
+    // each observation with weight kTimedEventEvery.
     obs::Telemetry* telemetry = nullptr;
     // One thread at a time calls submit(), whatever the events' thread ids
     // (the service session's reactor): it alone writes shard 0, so the
@@ -142,14 +148,19 @@ class OnlineParamount {
   }
 
  private:
+  // The tracer times of a timed event (see Options::telemetry).
+  struct Stamps {
+    std::uint64_t insert_ns;  // the first clock read of its insert
+    std::uint64_t start_ns;   // where its interval's timing starts
+  };
+
   // Visits every state of ins.id's interval: the box [gmin, ins.gbnd], or
   // gmin alone when ins.one_state (ins.gmin is not read). `shard` is the
   // telemetry shard of the calling thread (see Options::telemetry);
-  // `start_ns` is the tracer time the interval's timing starts from
-  // (unused without telemetry).
+  // `stamps` is null unless the event is timed.
   void enumerate_interval(const OnlinePoset::Inserted& ins,
                           const Frontier& gmin, std::size_t shard,
-                          std::uint64_t start_ns);
+                          const Stamps* stamps);
   void maybe_collect();
 
   OnlinePoset poset_;

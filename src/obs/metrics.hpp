@@ -124,13 +124,19 @@ class MetricsRegistry {
     cell(id, shard).store(value, std::memory_order_relaxed);
   }
 
-  void observe(MetricId histogram_id, std::size_t shard, std::uint64_t value) {
+  // One observation standing for `weight` equal ones: it adds `weight` to
+  // its bucket and to the count and weight * value to the sum, so a sampled
+  // instrument that observes one value in N with weight N keeps count, sum
+  // and quantiles as estimates over every value.
+  void observe(MetricId histogram_id, std::size_t shard, std::uint64_t value,
+               std::uint64_t weight = 1) {
     if constexpr (!kTelemetryEnabled) return;
     // Layout per shard: [buckets x65][count][sum].
+    std::atomic<std::uint64_t>* const cells = &cell(histogram_id, shard);
     const std::size_t bucket = value == 0 ? 0 : std::bit_width(value);
-    bump(cell(histogram_id + static_cast<MetricId>(bucket), shard), 1);
-    bump(cell(histogram_id + kHistogramBuckets, shard), 1);
-    bump(cell(histogram_id + kHistogramBuckets + 1, shard), value);
+    bump(cells[bucket], weight);
+    bump(cells[kHistogramBuckets], weight);
+    bump(cells[kHistogramBuckets + 1], weight * value);
   }
 
   // ---- cold path ----

@@ -27,7 +27,8 @@ Telemetry::Telemetry(std::size_t num_shards,
                      std::size_t trace_capacity_per_shard,
                      SpanTracer::OverflowPolicy trace_overflow)
     : metrics_(num_shards),
-      tracer_(num_shards, trace_capacity_per_shard, trace_overflow) {
+      tracer_(num_shards, trace_capacity_per_shard, trace_overflow),
+      countdowns_(new Countdown[num_shards]) {
   states = metrics_.counter("paramount.states");
   intervals = metrics_.counter("paramount.intervals");
   claims = metrics_.counter("paramount.claims");
@@ -43,6 +44,7 @@ Telemetry::Telemetry(std::size_t num_shards,
   interval_ns = metrics_.histogram("paramount.interval_ns");
   queue_wait_ns = metrics_.histogram("pool.queue_wait_ns");
   gbnd_ns = metrics_.histogram("paramount.gbnd_ns");
+  event_to_done_ns = metrics_.histogram("online.event_to_done_ns");
 }
 
 bool Telemetry::write_metrics_json(const std::string& path) const {

@@ -7,9 +7,14 @@
 // shard must have a single writer at a time. A null `Telemetry*` anywhere in
 // the stack disables instrumentation at that call site; building with
 // -DPARAMOUNT_NO_TELEMETRY removes the instrumentation bodies entirely.
+//
+// The online driver times one submitted event in kTimedEventEvery per
+// submitting shard (time_next_event); every counter stays exact.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -58,15 +63,49 @@ class Telemetry {
   // written by whichever thread last touched the queue, the submitter or a
   // worker, but always under the pool's lock, so one at a time.
   MetricId queue_depth;
-  // Histograms.
+  // Histograms. interval_states observes every interval and queue_wait_ns
+  // every pool task or cursor claim. The offline driver observes
+  // interval_ns and gbnd_ns once per claim. The online driver observes
+  // them and event_to_done_ns for its timed events only (time_next_event),
+  // each with weight kTimedEventEvery, so their counts and sums estimate
+  // those of every event.
   MetricId interval_states;  // states per interval (log2 buckets)
   MetricId interval_ns;      // wall time per interval enumeration
   MetricId queue_wait_ns;    // time spent waiting on the shared queue/cursor
   MetricId gbnd_ns;          // time computing the Gbnd boundary snapshot
+  // Online only: from the first clock read of an event's insert to the end
+  // of its interval's enumeration, on the shard that finished the interval.
+  MetricId event_to_done_ns;
+
+  // One online event in this many runs the submit path's clock reads.
+  static constexpr std::uint32_t kTimedEventEvery = 64;
+
+  // Counts one event submitted on `shard` and returns whether to time it:
+  // the shard's first event, and every kTimedEventEvery-th after it. The
+  // online driver asks before the insert, since a timed event reads the
+  // clock before it, so a refused event counts too. Each shard's countdown
+  // has the shard's single writer, like its metrics cells.
+  bool time_next_event(std::size_t shard) {
+    if constexpr (!kTelemetryEnabled) return false;
+    PM_DCHECK(shard < num_shards());
+    std::atomic<std::uint32_t>& left = countdowns_[shard].left;
+    // relaxed: single writer per shard, which reads its own last store;
+    // a load and a store, not an RMW, since no other thread writes here.
+    const std::uint32_t n = left.load(std::memory_order_relaxed);
+    left.store(n == 0 ? kTimedEventEvery - 1 : n - 1,
+               std::memory_order_relaxed);
+    return n == 0;
+  }
 
  private:
+  // One cache line per shard, so submitting threads share no line.
+  struct alignas(64) Countdown {
+    std::atomic<std::uint32_t> left{0};  // untimed events before the next
+  };
+
   MetricsRegistry metrics_;
   SpanTracer tracer_;
+  std::unique_ptr<Countdown[]> countdowns_;
 };
 
 }  // namespace paramount::obs

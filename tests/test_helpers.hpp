@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "enumeration/dispatch.hpp"
+#include "obs/telemetry.hpp"
 #include "poset/poset.hpp"
 #include "poset/poset_builder.hpp"
 #include "workloads/random_poset.hpp"
@@ -142,6 +143,16 @@ inline Poset make_random(std::size_t processes, std::size_t events,
   params.message_probability = message_probability;
   params.seed = seed;
   return make_random_poset(params);
+}
+
+// The weighted count of a sampled online histogram (gbnd_ns, interval_ns,
+// event_to_done_ns) after `events` events were submitted on one shard: the
+// shard times its first event and every N-th after it, N =
+// obs::Telemetry::kTimedEventEvery, and each timed event observes with
+// weight N.
+inline std::uint64_t timed_count(std::uint64_t events) {
+  constexpr std::uint64_t n = obs::Telemetry::kTimedEventEvery;
+  return n * ((events + n - 1) / n);
 }
 
 }  // namespace paramount::testing

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "obs/telemetry.hpp"
+#include "poset/clock_engine.hpp"
 #include "poset/clock_validator.hpp"
 #include "poset/lattice.hpp"
 #include "poset/online_poset.hpp"
@@ -19,6 +20,7 @@
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 #include "util/sync.hpp"
+#include "workloads/event_stream.hpp"
 
 namespace paramount {
 namespace {
@@ -27,6 +29,7 @@ using testing::all_distinct;
 using testing::as_set;
 using testing::key_of;
 using testing::make_random;
+using testing::timed_count;
 using testing::Key;
 
 // Replays an offline poset into an OnlineParamount in the given insertion
@@ -667,11 +670,13 @@ TEST(OnlineParamount, AsyncWorkersMatchOracle) {
 }
 
 // The driver's telemetry counts every event and every interval exactly
-// once, inline and pooled, in both shard layouts: a Gbnd snapshot and a
-// claim per event on the submitting side's shard, and per interval one
-// interval_ns and one interval_states observation, on whichever shard
-// enumerated it. With single_submitter the submitting side is shard 0
-// alone, so the sink holds 1 + async_workers shards.
+// once, inline and pooled, in both shard layouts: a claim per event on the
+// submitting side's shard, and per interval one interval_states
+// observation, on whichever shard enumerated it. The timed histograms
+// (gbnd_ns, interval_ns) hold the weighted count of the sampled events:
+// timed_count(k) for the k events of each submitting shard. With
+// single_submitter the submitting side is shard 0 alone, so the sink holds
+// 1 + async_workers shards.
 TEST(OnlineParamount, TelemetryCountsEveryEventAndIntervalOnce) {
   const Poset poset = make_random(4, 26, 0.4, 11);
   const auto order = topological_sort(poset, TopoPolicy::kInterleave);
@@ -698,8 +703,13 @@ TEST(OnlineParamount, TelemetryCountsEveryEventAndIntervalOnce) {
       ASSERT_EQ(online.intervals_processed(), order.size()) << where;
       if constexpr (!obs::kTelemetryEnabled) continue;
       const obs::MetricsSnapshot snap = telemetry.snapshot();
-      EXPECT_EQ(snap.find_histogram("paramount.interval_ns")->count,
-                online.intervals_processed())
+      std::uint64_t timed = 0;
+      for (std::size_t shard = 0; shard < submit_shards; ++shard) {
+        timed += timed_count(
+            single ? order.size()
+                   : poset.num_events(static_cast<ThreadId>(shard)));
+      }
+      EXPECT_EQ(snap.find_histogram("paramount.interval_ns")->count, timed)
           << where;
       EXPECT_EQ(snap.find_histogram("paramount.interval_states")->count,
                 online.intervals_processed())
@@ -714,7 +724,7 @@ TEST(OnlineParamount, TelemetryCountsEveryEventAndIntervalOnce) {
           snap.find_histogram("paramount.gbnd_ns");
       const obs::CounterSnapshot* claims =
           snap.find_counter("paramount.claims");
-      EXPECT_EQ(gbnd->count, order.size()) << where;
+      EXPECT_EQ(gbnd->count, timed) << where;
       EXPECT_EQ(claims->total, order.size()) << where;
       for (std::size_t shard = 0; shard < submit_shards; ++shard) {
         const std::size_t want =
@@ -722,7 +732,7 @@ TEST(OnlineParamount, TelemetryCountsEveryEventAndIntervalOnce) {
                    : poset.num_events(static_cast<ThreadId>(shard));
         EXPECT_EQ(claims->per_shard[shard], want)
             << where << ", shard " << shard;
-        EXPECT_EQ(gbnd->per_shard_count[shard], want)
+        EXPECT_EQ(gbnd->per_shard_count[shard], timed_count(want))
             << where << ", shard " << shard;
       }
       // The pool's shards sit right above the submitting side's.
@@ -731,6 +741,140 @@ TEST(OnlineParamount, TelemetryCountsEveryEventAndIntervalOnce) {
         pooled += snap.find_counter("pool.tasks")->per_shard[submit_shards + w];
       }
       EXPECT_EQ(pooled, snap.find_counter("pool.tasks")->total) << where;
+    }
+  }
+}
+
+// A lock-synchronised stream in which thread t submits about t + 1 times
+// as many events as thread 0, so each submitting shard's countdown wraps
+// at its own point.
+std::vector<SyntheticEventStream::StreamEvent> skewed_stream(
+    std::size_t threads, std::size_t events, std::uint64_t seed) {
+  Rng rng(seed);
+  ClockEngine engine(threads);
+  const std::uint64_t weights = threads * (threads + 1) / 2;
+  std::vector<SyntheticEventStream::StreamEvent> out(events);
+  for (SyntheticEventStream::StreamEvent& ev : out) {
+    std::uint64_t pick = rng.next_below(weights);
+    ev.tid = 0;
+    while (pick > ev.tid) pick -= ++ev.tid;
+    if (rng.next_double() < 0.8) {
+      ev.kind = OpKind::kAcquire;
+      ev.object = static_cast<std::uint32_t>(rng.next_below(2));
+      engine.sync_step(ev.tid, ev.object, &ev.clock);
+    } else {
+      ev.kind = OpKind::kInternal;
+      ev.object = 0;
+      engine.local_step(ev.tid, &ev.clock);
+    }
+  }
+  return out;
+}
+
+// The driver times the first event of each submitting shard and every
+// kTimedEventEvery-th after it, inline and pooled, in both shard layouts.
+// For k_s events submitted on shard s, gbnd_ns, interval_ns and
+// event_to_done_ns each count exactly N * sum_s ceil(k_s / N), whichever
+// thread enumerated the interval, and each timed event records exactly two
+// spans: its gbnd_snapshot and its interval (a pooled interval's task span
+// is the pool's, one per task). The counters and interval_states stay
+// exact for every event.
+TEST(OnlineParamount, TelemetryTimesOneEventInN) {
+  constexpr std::size_t kThreads = 4;
+  const std::vector<SyntheticEventStream::StreamEvent> events =
+      skewed_stream(kThreads, 1000, 5);
+  for (const std::size_t workers : {0u, 3u}) {
+    for (const bool single : {false, true}) {
+      const std::string where = std::to_string(workers) + " workers, " +
+                                (single ? "single" : "per-thread") +
+                                " submitter shards";
+      const std::size_t submit_shards = single ? 1 : kThreads;
+      obs::Telemetry telemetry(submit_shards + workers,
+                               /*trace_capacity_per_shard=*/4096);
+      OnlineParamount::Options options;
+      options.async_workers = workers;
+      options.telemetry = &telemetry;
+      options.single_submitter = single;
+      options.window_policy.gc_every = 8;
+      OnlineParamount online(
+          kThreads, options,
+          [](const OnlinePoset&, EventId, const Frontier&) {});
+      std::vector<std::uint64_t> submitted(submit_shards, 0);
+      for (const SyntheticEventStream::StreamEvent& ev : events) {
+        online.submit(ev.tid, ev.kind, ev.object, ev.clock);
+        ++submitted[single ? 0 : ev.tid];
+      }
+      online.drain();
+      ASSERT_EQ(online.intervals_processed(), events.size()) << where;
+      if constexpr (!obs::kTelemetryEnabled) continue;
+      const obs::MetricsSnapshot snap = telemetry.snapshot();
+      EXPECT_EQ(snap.find_counter("paramount.claims")->total, events.size())
+          << where;
+      EXPECT_EQ(snap.find_counter("paramount.intervals")->total,
+                events.size())
+          << where;
+      EXPECT_EQ(snap.find_counter("paramount.states")->total,
+                online.states_enumerated())
+          << where;
+      EXPECT_EQ(snap.find_histogram("paramount.interval_states")->count,
+                events.size())
+          << where;
+      std::uint64_t weighted = 0;
+      for (std::size_t shard = 0; shard < submit_shards; ++shard) {
+        ASSERT_GT(submitted[shard], obs::Telemetry::kTimedEventEvery)
+            << where << ", shard " << shard;
+        weighted += timed_count(submitted[shard]);
+        EXPECT_EQ(snap.find_histogram("paramount.gbnd_ns")
+                      ->per_shard_count[shard],
+                  timed_count(submitted[shard]))
+            << where << ", shard " << shard;
+      }
+      for (const char* name : {"paramount.gbnd_ns", "paramount.interval_ns",
+                               "online.event_to_done_ns"}) {
+        EXPECT_EQ(snap.find_histogram(name)->count, weighted)
+            << where << ", " << name;
+      }
+      const std::uint64_t timed = weighted / obs::Telemetry::kTimedEventEvery;
+      EXPECT_EQ(telemetry.tracer().dropped(), 0u) << where;
+      EXPECT_EQ(telemetry.tracer().recorded(),
+                2 * timed + snap.find_counter("pool.tasks")->total)
+          << where;
+    }
+  }
+}
+
+// online.event_to_done_ns runs from the first clock read of a timed
+// event's insert to the end read of its interval, with the same weight as
+// gbnd_ns, so its count is gbnd_ns's, inline and pooled. Inline, both ends
+// are the reads that bound gbnd_ns and interval_ns, so its sum is theirs.
+TEST(OnlineParamount, TelemetryEventToDoneSpansInsertAndInterval) {
+  const std::vector<SyntheticEventStream::StreamEvent> events =
+      skewed_stream(4, 300, 9);
+  for (const std::size_t workers : {0u, 3u}) {
+    obs::Telemetry telemetry(1 + workers, /*trace_capacity_per_shard=*/0);
+    OnlineParamount::Options options;
+    options.async_workers = workers;
+    options.telemetry = &telemetry;
+    options.single_submitter = true;
+    OnlineParamount online(
+        4, options, [](const OnlinePoset&, EventId, const Frontier&) {});
+    for (const SyntheticEventStream::StreamEvent& ev : events) {
+      online.submit(ev.tid, ev.kind, ev.object, ev.clock);
+    }
+    online.drain();
+    if constexpr (!obs::kTelemetryEnabled) continue;
+    const obs::MetricsSnapshot snap = telemetry.snapshot();
+    const obs::HistogramSnapshot* gbnd =
+        snap.find_histogram("paramount.gbnd_ns");
+    const obs::HistogramSnapshot* interval =
+        snap.find_histogram("paramount.interval_ns");
+    const obs::HistogramSnapshot* done =
+        snap.find_histogram("online.event_to_done_ns");
+    EXPECT_EQ(done->count, gbnd->count) << workers << " workers";
+    EXPECT_EQ(done->count, timed_count(events.size()))
+        << workers << " workers";
+    if (workers == 0) {
+      EXPECT_EQ(done->sum, gbnd->sum + interval->sum);
     }
   }
 }

@@ -24,6 +24,7 @@
 #include "service/epoll_server.hpp"
 #include "service/frame.hpp"
 #include "service_test_helpers.hpp"
+#include "test_helpers.hpp"
 #include "workloads/event_stream.hpp"
 
 namespace paramount::service {
@@ -293,7 +294,9 @@ std::unique_ptr<SessionCore> make_core(std::vector<DecodedFrame>& replies) {
 }
 
 // The session's telemetry counts every event and interval exactly once, in
-// one shard for the thread that feeds it plus one per pool worker.
+// one shard for the thread that feeds it plus one per pool worker. The
+// timed histograms hold the weighted count of the events its one
+// submitting shard sampled (timed_count).
 struct TelemetryCase {
   std::uint32_t async_workers;
   std::uint64_t gc_every;
@@ -340,11 +343,12 @@ TEST_P(SessionTelemetry, TotalsAreExact) {
   EXPECT_EQ(snap.num_shards, 1u + c.async_workers);
   if constexpr (obs::kTelemetryEnabled) {
     EXPECT_EQ(snap.find_counter("paramount.claims")->total, counts.events);
-    EXPECT_EQ(snap.find_histogram("paramount.gbnd_ns")->count, counts.events);
+    EXPECT_EQ(snap.find_histogram("paramount.gbnd_ns")->count,
+              paramount::testing::timed_count(counts.events));
     EXPECT_EQ(snap.find_counter("paramount.intervals")->total,
               counts.intervals);
     EXPECT_EQ(snap.find_histogram("paramount.interval_ns")->count,
-              counts.intervals);
+              paramount::testing::timed_count(counts.events));
     EXPECT_EQ(snap.find_histogram("paramount.interval_states")->count,
               counts.intervals);
     EXPECT_EQ(snap.find_counter("paramount.states")->total, counts.states);

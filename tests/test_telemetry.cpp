@@ -22,6 +22,7 @@
 #include "obs/json_writer.hpp"
 #include "obs/telemetry.hpp"
 #include "poset/poset_builder.hpp"
+#include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/random_poset.hpp"
 
@@ -324,6 +325,31 @@ TEST(Metrics, HistogramBucketBoundaries) {
   EXPECT_EQ(HistogramSnapshot::bucket_lo(4), 8u);
   EXPECT_EQ(HistogramSnapshot::bucket_hi(4), 16u);
   EXPECT_EQ(HistogramSnapshot::bucket_hi(64), ~0ULL);
+}
+
+// A weighted observation stands for `weight` equal ones: it adds the
+// weight to its bucket and to the count, and weight * value to the sum.
+TEST(Metrics, WeightedObserveCountsAsThatManyObservations) {
+  PM_SKIP_IF_NO_TELEMETRY();
+  MetricsRegistry weighted(1);
+  MetricsRegistry repeated(1);
+  const obs::MetricId w = weighted.histogram("ns");
+  const obs::MetricId r = repeated.histogram("ns");
+  for (const std::uint64_t value : {0ULL, 5ULL, 1000ULL, 1ULL << 40}) {
+    weighted.observe(w, 0, value, 64);
+    for (int i = 0; i < 64; ++i) repeated.observe(r, 0, value);
+  }
+  const MetricsSnapshot weighted_snap = weighted.snapshot();
+  const MetricsSnapshot repeated_snap = repeated.snapshot();
+  const HistogramSnapshot* a = weighted_snap.find_histogram("ns");
+  const HistogramSnapshot* b = repeated_snap.find_histogram("ns");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(a->count, 4u * 64);
+  EXPECT_EQ(a->count, b->count);
+  EXPECT_EQ(a->sum, b->sum);
+  EXPECT_EQ(a->buckets, b->buckets);
+  EXPECT_EQ(a->quantile(0.5), b->quantile(0.5));
 }
 
 TEST(Metrics, HistogramQuantiles) {
@@ -650,8 +676,11 @@ TEST(DriverTelemetry, OnlineInlineModeShardsBySubmitter) {
               online.states_enumerated());
     EXPECT_EQ(snap.find_counter("paramount.intervals")->total,
               online.intervals_processed());
-    EXPECT_EQ(snap.find_histogram("paramount.gbnd_ns")->count,
-              poset.total_events());
+    std::uint64_t timed = 0;
+    for (ThreadId t = 0; t < poset.num_threads(); ++t) {
+      timed += testing::timed_count(poset.num_events(t));
+    }
+    EXPECT_EQ(snap.find_histogram("paramount.gbnd_ns")->count, timed);
   }
 }
 
