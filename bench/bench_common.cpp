@@ -76,6 +76,8 @@ std::vector<NamedPoset> table1_posets(const std::string& scale,
     np.name = spec.name;
     np.poset = make_random_poset(params);
     np.order = topological_sort(np.poset, TopoPolicy::kInterleave);
+    std::fprintf(stderr, "[bench] %s: generated, %s events\n", spec.name,
+                 format_count(np.order.size()).c_str());
     out.push_back(std::move(np));
   }
 
@@ -90,6 +92,8 @@ std::vector<NamedPoset> table1_posets(const std::string& scale,
     np.name = spec.name;
     np.poset = std::move(trace.poset);
     np.order = trace.order;  // the observed online order
+    std::fprintf(stderr, "[bench] %s: recorded, %s events\n", spec.name,
+                 format_count(np.order.size()).c_str());
     out.push_back(std::move(np));
   }
   return out;
@@ -134,24 +138,6 @@ std::size_t usable_cpus() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-void print_provenance() {
-#if defined(__GNUC__) && !defined(__clang__)
-  const char* compiler = "GCC ";  // GCC's __VERSION__ is the number alone
-#else
-  const char* compiler = "";
-#endif
-#ifdef NDEBUG
-  const char* ndebug = "set";
-#else
-  const char* ndebug = "unset";
-#endif
-  std::printf(
-      "provenance: hardware_concurrency=%u, usable CPUs=%zu, compiler "
-      "%s%s, NDEBUG %s\n",
-      std::thread::hardware_concurrency(), usable_cpus(), compiler,
-      __VERSION__, ndebug);
-}
-
 namespace {
 
 // The "model name" of /proc/cpuinfo's first CPU, or "unknown".
@@ -167,6 +153,24 @@ std::string cpu_model() {
 }
 
 }  // namespace
+
+void print_provenance() {
+#if defined(__GNUC__) && !defined(__clang__)
+  const char* compiler = "GCC ";  // GCC's __VERSION__ is the number alone
+#else
+  const char* compiler = "";
+#endif
+#ifdef NDEBUG
+  const char* ndebug = "set";
+#else
+  const char* ndebug = "unset";
+#endif
+  std::printf(
+      "provenance: hardware_concurrency=%u, usable CPUs=%zu, CPU %s, "
+      "compiler %s%s, build %s, NDEBUG %s\n",
+      std::thread::hardware_concurrency(), usable_cpus(), cpu_model().c_str(),
+      compiler, __VERSION__, PARAMOUNT_BENCH_BUILD_TYPE, ndebug);
+}
 
 std::string provenance_json(const std::string& commit) {
   obs::JsonWriter w;

@@ -1,13 +1,13 @@
 // Shared machinery for the reproduction benches (Tables 1-2, Figures 10-12,
 // ablations).
 //
-// Every k-worker cell of the speedup benches (Table 1, Figures 10-11,
-// ablations A-B) is a real run of the offline driver with k worker threads:
-// the median of kRounds runs, the worker counts alternating within each
-// round, printed with its interquartile range. A cell whose k exceeds the
-// CPUs this process may use is marked as oversubscribed. Beside each row the
-// benches print the host's own parallelism on it (host_parallelism), since
-// a multi-core host does not always deliver one core per worker.
+// Every k-worker cell of bench_offline (Table 1, Figures 10-11, ablations
+// A-B) is a real run of the offline driver with k worker threads: the median
+// of kRounds runs, the worker counts alternating within each round, printed
+// with its interquartile range. A cell whose k exceeds the CPUs this process
+// may use is marked as oversubscribed. Beside each row it prints the host's
+// own parallelism on it (host_parallelism), since a multi-core host does not
+// always deliver one core per worker.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +30,7 @@ struct NamedPoset {
   std::vector<EventId> order;  // linear extension used as →p
 };
 
-// The Table-1 workload suite. `scale`:
+// The Table-1 workload suite, one line on stderr per row built. `scale`:
 //   "small"  — CI-sized (seconds per row),
 //   "default"— the reported configuration (a few minutes total),
 //   "paper"  — the paper's original event counts (hours; 10^9+ states).
@@ -59,7 +59,7 @@ std::string time_cell(double seconds, bool out_of_memory);
 
 // ---- real parallel runs ----
 
-// Runs behind every timed cell of the speedup benches.
+// Runs behind every timed cell of bench_offline.
 inline constexpr std::size_t kRounds = 5;
 
 // The worker counts of the paper's speedup columns.
@@ -69,8 +69,8 @@ inline const std::vector<std::size_t> kPaperWorkers = {1, 2, 4, 8};
 std::size_t usable_cpus();
 
 // Prints the line naming how the numbers below were produced:
-// std::thread::hardware_concurrency(), usable_cpus(), the compiler version
-// and whether NDEBUG is set.
+// std::thread::hardware_concurrency(), usable_cpus(), the CPU model, the
+// compiler version, the CMake build type and whether NDEBUG is set.
 void print_provenance();
 
 // The host and build behind a bench's numbers as one JSON object, with the

@@ -4,11 +4,9 @@
 
 namespace paramount::obs {
 
-SpanTracer::SpanTracer(std::size_t num_shards, std::size_t capacity_per_shard,
-                       OverflowPolicy policy)
+SpanTracer::SpanTracer(std::size_t num_shards, std::size_t capacity_per_shard)
     : epoch_(std::chrono::steady_clock::now()),
       capacity_(capacity_per_shard),
-      policy_(policy),
       shards_(num_shards) {
   PM_CHECK(num_shards > 0);
   for (ShardBuffer& buf : shards_) buf.events.reserve(capacity_);

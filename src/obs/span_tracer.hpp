@@ -10,12 +10,10 @@
 // `name`, `category`, and `arg_name` must be string literals (or otherwise
 // outlive the tracer): only the pointer is stored.
 //
-// Buffers are bounded. When a shard's buffer fills up, the overflow policy
-// decides which spans are lost: kDropNewest (default) discards the incoming
-// span, kRingNewest overwrites the oldest resident span so service-style runs
-// keep the most recent window of activity. Either way the lost span is
-// counted in dropped() — and mirrored into a metrics counter when
-// set_drop_counter() is wired — so a truncated trace never looks complete.
+// Buffers are bounded. When a shard's buffer fills up, the incoming span is
+// discarded and counted in dropped() — and mirrored into a metrics counter
+// when set_drop_counter() is wired — so a truncated trace never looks
+// complete.
 // A capacity of 0 turns recording off: record() keeps nothing and counts
 // nothing as dropped (daemon sessions, which export only metrics).
 #pragma once
@@ -44,20 +42,13 @@ class SpanTracer {
  public:
   static constexpr std::size_t kDefaultCapacityPerShard = 1 << 16;
 
-  enum class OverflowPolicy {
-    kDropNewest,  // buffer full: discard the incoming span
-    kRingNewest,  // buffer full: overwrite the oldest span (keep newest)
-  };
-
   explicit SpanTracer(std::size_t num_shards,
-                      std::size_t capacity_per_shard = kDefaultCapacityPerShard,
-                      OverflowPolicy policy = OverflowPolicy::kDropNewest);
+                      std::size_t capacity_per_shard = kDefaultCapacityPerShard);
 
   SpanTracer(const SpanTracer&) = delete;
   SpanTracer& operator=(const SpanTracer&) = delete;
 
   std::size_t num_shards() const { return shards_.size(); }
-  OverflowPolicy overflow_policy() const { return policy_; }
 
   // Mirror every drop into `metrics` (bumping `id` on the recording shard, so
   // the single-writer-per-shard contract is preserved). Wire before any
@@ -88,21 +79,13 @@ class SpanTracer {
       if (capacity_ == 0) return;  // recording off: nothing is lost
       ++buf.dropped;
       if (drop_metrics_ != nullptr) drop_metrics_->add(drop_metric_, shard);
-      if (policy_ == OverflowPolicy::kRingNewest) {
-        // The *oldest* span is the one lost: overwrite it in place.
-        buf.events[buf.ring_next] = TraceEvent{name, category, start_ns,
-                                               duration_ns, arg_name,
-                                               arg_value};
-        buf.ring_next = (buf.ring_next + 1) % capacity_;
-      }
       return;
     }
     buf.events.push_back(TraceEvent{name, category, start_ns, duration_ns,
                                     arg_name, arg_value});
   }
 
-  // Total spans lost across shards because a buffer filled up (discarded
-  // incoming spans under kDropNewest, overwritten oldest under kRingNewest).
+  // Total spans discarded across shards because a buffer filled up.
   std::uint64_t dropped() const;
   std::uint64_t recorded() const;
 
@@ -114,12 +97,10 @@ class SpanTracer {
   struct alignas(64) ShardBuffer {
     std::vector<TraceEvent> events;
     std::uint64_t dropped = 0;
-    std::size_t ring_next = 0;  // next slot to overwrite under kRingNewest
   };
 
   std::chrono::steady_clock::time_point epoch_;
   std::size_t capacity_;
-  OverflowPolicy policy_;
   MetricsRegistry* drop_metrics_ = nullptr;
   MetricId drop_metric_ = 0;
   std::vector<ShardBuffer> shards_;

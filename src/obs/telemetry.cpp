@@ -24,10 +24,9 @@ bool write_file(const std::string& path, const std::string& contents,
 }  // namespace
 
 Telemetry::Telemetry(std::size_t num_shards,
-                     std::size_t trace_capacity_per_shard,
-                     SpanTracer::OverflowPolicy trace_overflow)
+                     std::size_t trace_capacity_per_shard)
     : metrics_(num_shards),
-      tracer_(num_shards, trace_capacity_per_shard, trace_overflow),
+      tracer_(num_shards, trace_capacity_per_shard),
       countdowns_(new Countdown[num_shards]) {
   states = metrics_.counter("paramount.states");
   intervals = metrics_.counter("paramount.intervals");

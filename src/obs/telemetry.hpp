@@ -24,11 +24,9 @@ namespace paramount::obs {
 
 class Telemetry {
  public:
-  explicit Telemetry(
-      std::size_t num_shards,
-      std::size_t trace_capacity_per_shard = SpanTracer::kDefaultCapacityPerShard,
-      SpanTracer::OverflowPolicy trace_overflow =
-          SpanTracer::OverflowPolicy::kDropNewest);
+  explicit Telemetry(std::size_t num_shards,
+                     std::size_t trace_capacity_per_shard =
+                         SpanTracer::kDefaultCapacityPerShard);
 
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;

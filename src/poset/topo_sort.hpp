@@ -3,9 +3,8 @@
 // ParaMount (Algorithm 1) fixes any total order →p extending happened-before
 // and partitions the global states by it. The choice of extension does not
 // affect correctness (any linear extension yields a partition, Lemmas 2-3)
-// but does affect interval sizes and therefore load balance — the ablation
-// bench `bench_ablation_topo` measures this, which is why several policies
-// are provided.
+// but does affect interval sizes and therefore load balance — ablation A of
+// `bench_offline` measures this, which is why several policies are provided.
 #pragma once
 
 #include <cstdint>

@@ -123,8 +123,6 @@ void TraceRuntime::record_access(VarId var, bool is_write) {
   }
   ts.pending.merge(var, is_write, is_init);
   sink_.on_raw_access(tid, var, is_write, ts.clock);
-
-  if (!options_.merge_collections) flush_pending(ts, tid);
 }
 
 void TraceRuntime::flush_pending(ThreadState& ts, ThreadId tid) {

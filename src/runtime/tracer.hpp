@@ -14,11 +14,11 @@
 //                        construction.
 //
 // Consecutive accesses between synchronization points are merged into
-// Figure-9 event collections (configurable). Synchronization operations
-// themselves are recorded as poset events only when
-// Options::record_sync_events is set: the paper's detector posets contain
-// only predicate-relevant events (§4.4), while richer posets for the
-// enumeration benchmarks record the sync skeleton too.
+// Figure-9 event collections. Synchronization operations themselves are
+// recorded as poset events only when Options::record_sync_events is set: the
+// paper's detector posets contain only predicate-relevant events (§4.4),
+// while richer posets for the enumeration benchmarks record the sync
+// skeleton too.
 //
 // Delivery of events to the sink respects happened-before (Property 1):
 // a thread flushes its pending collection before every synchronization
@@ -49,9 +49,6 @@ class TraceRuntime {
     // Total number of traced threads, including the constructing (main)
     // thread; fixes the vector-clock width.
     std::size_t num_threads = 1;
-    // Merge consecutive accesses into event collections (Figure 9). When
-    // false every access becomes its own collection event.
-    bool merge_collections = true;
     // Record acquire/release/fork/join as poset events.
     bool record_sync_events = false;
     // Optional cooperative scheduler (schedule exploration, §5.3): every

@@ -1,11 +1,11 @@
 // Annotated synchronization primitives: the compile-time locking discipline.
 //
-// Every mutex in this codebase is a paramount::Mutex / SharedMutex from this
-// header, never a raw std::mutex — tools/lint/paramount_lint.py enforces
-// that, and DESIGN.md "Locking discipline" tables what each one guards. The
-// wrappers carry Clang Thread Safety Analysis capability attributes, so a
-// build with -DPARAMOUNT_THREAD_SAFETY=ON (Clang only) turns the locking
-// contract into compile errors:
+// Every mutex in this codebase is a paramount::Mutex from this header,
+// never a raw std::mutex — tools/lint/paramount_lint.py enforces that, and
+// DESIGN.md "Locking discipline" tables what each one guards. The wrappers
+// carry Clang Thread Safety Analysis capability attributes, so a build with
+// -DPARAMOUNT_THREAD_SAFETY=ON (Clang only) turns the locking contract into
+// compile errors:
 //
 //   * PM_GUARDED_BY(mu) on a member means every access must hold mu;
 //   * PM_REQUIRES(mu) on a function means callers must already hold mu —
@@ -25,7 +25,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__) && (!defined(SWIG))
 #define PM_THREAD_ANNOTATION(x) __attribute__((x))
@@ -42,20 +41,12 @@
   PM_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
 #define PM_REQUIRES(...) \
   PM_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define PM_REQUIRES_SHARED(...) \
-  PM_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 #define PM_ACQUIRE(...) PM_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define PM_ACQUIRE_SHARED(...) \
-  PM_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define PM_RELEASE(...) PM_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define PM_RELEASE_SHARED(...) \
-  PM_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 #define PM_RELEASE_GENERIC(...) \
   PM_THREAD_ANNOTATION(release_generic_capability(__VA_ARGS__))
 #define PM_TRY_ACQUIRE(...) \
   PM_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define PM_TRY_ACQUIRE_SHARED(...) \
-  PM_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
 #define PM_EXCLUDES(...) PM_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define PM_ASSERT_CAPABILITY(x) \
   PM_THREAD_ANNOTATION(assert_capability(x))
@@ -82,27 +73,6 @@ class PM_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-// Reader/writer mutex; ReaderLock/WriterLock are the matching guards.
-class PM_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() PM_ACQUIRE() { mu_.lock(); }
-  void unlock() PM_RELEASE() { mu_.unlock(); }
-  bool try_lock() PM_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  void lock_shared() PM_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() PM_RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool try_lock_shared() PM_TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
-
- private:
-  std::shared_mutex mu_;
-};
-
 // Tag for guard constructors adopting a mutex the caller already holds.
 struct AdoptLockT {
   explicit AdoptLockT() = default;
@@ -123,35 +93,6 @@ class PM_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-// RAII exclusive guard over a SharedMutex.
-class PM_SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) PM_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-  WriterLock(SharedMutex& mu, AdoptLockT) PM_REQUIRES(mu) : mu_(mu) {}
-  ~WriterLock() PM_RELEASE() { mu_.unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-// RAII shared (reader) guard over a SharedMutex.
-class PM_SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) PM_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderLock() PM_RELEASE_SHARED() { mu_.unlock_shared(); }
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 // Condition variable paired with paramount::Mutex.

@@ -1,15 +1,14 @@
 // Annotated synchronization wrappers (util/sync.hpp): mutual exclusion,
-// try-lock and guard adoption, condition-variable wakeups, and reader/writer
-// sharing. Runs under TSan in CI (suite names match the tsan job's -R Sync
-// filter), so the wrappers' forwarding to the std primitives is also checked
-// dynamically. Guarded state lives in small structs because PM_GUARDED_BY
-// only applies to data members, not locals — which also makes these tests a
-// compile-time exercise of the annotations under -DPARAMOUNT_THREAD_SAFETY.
+// try-lock and guard adoption, and condition-variable wakeups. Runs under
+// TSan in CI (suite names match the tsan job's -R Sync filter), so the
+// wrappers' forwarding to the std primitives is also checked dynamically.
+// Guarded state lives in small structs because PM_GUARDED_BY only applies to
+// data members, not locals — which also makes these tests a compile-time
+// exercise of the annotations under -DPARAMOUNT_THREAD_SAFETY.
 #include "util/sync.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -150,92 +149,6 @@ TEST(SyncCondVar, PingPongHandsTokenBackAndForth) {
 
   MutexLock lock(token.mutex);
   EXPECT_EQ(token.turn, 0);
-}
-
-TEST(SyncSharedMutex, ReadersShareWritersExclude) {
-  SharedMutex shared;
-  Turnstile ts;
-
-  ReaderLock main_reader(shared);
-
-  // A second reader may enter while the first is held — lock_shared cannot
-  // block here, so this terminates deterministically.
-  std::thread other_reader([&] {
-    ReaderLock r(shared);
-    MutexLock lock(ts.mutex);
-    ts.ready = true;
-    ts.cv.notify_one();
-  });
-  {
-    MutexLock lock(ts.mutex);
-    while (!ts.ready) ts.cv.wait(ts.mutex);
-  }
-  other_reader.join();
-
-  // A writer must be excluded while this thread still reads.
-  bool writer_got_in = true;
-  std::thread prober([&] {
-    writer_got_in = shared.try_lock();
-    if (writer_got_in) shared.unlock();
-  });
-  prober.join();
-  EXPECT_FALSE(writer_got_in);
-}
-
-TEST(SyncSharedMutex, WriterLockAdoptionAndReaderExclusion) {
-  SharedMutex shared;
-  const bool acquired = shared.try_lock();
-  ASSERT_TRUE(acquired);
-  if (acquired) {
-    WriterLock guard(shared, kAdoptLock);
-    // Readers are excluded while the writer holds the lock.
-    bool reader_got_in = true;
-    std::thread prober([&] {
-      reader_got_in = shared.try_lock_shared();
-      if (reader_got_in) shared.unlock_shared();
-    });
-    prober.join();
-    EXPECT_FALSE(reader_got_in);
-  }
-  const bool readable = shared.try_lock_shared();
-  EXPECT_TRUE(readable);
-  if (readable) shared.unlock_shared();
-}
-
-struct SharedValue {
-  SharedMutex mutex;
-  long value PM_GUARDED_BY(mutex) = 0;
-};
-
-TEST(SyncSharedMutex, WriterIsSerializedWithReaders) {
-  constexpr int kWriters = 2;
-  constexpr int kRounds = 2000;
-  SharedValue sv;
-  std::atomic<bool> torn{false};
-
-  std::vector<std::thread> threads;
-  for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kRounds; ++i) {
-        WriterLock guard(sv.mutex);
-        sv.value += 2;  // keep the invariant "value is even"
-      }
-    });
-  }
-  threads.emplace_back([&] {
-    for (int i = 0; i < kRounds; ++i) {
-      ReaderLock guard(sv.mutex);
-      if (sv.value % 2 != 0) {
-        // relaxed: single-writer flag checked after the joins below.
-        torn.store(true, std::memory_order_relaxed);
-      }
-    }
-  });
-  for (std::thread& t : threads) t.join();
-
-  EXPECT_FALSE(torn.load());
-  WriterLock guard(sv.mutex);
-  EXPECT_EQ(sv.value, 2L * kWriters * kRounds);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <variant>
@@ -475,29 +474,6 @@ TEST(Tracer, DropsBeyondCapacityAndCounts) {
   JsonParser parser(tracer.to_chrome_json());
   parser.parse();
   EXPECT_FALSE(parser.failed());
-}
-
-TEST(Tracer, RingNewestKeepsLatestSpansAndCountsLosses) {
-  PM_SKIP_IF_NO_TELEMETRY();
-  SpanTracer tracer(1, /*capacity_per_shard=*/4,
-                    SpanTracer::OverflowPolicy::kRingNewest);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    tracer.record(0, "e", "c", /*start_ns=*/i, 1, "ordinal", i);
-  }
-  // The buffer stays at capacity; the 6 *oldest* spans were the ones lost.
-  EXPECT_EQ(tracer.recorded(), 4u);
-  EXPECT_EQ(tracer.dropped(), 6u);
-
-  JsonParser parser(tracer.to_chrome_json());
-  const JsonValue doc = parser.parse();
-  ASSERT_FALSE(parser.failed());
-  std::set<double> ordinals;
-  for (const JsonValue& e : doc.at("traceEvents").array()) {
-    if (e.at("ph").string() == "X") {
-      ordinals.insert(e.at("args").at("ordinal").number());
-    }
-  }
-  EXPECT_EQ(ordinals, (std::set<double>{6, 7, 8, 9}));
 }
 
 TEST(Tracer, SpansDroppedCounterMirrorsLostSpansExactly) {

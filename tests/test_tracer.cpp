@@ -110,16 +110,6 @@ TEST(Tracer, SyncSplitsCollections) {
   EXPECT_EQ(events[2].clock[0], 3u);
 }
 
-TEST(Tracer, UnmergedModeEmitsPerAccess) {
-  CaptureSink sink;
-  TraceRuntime rt({.num_threads = 1, .merge_collections = false}, sink);
-  TracedVar<int> v(rt, "v", 0);
-  v.store(1);
-  (void)v.load();
-  rt.finish();
-  EXPECT_EQ(sink.events().size(), 2u);
-}
-
 TEST(Tracer, LockAtomicityEstablishesHappenedBefore) {
   CaptureSink sink;
   TraceRuntime rt({.num_threads = 2}, sink);

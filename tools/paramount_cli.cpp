@@ -61,12 +61,6 @@ std::string format_ns(double ns) {
   return format_seconds(ns * 1e-9);
 }
 
-obs::SpanTracer::OverflowPolicy trace_overflow(const CliFlags& flags) {
-  return flags.get_bool("trace-ring")
-             ? obs::SpanTracer::OverflowPolicy::kRingNewest
-             : obs::SpanTracer::OverflowPolicy::kDropNewest;
-}
-
 // Writes --metrics-json / --trace-out if requested; returns the exit status.
 int export_telemetry(const obs::Telemetry& telemetry, const CliFlags& flags) {
   int status = 0;
@@ -176,9 +170,7 @@ int run_count(const Poset& poset, const CliFlags& flags) {
   options.subroutine = parse_algorithm(flags.get_string("algorithm"));
   options.topo_policy = parse_policy(flags.get_string("order"));
 
-  obs::Telemetry telemetry(options.num_workers,
-                           obs::SpanTracer::kDefaultCapacityPerShard,
-                           trace_overflow(flags));
+  obs::Telemetry telemetry(options.num_workers);
   options.telemetry = &telemetry;
 
   WallTimer timer;
@@ -236,9 +228,7 @@ int run_online(const CliFlags& flags) {
     }
     wp.window_bytes = static_cast<std::size_t>(bytes);
   }
-  obs::Telemetry telemetry(sp.num_threads + options.async_workers,
-                           obs::SpanTracer::kDefaultCapacityPerShard,
-                           trace_overflow(flags));
+  obs::Telemetry telemetry(sp.num_threads + options.async_workers);
   options.telemetry = &telemetry;
 
   std::printf("online stream: %zu threads, %zu locks, %s events, "
@@ -331,8 +321,7 @@ int run_print(const Poset& poset, const CliFlags& flags) {
 
 int run_intervals(const Poset& poset, const CliFlags& flags) {
   const auto policy = parse_policy(flags.get_string("order"));
-  obs::Telemetry telemetry(1, obs::SpanTracer::kDefaultCapacityPerShard,
-                           trace_overflow(flags));
+  obs::Telemetry telemetry(1);
   const std::uint64_t start_ns = telemetry.tracer().now_ns();
   const auto intervals = compute_intervals(poset, policy);
   telemetry.tracer().record(0, "compute_intervals", "intervals", start_ns,
@@ -363,8 +352,7 @@ int run_conjunctive(const Poset& poset, const CliFlags& flags) {
       "modulus", 1, std::numeric_limits<std::int64_t>::max()));
   auto predicate = [&](ThreadId, EventIndex i) { return i % modulus == 0; };
   // The detector is single-threaded: one shard, everything on shard 0.
-  obs::Telemetry telemetry(1, obs::SpanTracer::kDefaultCapacityPerShard,
-                           trace_overflow(flags));
+  obs::Telemetry telemetry(1);
   const ConjunctiveResult result =
       detect_conjunctive(poset, predicate, &telemetry, /*shard=*/0);
   if (result.detected) {
@@ -403,9 +391,6 @@ int main(int argc, char** argv) {
                    "write a metrics snapshot (JSON) here");
   flags.add_string("trace-out", "",
                    "write a Chrome trace_event JSON here");
-  flags.add_bool("trace-ring", false,
-                 "trace buffer keeps the newest spans (overwrite oldest) "
-                 "instead of dropping new ones when full");
   flags.add_int("limit", 50, "max states/intervals to print");
   flags.add_int("modulus", 3, "conjunctive mode: index % modulus == 0");
   flags.add_string("save", "", "also save the poset to this .pmt file");
